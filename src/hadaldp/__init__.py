@@ -8,7 +8,6 @@ from domains as large as 2^61 while every user talks to the server twice
 at half the privacy budget.
 """
 
-from .backend import available_backends, get_backend, set_backend
 from .hadamard import entry, fht, fht_inplace, hadamard_matrix, naive_multiply
 from .hashing import P61, PairwiseHash, sample_hash
 from .randomizer import (PrivacyBudget, debias_factor, decode_reports,

@@ -1,48 +1,45 @@
-"""Kernel backend selection: numba @njit hot loops with a pure-numpy fallback.
+"""Vectorized numpy kernels for the three inner loops that dominate runtime.
 
-Three inner loops dominate runtime: the Walsh-Hadamard butterfly passes, the
-per-user report accumulation (sign lookup + coin flip + scatter-add), and
-pairwise-hash evaluation mod 2^61 - 1.  Each exists in two builds that produce
-bit-identical output: a numba one and a vectorized numpy one.  The active build
-is chosen by the HADALDP_BACKEND environment variable ("numba" or "numpy"); when
-unset we use numba if it imports cleanly and numpy otherwise.  `set_backend()`
-switches at runtime, which is what `hadaldp bench` uses to compare the two.
+The loops are the Walsh-Hadamard butterfly passes, the per-user report
+accumulation (sign lookup + coin flip + scatter-add), and pairwise-hash
+evaluation mod 2^61 - 1.  Each kernel is deterministic: accumulators hold
+integer-valued float64 sums of +-1 (exact below 2^53), the butterflies pair
+the same indices in the same order on every call, and the hash does exact
+32-bit-limb arithmetic in uint64.
 
-Bit-identical is not marketing: accumulators hold integer-valued float64 sums
-of +-1 (exact below 2^53), the butterflies pair the same indices in the same
-order in both builds, and the hash kernels do the same 32-bit-limb arithmetic,
-so every function here is deterministic across backends.
+Callers reach the kernels as attributes of this module (`backend.<name>`),
+so a profiler can wrap them in place.
 """
-
-import os
 
 import numpy as np
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 _MASK29 = np.uint64((1 << 29) - 1)
 _P61 = np.uint64((1 << 61) - 1)  # Mersenne prime 2^61 - 1, doubles as the low-61-bit mask
-_U1 = np.uint64(1)
 _U8 = np.uint64(8)
 _U29 = np.uint64(29)
 _U32 = np.uint64(32)
 _U61 = np.uint64(61)
 
 
-def _check_fwht_operand(x):
+def get_backend():
+    """Name of the kernel build; there is one, "numpy"."""
+    return "numpy"
+
+
+def set_backend(name):
+    """Accept only "numpy", the one kernel build."""
+    if name != "numpy":
+        raise ValueError(f"unknown backend {name!r}; the only one is 'numpy'")
+
+
+def fwht_inplace(x):
+    """One in-place Walsh-Hadamard pass over the last axis (rows for 2-D)."""
     if x.dtype != np.float64 or not x.flags.c_contiguous:
         raise ValueError("in-place transform needs a C-contiguous float64 array")
     m = x.shape[-1]
     if m < 1 or (m & (m - 1)) != 0:
         raise ValueError(f"length {m} is not a power of two")
-    return m
-
-
-# ---------------------------------------------------------------------------
-# numpy build
-# ---------------------------------------------------------------------------
-
-def _np_fwht_inplace(x):
-    m = _check_fwht_operand(x)
     flat = x.reshape(-1, m)
     h = 1
     while h < m:
@@ -53,12 +50,15 @@ def _np_fwht_inplace(x):
         h *= 2
 
 
-def _np_hadamard_signs(rows, cols):
+def hadamard_signs(rows, cols):
+    """Vector of +-1.0: sign is -1 iff popcount(row & col) is odd."""
+    rows = np.ascontiguousarray(rows, dtype=np.uint64)
+    cols = np.ascontiguousarray(cols, dtype=np.uint64)
     parity = np.bitwise_count(rows & cols).astype(np.int64) & 1
     return (1 - 2 * parity).astype(np.float64)
 
 
-def _np_mulmod_p61(a, x):
+def _mulmod_p61(a, x):
     # 64x64 multiply via 32-bit limbs, reduced with 2^61 == 1 (mod p).
     a_hi = a >> _U32
     a_lo = a & _MASK32
@@ -75,190 +75,13 @@ def _np_mulmod_p61(a, x):
     return np.where(s >= _P61, s - _P61, s)
 
 
-def _np_hash_eval(xs, a, b, m):
+def hash_eval(xs, a, b, m):
+    """Vectorized ((a*x + b) mod (2^61 - 1)) mod m on uint64 inputs."""
     x = np.ascontiguousarray(xs, dtype=np.uint64)
-    s = _np_mulmod_p61(np.uint64(a), x) + np.uint64(b)
+    s = _mulmod_p61(np.uint64(a), x) + np.uint64(b)
     s = (s >> _U61) + (s & _P61)
     s = np.where(s >= _P61, s - _P61, s)
     return s % np.uint64(m)
-
-
-def _np_accumulate_reports(buf, rows, cols, coins, keep_prob):
-    signs = _np_hadamard_signs(rows, cols)
-    reports = np.where(coins < keep_prob, signs, -signs)
-    buf += np.bincount(rows.astype(np.int64), weights=reports,
-                       minlength=buf.shape[0])
-
-
-# ---------------------------------------------------------------------------
-# numba build
-# ---------------------------------------------------------------------------
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    njit = None
-    HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-    _C1 = np.uint64(0x5555555555555555)
-    _C2 = np.uint64(0x3333333333333333)
-    _C3 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    _C4 = np.uint64(0x0101010101010101)
-    _U2 = np.uint64(2)
-    _U4 = np.uint64(4)
-    _U56 = np.uint64(56)
-    _UZERO = np.uint64(0)
-
-    @njit(cache=True)
-    def _nb_fwht_rows(x):
-        n_rows, m = x.shape
-        for r in range(n_rows):
-            h = 1
-            while h < m:
-                step = 2 * h
-                for i in range(0, m, step):
-                    for j in range(i, i + h):
-                        a = x[r, j]
-                        b = x[r, j + h]
-                        x[r, j] = a + b
-                        x[r, j + h] = a - b
-                h = step
-
-    @njit(cache=True)
-    def _nb_popcount(v):
-        v = v - ((v >> _U1) & _C1)
-        v = (v & _C2) + ((v >> _U2) & _C2)
-        v = (v + (v >> _U4)) & _C3
-        return (v * _C4) >> _U56
-
-    @njit(cache=True)
-    def _nb_hadamard_signs(rows, cols):
-        out = np.empty(rows.shape[0], dtype=np.float64)
-        for i in range(rows.shape[0]):
-            if _nb_popcount(rows[i] & cols[i]) & _U1 == _UZERO:
-                out[i] = 1.0
-            else:
-                out[i] = -1.0
-        return out
-
-    @njit(cache=True)
-    def _nb_mulmod_p61(a, x):
-        a_hi = a >> _U32
-        a_lo = a & _MASK32
-        x_hi = x >> _U32
-        x_lo = x & _MASK32
-        t0 = a_lo * x_lo
-        t1 = a_hi * x_lo + a_lo * x_hi
-        t2 = a_hi * x_hi
-        s = (_U8 * t2
-             + (t1 >> _U29) + ((t1 & _MASK29) << _U32)
-             + (t0 >> _U61) + (t0 & _P61))
-        s = (s >> _U61) + (s & _P61)
-        s = (s >> _U61) + (s & _P61)
-        if s >= _P61:
-            s -= _P61
-        return s
-
-    @njit(cache=True)
-    def _nb_hash_eval(xs, a, b, m):
-        out = np.empty(xs.shape[0], dtype=np.uint64)
-        for i in range(xs.shape[0]):
-            s = _nb_mulmod_p61(a, xs[i]) + b
-            s = (s >> _U61) + (s & _P61)
-            if s >= _P61:
-                s -= _P61
-            out[i] = s % m
-        return out
-
-    @njit(cache=True)
-    def _nb_accumulate_reports(buf, rows, cols, coins, keep_prob):
-        for i in range(rows.shape[0]):
-            if _nb_popcount(rows[i] & cols[i]) & _U1 == _UZERO:
-                s = 1.0
-            else:
-                s = -1.0
-            if coins[i] >= keep_prob:
-                s = -s
-            buf[rows[i]] += s
-
-    def _numba_fwht_inplace(x):
-        m = _check_fwht_operand(x)
-        _nb_fwht_rows(x.reshape(-1, m))
-
-    def _numba_hash_eval(xs, a, b, m):
-        x = np.ascontiguousarray(xs, dtype=np.uint64)
-        return _nb_hash_eval(x, np.uint64(a), np.uint64(b), np.uint64(m))
-
-    def _numba_hadamard_signs(rows, cols):
-        return _nb_hadamard_signs(np.ascontiguousarray(rows, dtype=np.uint64),
-                                  np.ascontiguousarray(cols, dtype=np.uint64))
-
-
-_IMPLS = {
-    "numpy": {
-        "fwht_inplace": _np_fwht_inplace,
-        "hadamard_signs": _np_hadamard_signs,
-        "hash_eval": _np_hash_eval,
-        "accumulate_reports": _np_accumulate_reports,
-    }
-}
-if HAVE_NUMBA:
-    _IMPLS["numba"] = {
-        "fwht_inplace": _numba_fwht_inplace,
-        "hadamard_signs": _numba_hadamard_signs,
-        "hash_eval": _numba_hash_eval,
-        "accumulate_reports": _nb_accumulate_reports,
-    }
-
-
-def _default_backend():
-    choice = os.environ.get("HADALDP_BACKEND", "").strip().lower()
-    if choice:
-        if choice not in _IMPLS:
-            known = ", ".join(sorted(_IMPLS))
-            raise RuntimeError(
-                f"HADALDP_BACKEND={choice!r} not available (have: {known})")
-        return choice
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_ACTIVE = _default_backend()
-
-
-def available_backends():
-    return sorted(_IMPLS)
-
-
-def get_backend():
-    return _ACTIVE
-
-
-def set_backend(name):
-    """Switch kernel builds at runtime (used by tests and `hadaldp bench`)."""
-    global _ACTIVE
-    if name not in _IMPLS:
-        raise ValueError(f"unknown backend {name!r}; have {available_backends()}")
-    _ACTIVE = name
-
-
-def fwht_inplace(x):
-    """One in-place Walsh-Hadamard pass over the last axis (rows for 2-D)."""
-    _IMPLS[_ACTIVE]["fwht_inplace"](x)
-
-
-def hadamard_signs(rows, cols):
-    """Vector of +-1.0: sign is -1 iff popcount(row & col) is odd."""
-    rows = np.ascontiguousarray(rows, dtype=np.uint64)
-    cols = np.ascontiguousarray(cols, dtype=np.uint64)
-    return _IMPLS[_ACTIVE]["hadamard_signs"](rows, cols)
-
-
-def hash_eval(xs, a, b, m):
-    """Vectorized ((a*x + b) mod (2^61 - 1)) mod m on uint64 inputs."""
-    return _IMPLS[_ACTIVE]["hash_eval"](xs, a, b, m)
 
 
 def accumulate_reports(buf, rows, cols, coins, keep_prob):
@@ -268,17 +91,8 @@ def accumulate_reports(buf, rows, cols, coins, keep_prob):
     coin landed outside the keep probability.  buf stays integer-valued.
     """
     rows = np.ascontiguousarray(rows, dtype=np.uint64)
-    cols = np.ascontiguousarray(cols, dtype=np.uint64)
-    coins = np.ascontiguousarray(coins, dtype=np.float64)
-    _IMPLS[_ACTIVE]["accumulate_reports"](buf, rows, cols, coins, keep_prob)
-
-
-def warmup():
-    """Force JIT compilation of the active backend's kernels."""
-    x = np.arange(8, dtype=np.float64)
-    fwht_inplace(x)
-    r = np.arange(4, dtype=np.uint64)
-    hadamard_signs(r, r)
-    hash_eval(r, 3, 7, 16)
-    buf = np.zeros(4, dtype=np.float64)
-    accumulate_reports(buf, r, r, np.full(4, 0.25), 0.5)
+    signs = hadamard_signs(rows, cols)
+    reports = np.where(np.asarray(coins, dtype=np.float64) < keep_prob,
+                       signs, -signs)
+    buf += np.bincount(rows.astype(np.int64), weights=reports,
+                       minlength=buf.shape[0])

@@ -5,24 +5,22 @@ Subcommands:
 - gen: write a synthetic dataset to disk (binary elements + JSON sidecar).
 - fo:  build a frequency oracle over a dataset and report error metrics.
 - hh:  run the heavy-hitter protocol, write the discovered histogram.
-- bench: time the kernels and a full build on every available backend.
 - verify: run the acceptance test module through pytest.
 
 `fo` and `hh` read an optional JSON config (--config); any flag given on
 the command line overrides the file.  Exit status is 0 only if the run's
-internal consistency checks all passed.
+internal consistency checks all passed.  Timing is not a subcommand:
+`python3 perfbench/run.py` in a checkout measures the package.
 """
 
 import argparse
 import json
 import logging
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
-from . import backend
 from . import freq_oracle as fo_mod
 from .datasets import gen_planted, gen_zipf, save_dataset
 from .experiments import (CSV_COLUMNS, ExperimentConfig, load_config,
@@ -93,10 +91,6 @@ def build_parser():
     _dataset_flags(hh)
     hh.add_argument("--max-frontier", dest="max_frontier", type=int,
                     default=None)
-
-    bench = sub.add_parser("bench", help="compare compute backends")
-    _common_flags(bench)
-    bench.add_argument("--n", type=int, default=None)
 
     ver = sub.add_parser("verify", help="run the acceptance tests")
     ver.add_argument("--tests", type=Path, default=None,
@@ -198,54 +192,6 @@ def _cmd_hh(args):
     return _run_and_report(config)
 
 
-def _cmd_bench(args):
-    n = args.n or 200_000
-    eps = args.eps or 1.0
-    rng = np.random.default_rng(7)
-    elements = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
-    params = fo_mod.OracleParams(eps=eps, beta_prime=0.05, c_m=4.0)
-    m_fht = 1 << 14
-
-    results = {}
-    for name in backend.available_backends():
-        backend.set_backend(name)
-        backend.warmup()
-        block = np.ascontiguousarray(
-            rng.standard_normal((16, m_fht)))
-        t0 = time.perf_counter()
-        backend.fwht_inplace(block)
-        fht_ms = (time.perf_counter() - t0) * 1e3
-        h_a, h_b = 1234567, 89
-        t0 = time.perf_counter()
-        backend.hash_eval(elements, h_a, h_b, 4096)
-        hash_ms = (time.perf_counter() - t0) * 1e3
-        t0 = time.perf_counter()
-        state = fo_mod.construct(elements, 1 << 32, params, seed=11)
-        build_ms = (time.perf_counter() - t0) * 1e3
-        t0 = time.perf_counter()
-        fo_mod.query_many(state, elements[:10_000])
-        query_ms = (time.perf_counter() - t0) * 1e3
-        results[name] = {"fht_ms": fht_ms, "hash_ms": hash_ms,
-                         "build_ms": build_ms, "query_ms": query_ms}
-
-    print(f"n = {n}, fht block 16 x {m_fht}, hash batch {n}, "
-          f"query batch 10000")
-    for name, r in results.items():
-        print(f"{name:>6}: " + "  ".join(f"{k}={v:9.2f}" for k, v in r.items()))
-    if len(results) > 1 and "numba" in results and "numpy" in results:
-        for key in ("fht_ms", "hash_ms", "build_ms", "query_ms"):
-            ratio = results["numpy"][key] / max(results["numba"][key], 1e-9)
-            print(f"numpy/numba {key}: {ratio:.1f}x")
-    if getattr(args, "out", None):
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "bench.json", "w", encoding="utf-8") as fh:
-            json.dump(results, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {out_dir}/bench.json")
-    return 0
-
-
 def _cmd_verify(args):
     import pytest
 
@@ -265,7 +211,7 @@ def _cmd_verify(args):
 
 
 _COMMANDS = {"gen": _cmd_gen, "fo": _cmd_fo, "hh": _cmd_hh,
-             "bench": _cmd_bench, "verify": _cmd_verify}
+             "verify": _cmd_verify}
 
 
 def main(argv=None):

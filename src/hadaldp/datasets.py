@@ -133,13 +133,19 @@ def save_dataset(ds, path):
 
 
 def load_dataset(path):
+    """Read a save_dataset file; raises ValueError on any malformed file."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    if len(blob) < _HEADER.size:
+        raise ValueError(f"file is {len(blob)} bytes, shorter than the "
+                         f"{_HEADER.size}-byte header")
     magic, version, _, d, n = _HEADER.unpack_from(blob, 0)
     if magic != MAGIC:
         raise ValueError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise ValueError(f"unsupported version {version}")
+    if d < 1:
+        raise ValueError("domain size must be positive, got 0")
     expected = _HEADER.size + 8 * n
     if len(blob) != expected:
         raise ValueError(f"file is {len(blob)} bytes, expected {expected}")

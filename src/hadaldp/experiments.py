@@ -23,7 +23,7 @@ import numpy as np
 from . import freq_oracle as fo
 from . import heavy_hitters as hh
 from . import hrr
-from .datasets import exact_frequency, gen_planted, gen_zipf, load_dataset
+from .datasets import exact_counts, gen_planted, gen_zipf, load_dataset
 from .randomizer import PrivacyBudget
 
 logger = logging.getLogger(__name__)
@@ -127,6 +127,12 @@ def _error_stats(estimates, truths):
             float(np.percentile(errs, 99)))
 
 
+def _lookup_counts(values, counts, queries):
+    """Exact count of each query (0 if absent) from exact_counts' arrays."""
+    pos = np.minimum(np.searchsorted(values, queries), values.size - 1)
+    return np.where(values[pos] == queries, counts[pos], 0)
+
+
 def _sample_queries(ds, config, trial):
     rng = np.random.default_rng(np.random.SeedSequence(
         [config.seed, trial, 0x9E37]))
@@ -148,7 +154,6 @@ def _run_hrr_trial(config, ds, trial, failures):
     state, build_ms = _timed(lambda: hrr.build(
         ds.elements, ds.d, budget, seed, max_dim=config.max_dim))
     queries = _sample_queries(ds, config, trial)
-    counts = exact_frequency(ds)
 
     def run_queries():
         return np.array([hrr.query(state, int(v)) for v in queries])
@@ -170,7 +175,7 @@ def _run_hrr_trial(config, ds, trial, failures):
                all(hrr.query(back, v) == hrr.query(state, v) for v in probe),
                "hrr serialization round-trip changed estimates")
 
-    truths = [counts.get(int(v), 0) for v in queries]
+    truths = _lookup_counts(*exact_counts(ds), queries)
     max_err, p95, p99 = _error_stats(estimates, truths)
     return {"trial": trial, "protocol": "hrr", "n": ds.n, "d": ds.d,
             "eps": config.eps, "m": state.m, "max_err": max_err,
@@ -185,7 +190,6 @@ def _run_oracle_trial(config, ds, trial, failures):
     seed = _trial_seed(config, trial, 0xF0)
     state, build_ms = _timed(lambda: fo.construct(ds.elements, ds.d, params, seed))
     queries = _sample_queries(ds, config, trial)
-    counts = exact_frequency(ds)
     estimates, query_ms = _timed(lambda: fo.query_many(state, queries))
     _check(failures, np.isfinite(estimates).all(),
            "oracle estimates not finite")
@@ -201,7 +205,7 @@ def _run_oracle_trial(config, ds, trial, failures):
                np.array_equal(fo.query_many(back, queries), estimates),
                "oracle serialization round-trip changed estimates")
 
-    truths = [counts.get(int(v), 0) for v in queries]
+    truths = _lookup_counts(*exact_counts(ds), queries)
     max_err, p95, p99 = _error_stats(estimates, truths)
     return {"trial": trial, "protocol": "hada-oracle", "n": ds.n, "d": ds.d,
             "eps": config.eps, "k": state.k, "m": state.m,
@@ -218,7 +222,7 @@ def _run_heavy_trial(config, ds, trial, failures, out_dir):
         ds.elements, ds.d, params, seed, max_frontier=config.max_frontier))
     meta = hist.metadata
     lam = meta["lambda"]
-    counts = exact_frequency(ds)
+    values, counts = exact_counts(ds)
 
     _check(failures, np.isfinite(hist.estimates).all(),
            "heavy-hitter estimates not finite")
@@ -226,12 +230,12 @@ def _run_heavy_trial(config, ds, trial, failures, out_dir):
            len(set(hist.elements.tolist())) == len(hist),
            "heavy-hitter output repeats an element")
 
-    returned = [int(v) for v in hist.elements]
-    truths = [counts.get(v, 0) for v in returned]
+    returned = hist.elements.tolist()
+    truths = _lookup_counts(values, counts, hist.elements)
     max_err, p95, p99 = _error_stats(hist.estimates, truths)
-    targets = {v for v, c in counts.items() if c >= 3.0 * lam}
+    targets = set(values[counts >= 3.0 * lam].tolist())
     recall = (len(targets & set(returned)) / len(targets)) if targets else 1.0
-    false_pos = sum(1 for v, f in zip(returned, truths) if f < lam)
+    false_pos = int((truths < lam).sum())
 
     if out_dir is not None:
         hist.write_csv(out_dir / f"hist_trial{trial}.csv")

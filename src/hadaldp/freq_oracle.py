@@ -24,7 +24,7 @@ per-row estimates rather than an average of two.
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,9 +42,10 @@ PROFILES = {
 }
 
 MAGIC = b"HDFO"
-VERSION = 1
-_HEADER = struct.Struct("<4sHBBIQQddQ")
-# magic, version, scheme, reserved, k, m, d, eps, beta_prime, n_users
+VERSION = 2
+_HEADER = struct.Struct("<4sHBBIQQddddQ")
+# magic, version, scheme, reserved, k, m, d, eps, beta_prime, c_k, c_m, n_users
+_LENGTH = struct.Struct("<I")  # prefix of each JSON hash record
 
 MAX_DOMAIN = (1 << 61) - 1  # hash inputs must stay below the hash prime
 
@@ -61,10 +62,10 @@ class OracleParams:
         PrivacyBudget(self.eps)  # range check, (0, 1]
         if not 0.0 < self.beta_prime < 1.0:
             raise ValueError(f"beta_prime must lie in (0, 1), got {self.beta_prime}")
-        if self.c_k < 1:
-            raise ValueError(f"c_k must be at least 1, got {self.c_k}")
-        if self.c_m <= 0:
-            raise ValueError(f"c_m must be positive, got {self.c_m}")
+        if not 1 <= self.c_k < math.inf:
+            raise ValueError(f"c_k must be finite and at least 1, got {self.c_k}")
+        if not 0 < self.c_m < math.inf:
+            raise ValueError(f"c_m must be finite and positive, got {self.c_m}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; have {SCHEMES}")
 
@@ -107,7 +108,6 @@ class OracleState:
     n_users: int
     hashes: list
     matrix: np.ndarray                 # k x m, finalized estimates
-    subset_sizes: np.ndarray = field(default=None, repr=False)
 
     @property
     def median_index(self):
@@ -161,7 +161,7 @@ def construct(elements, d, params, seed, *, hashes=None, round_index=0):
     backend.fwht_inplace(matrix)
     matrix *= debias_factor(params.eps)
     return OracleState(params=params, k=k, m=m, d=int(d), n_users=n,
-                       hashes=hashes, matrix=matrix, subset_sizes=part.sizes)
+                       hashes=hashes, matrix=matrix)
 
 
 def row_estimates(state, v):
@@ -202,39 +202,57 @@ _SCHEME_CODE = {name: i for i, name in enumerate(SCHEMES)}
 
 def to_bytes(state):
     """Header + k hash records (JSON, length-prefixed) + k*m LE float64."""
-    head = _HEADER.pack(MAGIC, VERSION, _SCHEME_CODE[state.params.scheme], 0,
-                        state.k, state.m, state.d, state.params.eps,
-                        state.params.beta_prime, state.n_users)
+    p = state.params
+    head = _HEADER.pack(MAGIC, VERSION, _SCHEME_CODE[p.scheme], 0, state.k,
+                        state.m, state.d, p.eps, p.beta_prime, p.c_k, p.c_m,
+                        state.n_users)
     parts = [head]
     for h in state.hashes:
         blob = h.to_json().encode("utf-8")
-        parts.append(struct.pack("<I", len(blob)))
+        parts.append(_LENGTH.pack(len(blob)))
         parts.append(blob)
     parts.append(state.matrix.astype("<f8", copy=False).tobytes())
     return b"".join(parts)
 
 
 def from_bytes(blob):
-    magic, version, scheme_code, _, k, m, d, eps, beta_prime, n_users = \
-        _HEADER.unpack_from(blob, 0)
+    """Inverse of to_bytes; raises ValueError on any malformed blob."""
+    if len(blob) < _HEADER.size:
+        raise ValueError(f"blob is {len(blob)} bytes, shorter than the "
+                         f"{_HEADER.size}-byte header")
+    (magic, version, scheme_code, _, k, m, d, eps, beta_prime, c_k, c_m,
+     n_users) = _HEADER.unpack_from(blob, 0)
     if magic != MAGIC:
         raise ValueError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise ValueError(f"unsupported version {version}")
     if scheme_code >= len(SCHEMES):
         raise ValueError(f"unknown scheme code {scheme_code}")
+    if k < 1:
+        raise ValueError("need at least one repetition, got k = 0")
+    if m < 1 or m & (m - 1):
+        raise ValueError(f"hash range {m} is not a power of two")
+    if not 1 <= d <= MAX_DOMAIN:
+        raise ValueError(f"domain size must lie in [1, 2^61 - 1], got {d}")
+    params = OracleParams(eps=eps, beta_prime=beta_prime, c_k=c_k, c_m=c_m,
+                          scheme=SCHEMES[scheme_code])
     offset = _HEADER.size
     hashes = []
     for _ in range(k):
-        (length,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        hashes.append(PairwiseHash.from_json(blob[offset:offset + length].decode("utf-8")))
+        if len(blob) < offset + _LENGTH.size:
+            raise ValueError("blob ends inside the hash records")
+        (length,) = _LENGTH.unpack_from(blob, offset)
+        offset += _LENGTH.size
+        if len(blob) < offset + length:
+            raise ValueError("blob ends inside the hash records")
+        h = PairwiseHash.from_json(blob[offset:offset + length].decode("utf-8"))
+        if h.m != m:
+            raise ValueError(f"hash range {h.m} differs from the header's {m}")
+        hashes.append(h)
         offset += length
     expected = offset + 8 * k * m
     if len(blob) != expected:
         raise ValueError(f"blob is {len(blob)} bytes, expected {expected}")
     matrix = np.frombuffer(blob, dtype="<f8", offset=offset).reshape(k, m).copy()
-    params = OracleParams(eps=eps, beta_prime=beta_prime,
-                          scheme=SCHEMES[scheme_code])
     return OracleState(params=params, k=k, m=m, d=d, n_users=n_users,
                        hashes=hashes, matrix=matrix)

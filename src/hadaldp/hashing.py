@@ -56,8 +56,12 @@ class PairwiseHash:
 
     @classmethod
     def from_json(cls, blob):
-        d = json.loads(blob)
-        return cls(a=int(d["a"]), b=int(d["b"]), p=int(d["p"]), m=int(d["m"]))
+        """Inverse of to_json; raises ValueError on a malformed record."""
+        try:
+            d = json.loads(blob)
+            return cls(a=int(d["a"]), b=int(d["b"]), p=int(d["p"]), m=int(d["m"]))
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed hash record: {exc!r}") from exc
 
 
 def sample_hash(m, rng):

@@ -138,11 +138,17 @@ def to_bytes(state):
 
 
 def from_bytes(blob):
+    """Inverse of to_bytes; raises ValueError on any malformed blob."""
+    if len(blob) < _HEADER.size:
+        raise ValueError(f"blob is {len(blob)} bytes, shorter than the "
+                         f"{_HEADER.size}-byte header")
     magic, version, _, m, eps, n_users = _HEADER.unpack_from(blob, 0)
     if magic != MAGIC:
         raise ValueError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise ValueError(f"unsupported version {version}")
+    if m < 1 or m & (m - 1):
+        raise ValueError(f"transform size {m} is not a power of two")
     expected = _HEADER.size + 8 * m
     if len(blob) != expected:
         raise ValueError(f"blob is {len(blob)} bytes, expected {expected}")

@@ -12,9 +12,8 @@ import math
 import time
 
 import numpy as np
-import pytest
 
-from hadaldp import backend, hadamard, hrr
+from hadaldp import hadamard, hrr
 from hadaldp import freq_oracle as fo
 from hadaldp import heavy_hitters as hh
 from hadaldp.datasets import exact_frequency, exact_heavy_hitters, gen_planted, gen_zipf
@@ -23,11 +22,6 @@ from hadaldp.partition import take_partition
 from hadaldp.prefixes import encode_prefix_batch, make_code
 from hadaldp.randomizer import (PrivacyBudget, debias_factor, hada_heavy_client,
                                 hada_oracle_client, hrr_client, keep_probability)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm_kernels():
-    backend.warmup()
 
 
 def _verdict(num, ok, what, detail):

@@ -127,9 +127,10 @@ def test_load_rejects_garbage(tmp_path):
         dsets.load_dataset(bad_magic)
 
     truncated = tmp_path / "short.bin"
-    truncated.write_bytes(blob[:-3])
-    with pytest.raises(ValueError):
-        dsets.load_dataset(truncated)
+    for size in (3, 20, len(blob) - 3):
+        truncated.write_bytes(blob[:size])
+        with pytest.raises(ValueError):
+            dsets.load_dataset(truncated)
 
     # rewrite the header to claim d = 1, putting every element out of range
     hdr = dsets._HEADER.pack(dsets.MAGIC, dsets.VERSION, 0, 1, 50)

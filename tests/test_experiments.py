@@ -122,7 +122,6 @@ def test_parser_accepts_all_subcommands():
     p.parse_args(["gen", "--n", "10", "--d", "4"])
     p.parse_args(["fo", "--protocol", "hrr"])
     p.parse_args(["hh", "--max-frontier", "1000"])
-    p.parse_args(["bench", "--n", "100"])
     p.parse_args(["verify", "--tests", "x.py"])
     with pytest.raises(SystemExit):
         p.parse_args(["fo", "--protocol", "hada-heavy"])
@@ -195,14 +194,3 @@ def test_cli_hh_planted_run(tmp_path):
     cells = dict(zip(ex.CSV_COLUMNS, line.split(",")))
     assert cells["protocol"] == "hada-heavy"
     assert float(cells["lambda"]) > 0
-
-
-def test_cli_bench_smoke(tmp_path, capsys):
-    rc = cli.main(["bench", "--n", "2000", "--out", str(tmp_path)])
-    assert rc == 0
-    results = json.loads((tmp_path / "bench.json").read_text())
-    assert "numpy" in results
-    for metrics in results.values():
-        assert set(metrics) == {"fht_ms", "hash_ms", "build_ms", "query_ms"}
-    out = capsys.readouterr().out
-    assert "fht_ms" in out

@@ -103,7 +103,6 @@ def test_construct_shapes_and_guards():
     assert st.m == fo.hash_range_for(params(), 3000)
     assert st.matrix.shape == (st.k, st.m)
     assert len(st.hashes) == st.k
-    assert int(st.subset_sizes.sum()) == 3000
 
     with pytest.raises(ValueError):
         fo.construct(np.empty(0, dtype=np.uint64), 16, params(), seed=0)
@@ -168,7 +167,9 @@ def test_serialization_round_trip():
     st = fo.construct(elems, 10_000, params(scheme="permutation"), seed=8)
     back = fo.from_bytes(fo.to_bytes(st))
     assert (back.k, back.m, back.d, back.n_users) == (st.k, st.m, st.d, st.n_users)
-    assert back.params.scheme == "permutation"
+    assert back.params == st.params
+    assert back.params.scheme == "permutation" and back.params.c_m == 4.0
+    assert fo.hash_range_for(back.params, back.n_users) == back.m
     assert back.hashes == st.hashes
     assert np.array_equal(back.matrix, st.matrix)
     vs = rng.integers(0, 10_000, size=64, dtype=np.uint64)
@@ -180,8 +181,9 @@ def test_from_bytes_rejects_garbage():
     blob = fo.to_bytes(st)
     with pytest.raises(ValueError):
         fo.from_bytes(b"ZZZZ" + blob[4:])
-    with pytest.raises(ValueError):
-        fo.from_bytes(blob[:-1])
+    for size in (3, 20, 50, len(blob) - 1):
+        with pytest.raises(ValueError):
+            fo.from_bytes(blob[:size])
 
 
 def test_recovers_planted_frequency():

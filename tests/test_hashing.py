@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -30,10 +30,14 @@ def test_scalar_matches_reference(a, b, m, x):
     assert PairwiseHash(a=a, b=b, p=P61, m=m).eval(x) == ref_eval(a, b, m, x)
 
 
-@given(a=st.integers(1, P61 - 1), b=st.integers(0, P61 - 1))
+@given(a=st.integers(1, P61 - 1), b=st.integers(0, P61 - 1),
+       m=st.sampled_from([3, 16, 1024, 1 << 16]))
+@example(a=3, b=7, m=16)
+@example(a=P61 - 1, b=P61 - 1, m=1024)
+@example(a=1, b=0, m=3)
 @settings(max_examples=50, deadline=None)
-def test_batch_matches_scalar(a, b):
-    h = PairwiseHash(a=a, b=b, p=P61, m=1 << 16)
+def test_batch_matches_scalar(a, b, m):
+    h = PairwiseHash(a=a, b=b, p=P61, m=m)
     xs = np.array([0, 1, 13, 2**32, 2**60, P61 - 1], dtype=np.uint64)
     got = h.eval_batch(xs)
     assert got.tolist() == [h.eval(int(x)) for x in xs]

@@ -126,5 +126,9 @@ def test_from_bytes_rejects_garbage():
     blob = hrr.to_bytes(state)
     with pytest.raises(ValueError):
         hrr.from_bytes(b"XXXX" + blob[4:])
+    for size in (3, 10, len(blob) - 8):
+        with pytest.raises(ValueError):
+            hrr.from_bytes(blob[:size])
+    empty = hrr._HEADER.pack(hrr.MAGIC, hrr.VERSION, 0, 0, 1.0, 0)
     with pytest.raises(ValueError):
-        hrr.from_bytes(blob[:-8])
+        hrr.from_bytes(empty)
