@@ -10,10 +10,8 @@ at half the privacy budget.
 
 from .hadamard import entry, fht, fht_inplace, hadamard_matrix, naive_multiply
 from .hashing import P61, PairwiseHash, sample_hash
-from .randomizer import (PrivacyBudget, debias_factor, decode_reports,
-                         encode_reports, hada_heavy_client, hada_oracle_client,
-                         hadamard_randomize, hrr_client, keep_probability,
-                         round_streams)
+from .randomizer import (PrivacyBudget, debias_factor, keep_probability,
+                         randomize, round_streams)
 from .partition import Partition, independent_partition, permutation_partition
 from .hrr import HrrState, build as hrr_build, query as hrr_query, query_direct as hrr_query_direct
 from .freq_oracle import (OracleParams, OracleState, PROFILES, construct,

@@ -1,8 +1,8 @@
-"""Vectorized numpy kernels for the three inner loops that dominate runtime.
+"""Vectorized numpy kernels for the inner loops that dominate runtime.
 
-The loops are the Walsh-Hadamard butterfly passes, the per-user report
-accumulation (sign lookup + coin flip + scatter-add), and pairwise-hash
-evaluation mod 2^61 - 1.  Each kernel is deterministic: accumulators hold
+The loops are the Walsh-Hadamard butterfly passes, the Hadamard sign
+lookup, the server's scatter-add of reports, and pairwise-hash evaluation
+mod 2^61 - 1.  Each kernel is deterministic: accumulators hold
 integer-valued float64 sums of +-1 (exact below 2^53), the butterflies pair
 the same indices in the same order on every call, and the hash does exact
 32-bit-limb arithmetic in uint64.
@@ -47,15 +47,16 @@ def fwht_inplace(x):
         t = v[:, 0, :] - v[:, 1, :]
         v[:, 0, :] += v[:, 1, :]
         v[:, 1, :] = t
+        del t   # else the next pass's half-size temporary joins this one
         h *= 2
 
 
 def hadamard_signs(rows, cols):
-    """Vector of +-1.0: sign is -1 iff popcount(row & col) is odd."""
+    """Vector of int8 +-1: sign is -1 iff popcount(row & col) is odd."""
     rows = np.ascontiguousarray(rows, dtype=np.uint64)
     cols = np.ascontiguousarray(cols, dtype=np.uint64)
-    parity = np.bitwise_count(rows & cols).astype(np.int64) & 1
-    return (1 - 2 * parity).astype(np.float64)
+    parity = (np.bitwise_count(rows & cols) & 1).astype(np.int8)
+    return 1 - 2 * parity
 
 
 def _mulmod_p61(a, x):
@@ -84,15 +85,10 @@ def hash_eval(xs, a, b, m):
     return s % np.uint64(m)
 
 
-def accumulate_reports(buf, rows, cols, coins, keep_prob):
-    """Add one +-1 report per user into buf[rows[i]].
+def accumulate_reports(buf, rows, reports):
+    """Server side: add user i's +-1 report into buf[rows[i]].
 
-    The report is the Hadamard sign of (row, col), negated when the user's
-    coin landed outside the keep probability.  buf stays integer-valued.
+    An unbuffered scatter-add, so no temporary the size of buf.  buf stays
+    integer-valued, so the sum does not depend on user order.
     """
-    rows = np.ascontiguousarray(rows, dtype=np.uint64)
-    signs = hadamard_signs(rows, cols)
-    reports = np.where(np.asarray(coins, dtype=np.float64) < keep_prob,
-                       signs, -signs)
-    buf += np.bincount(rows.astype(np.int64), weights=reports,
-                       minlength=buf.shape[0])
+    np.add.at(buf, rows, np.asarray(reports, dtype=np.float64))

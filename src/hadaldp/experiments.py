@@ -148,7 +148,7 @@ def _check(failures, cond, what):
         logger.error("consistency check failed: %s", what)
 
 
-def _run_hrr_trial(config, ds, trial, failures):
+def _run_hrr_trial(config, ds, trial, failures, out_dir):
     budget = PrivacyBudget(config.eps)
     seed = _trial_seed(config, trial, 0x48)
     state, build_ms = _timed(lambda: hrr.build(
@@ -183,7 +183,7 @@ def _run_hrr_trial(config, ds, trial, failures):
             "build_ms": build_ms, "query_ms": query_ms}
 
 
-def _run_oracle_trial(config, ds, trial, failures):
+def _run_oracle_trial(config, ds, trial, failures, out_dir):
     params = fo.OracleParams(eps=config.eps, beta_prime=config.beta_prime,
                              c_k=config.c_k, c_m=config.resolved_c_m,
                              scheme=config.scheme)
@@ -249,7 +249,8 @@ def _run_heavy_trial(config, ds, trial, failures, out_dir):
             "build_ms": build_ms, "query_ms": None}
 
 
-_TRIAL_RUNNERS = {"hrr": _run_hrr_trial, "hada-oracle": _run_oracle_trial}
+_TRIAL_RUNNERS = {"hrr": _run_hrr_trial, "hada-oracle": _run_oracle_trial,
+                  "hada-heavy": _run_heavy_trial}
 
 
 def _format_cell(value):
@@ -296,10 +297,8 @@ def run_experiment(config):
     failures = []
     for trial in range(config.trials):
         ds = _dataset_for(config, trial)
-        if config.protocol == "hada-heavy":
-            row = _run_heavy_trial(config, ds, trial, failures, out_dir)
-        else:
-            row = _TRIAL_RUNNERS[config.protocol](config, ds, trial, failures)
+        row = _TRIAL_RUNNERS[config.protocol](config, ds, trial, failures,
+                                              out_dir)
         for col in CSV_COLUMNS:
             row.setdefault(col, None)
         rows.append(row)

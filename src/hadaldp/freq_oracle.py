@@ -32,7 +32,7 @@ from . import backend
 from .hashing import PairwiseHash, sample_hash
 from .partition import SCHEMES, take_partition
 from .randomizer import (PrivacyBudget, debias_factor, draw_coins, draw_rows,
-                         round_streams, setup_stream)
+                         randomize, round_streams, setup_stream)
 
 THEORY_CM = 8.0 * math.e ** 2 * math.sqrt(8.0)
 
@@ -154,9 +154,10 @@ def construct(elements, d, params, seed, *, hashes=None, round_index=0):
     for j, idx in enumerate(part.members()):
         if idx.size == 0:
             continue
-        cols = hashes[j].eval_batch(elements[idx])
-        backend.accumulate_reports(matrix[j], rows[idx], cols,
-                                   coins[idx], budget.keep_prob)
+        group_rows = rows[idx]
+        reports = randomize(group_rows, hashes[j].eval_batch(elements[idx]),
+                            coins[idx], budget.keep_prob)
+        backend.accumulate_reports(matrix[j], group_rows, reports)
 
     backend.fwht_inplace(matrix)
     matrix *= debias_factor(params.eps)

@@ -30,7 +30,7 @@ from .hashing import sample_hash
 from .partition import SCHEMES, take_partition
 from .prefixes import (children_of, encode_prefix, encode_prefix_batch,
                        make_code)
-from .randomizer import setup_stream
+from .randomizer import PrivacyBudget, setup_stream
 
 logger = logging.getLogger(__name__)
 
@@ -49,12 +49,15 @@ class HeavyParams:
     scheme: str = "independent"
 
     def __post_init__(self):
-        if not 0.0 < self.eps <= 1.0:
-            raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
+        PrivacyBudget(self.eps)  # range check, (0, 1]
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if min(self.c_k, self.c_m, self.c_lambda) <= 0:
-            raise ValueError("constants must be positive")
+        # c_k and c_m go to the constituent oracles, which need the same
+        if not 1 <= self.c_k < math.inf:
+            raise ValueError(f"c_k must be finite and at least 1, got {self.c_k}")
+        if not (0 < self.c_m < math.inf and 0 < self.c_lambda < math.inf):
+            raise ValueError("c_m and c_lambda must be finite and positive, "
+                             f"got {self.c_m}, {self.c_lambda}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; have {SCHEMES}")
 

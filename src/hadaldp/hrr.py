@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .randomizer import PrivacyBudget, debias_factor, draw_coins, draw_rows, round_streams
+from .randomizer import (PrivacyBudget, debias_factor, draw_coins, draw_rows,
+                         randomize, round_streams)
 
 MAGIC = b"HRRS"
 VERSION = 1
@@ -56,44 +57,26 @@ def dim_for(d, max_dim=DEFAULT_MAX_DIM):
     return m
 
 
-def build(elements, d, budget, seed, *, round_index=0, chunk_size=1 << 16,
+def build(elements, d, budget, seed, *, round_index=0,
           max_dim=DEFAULT_MAX_DIM, finalize=True):
-    """Stream user elements once and accumulate their randomized reports.
+    """Randomize every user's element and accumulate the reports, in one pass.
 
-    `elements` may be any iterable of ints in [0, d); it is consumed in
-    chunks and never stored.  The transcript depends only on (seed,
-    round_index, user position), not on chunk_size.
+    The transcript depends only on (seed, round_index, user position).
     """
     m = dim_for(d, max_dim)
+    elements = np.ascontiguousarray(elements, dtype=np.uint64)
+    n = int(elements.size)
+    if n and int(elements.max()) >= d:
+        raise ValueError(f"elements must lie in [0, {d})")
     rows_rng, coins_rng = round_streams(seed, round_index)
+    rows = draw_rows(rows_rng, n, m)
+    reports = randomize(rows, elements, draw_coins(coins_rng, n),
+                        budget.keep_prob)
     buf = np.zeros(m, dtype=np.float64)
-    total = 0
-
-    def flush(batch):
-        nonlocal total
-        arr = np.ascontiguousarray(batch, dtype=np.uint64)
-        if arr.size == 0:
-            return
-        if int(arr.max()) >= d:
-            raise ValueError(f"element outside [0, {d}) in input stream")
-        rows = draw_rows(rows_rng, arr.size, m)
-        coins = draw_coins(coins_rng, arr.size)
-        backend.accumulate_reports(buf, rows, arr, coins, budget.keep_prob)
-        total += arr.size
-
-    if isinstance(elements, np.ndarray):
-        for start in range(0, elements.size, chunk_size):
-            flush(elements[start:start + chunk_size])
-    else:
-        pending = []
-        for v in elements:
-            pending.append(v)
-            if len(pending) == chunk_size:
-                flush(pending)
-                pending = []
-        flush(pending)
-
-    state = HrrState(m=m, budget=budget, n_users=total, buffer=buf)
+    backend.accumulate_reports(buf, rows, reports)
+    # the transform needs only buf; drop the per-user arrays before it
+    del rows, reports
+    state = HrrState(m=m, budget=budget, n_users=n, buffer=buf)
     return state.finalize() if finalize else state
 
 

@@ -1,15 +1,17 @@
-"""Client-side randomizers and the report wire format.
+"""The client randomizer, the privacy budget and per-round randomness.
 
 Every client sends a single +-1: the sign of one Hadamard entry H[row, col],
 kept with probability e^eps/(e^eps + 1) and flipped otherwise.  Which column
 the entry comes from is the only thing the three protocol variants disagree
 about: the raw element (direct oracle), a hashed element (hashed oracle), or
-a hashed prefix of the element (heavy-hitter levels).
+a hashed prefix of the element (heavy-hitter levels).  `randomize` makes
+every user's report in one vectorized call, and the builds hand its output
+straight to the server's accumulator.
 
 With b the +-1 keep/flip coin, E[b] = (e^eps - 1)/(e^eps + 1), so the server
 multiplies accumulated reports by debias_factor(eps) = (e^eps + 1)/(e^eps - 1)
-to make estimates unbiased.  Each client call consumes exactly one coin from
-its stream; replay with the same seed reproduces the transcript byte for
+to make estimates unbiased.  Each user consumes exactly one coin from the
+round's stream; replay with the same seed reproduces the transcript byte for
 byte.
 """
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .prefixes import encode_prefix
+from . import backend
 
 
 def keep_probability(eps):
@@ -39,7 +41,11 @@ def debias_factor(eps):
 
 @dataclass(frozen=True)
 class PrivacyBudget:
-    """Per-report budget; the analysis (and this package) require 0 < eps <= 1."""
+    """Per-report budget; the analysis (and this package) require 0 < eps <= 1.
+
+    eps must also be large enough that e^eps - 1 is nonzero in float64
+    (about 1.1e-16 and up), or debias_factor would divide by zero.
+    """
 
     eps: float
     keep_prob: float = field(init=False, repr=False)
@@ -47,6 +53,9 @@ class PrivacyBudget:
     def __post_init__(self):
         if not (0.0 < self.eps <= 1.0):
             raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
+        if math.exp(self.eps) - 1.0 == 0.0:
+            raise ValueError(f"eps = {self.eps} is too small: e^eps - 1 is 0 "
+                             "in float64, so estimates cannot be debiased")
         object.__setattr__(self, "keep_prob", keep_probability(self.eps))
 
     def split(self, ways):
@@ -54,45 +63,17 @@ class PrivacyBudget:
         return PrivacyBudget(self.eps / ways)
 
 
-def _sign(row, col):
-    return -1 if (int(row) & int(col)).bit_count() & 1 else 1
+def randomize(rows, cols, coins, keep_prob):
+    """Every user's report, one int8 +-1 each: the sign of H[row, col],
+    flipped when the user's coin is at or above keep_prob.
 
-
-def hadamard_randomize(row, col, budget, rng):
-    """One randomized report: the sign of H[row, col], flipped with prob 1/(e^eps+1)."""
-    s = _sign(row, col)
-    return s if rng.random() < budget.keep_prob else -s
-
-
-def hrr_client(row, budget, element, rng):
-    """Direct-oracle client: the column is the element itself."""
-    return hadamard_randomize(row, int(element), budget, rng)
-
-
-def hada_oracle_client(row, h, budget, element, rng):
-    """Hashed-oracle client: the column is h(element)."""
-    return hadamard_randomize(row, h.eval(int(element)), budget, rng)
-
-
-def hada_heavy_client(tau, row, h, budget, element, code, rng):
-    """Heavy-hitter client at level tau: the column is h(prefix_tau(element))."""
-    return hadamard_randomize(row, h.eval(encode_prefix(element, tau, code)), budget, rng)
-
-
-# --- wire format -----------------------------------------------------------
-# One byte per report: 0x00 encodes -1, 0x01 encodes +1.
-
-def encode_reports(reports):
-    arr = np.asarray(reports)
-    if arr.size and not np.all(np.abs(arr) == 1):
-        raise ValueError("reports must be +-1")
-    return ((arr + 1) // 2).astype(np.uint8).tobytes()
-
-def decode_reports(blob):
-    raw = np.frombuffer(blob, dtype=np.uint8)
-    if raw.size and int(raw.max()) > 1:
-        raise ValueError("invalid report byte; expected 0x00 or 0x01")
-    return (raw.astype(np.int8) * 2 - 1)
+    This is the whole client side of every protocol; they differ only in
+    the column they pass.  User u's report depends on rows[u], cols[u]
+    and coins[u] alone.
+    """
+    signs = backend.hadamard_signs(rows, cols)
+    kept = np.asarray(coins, dtype=np.float64) < keep_prob
+    return np.where(kept, signs, -signs)
 
 
 # --- per-round randomness --------------------------------------------------

@@ -20,8 +20,8 @@ from hadaldp.datasets import exact_frequency, exact_heavy_hitters, gen_planted, 
 from hadaldp.hashing import sample_hash
 from hadaldp.partition import take_partition
 from hadaldp.prefixes import encode_prefix_batch, make_code
-from hadaldp.randomizer import (PrivacyBudget, debias_factor, hada_heavy_client,
-                                hada_oracle_client, hrr_client, keep_probability)
+from hadaldp.randomizer import (PrivacyBudget, debias_factor, keep_probability,
+                                randomize)
 
 
 def _verdict(num, ok, what, detail):
@@ -81,20 +81,11 @@ def test_a02_entry_formula_matches_recursive_doubling():
                     f"orders 1..256 plus hand-written 2x2/4x4, {dt:.2f}s")
 
 
-class _Coin:
-    """rng stub whose next uniform draw is fixed."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
 def test_a03_client_output_laws_are_ldp_exact():
-    """For every client randomizer, element pair, and output, the exactly
-    computed probability ratio stays at or under e^eps.  The law is read
-    off the implementation by forcing the coin both ways."""
+    """For every column map a build feeds the client randomizer, element
+    pair, and output, the exactly computed probability ratio stays at or
+    under e^eps.  The law is read off `randomize`, the one function whose
+    output the server aggregates, by forcing every coin both ways."""
     t0 = time.perf_counter()
     worst = 0.0
     rng = np.random.default_rng(303)
@@ -105,19 +96,22 @@ def test_a03_client_output_laws_are_ldp_exact():
             h = sample_hash(m, rng)
             code = make_code(4, m)
             tau = max(1, code.levels - 1)
-            clients = [
-                lambda r, v, c: hrr_client(r, budget, v, c),
-                lambda r, v, c: hada_oracle_client(r, h, budget, v, c),
-                lambda r, v, c: hada_heavy_client(tau, r, h, budget, v, code, c),
+            columns = [
+                lambda x: x,                                   # hrr
+                h.eval_batch,                                  # hada-oracle
+                lambda x: h.eval_batch(encode_prefix_batch(x, tau, code)),
             ]
-            for client in clients:
-                kept = np.empty((m, m))
-                for v in range(m):
-                    for r in range(m):
-                        out = client(r, v, _Coin(0.0))
-                        flipped = client(r, v, _Coin(1.0 - 1e-12))
-                        assert out in (-1, 1) and flipped == -out
-                        kept[v, r] = out
+            # user (v, r) holds element v and was handed row r
+            v, r = (a.ravel() for a in np.meshgrid(
+                np.arange(m, dtype=np.uint64), np.arange(m, dtype=np.uint64),
+                indexing="ij"))
+            for column in columns:
+                cols = column(v)
+                out = randomize(r, cols, np.full(v.size, 0.0), budget.keep_prob)
+                flipped = randomize(r, cols, np.full(v.size, 1.0 - 1e-12),
+                                    budget.keep_prob)
+                assert np.isin(out, (-1, 1)).all() and np.array_equal(flipped, -out)
+                kept = out.reshape(m, m).astype(np.float64)   # kept[v, r]
                 # P[(r, b) | v] = p/m when b == kept[v, r], else (1-p)/m
                 for b in (-1.0, 1.0):
                     law = np.where(kept == b, p, 1.0 - p) / m

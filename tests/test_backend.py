@@ -17,22 +17,24 @@ def test_signs_are_popcount_parity():
     rows = rng.integers(0, 1 << 63, size=5000, dtype=np.uint64)
     cols = rng.integers(0, 1 << 63, size=5000, dtype=np.uint64)
     got = backend.hadamard_signs(rows, cols)
-    want = [-1.0 if (r & c).bit_count() & 1 else 1.0
+    want = [-1 if (r & c).bit_count() & 1 else 1
             for r, c in zip(rows.tolist(), cols.tolist())]
-    assert got.tolist() == want
+    assert got.dtype == np.int8 and got.tolist() == want
 
 
 def test_accumulate_is_integer_valued_and_conserving():
     rng = np.random.default_rng(3)
     m = 256
     rows = rng.integers(0, m, size=10_000, dtype=np.uint64)
-    cols = rng.integers(0, m, size=10_000, dtype=np.uint64)
-    coins = rng.random(10_000)
+    reports = np.where(rng.random(10_000) < 0.75, 1, -1).astype(np.int8)
     buf = np.zeros(m, dtype=np.float64)
-    backend.accumulate_reports(buf, rows, cols, coins, 0.75)
-    # one +-1 per user
-    assert np.array_equal(buf, np.round(buf))
-    assert abs(buf).sum() <= 10_000
+    backend.accumulate_reports(buf, rows, reports)
+    want = np.zeros(m, dtype=np.int64)
+    for r, x in zip(rows.tolist(), reports.tolist()):
+        want[r] += x
+    # one +-1 per user, summed exactly at its row
+    assert buf.tolist() == want.tolist()
+    assert buf.sum() == reports.sum()
 
 
 def test_mulmod_limbs_match_big_integer_arithmetic():

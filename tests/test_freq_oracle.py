@@ -5,7 +5,11 @@ import pytest
 
 from hadaldp import freq_oracle as fo
 from hadaldp.datasets import exact_frequency, gen_planted, gen_zipf
+from hadaldp.hadamard import entry, naive_multiply
 from hadaldp.hashing import P61, PairwiseHash, sample_hash
+from hadaldp.partition import take_partition
+from hadaldp.randomizer import (debias_factor, draw_coins, draw_rows,
+                                keep_probability, round_streams, setup_stream)
 
 E2 = math.exp(-2.0)
 
@@ -184,6 +188,40 @@ def test_from_bytes_rejects_garbage():
     for size in (3, 20, 50, len(blob) - 1):
         with pytest.raises(ValueError):
             fo.from_bytes(blob[:size])
+    # eps = 1e-17 passes the (0, 1] range but e^eps - 1 is 0 in float64
+    head = list(fo._HEADER.unpack_from(blob, 0))
+    head[7] = 1e-17
+    with pytest.raises(ValueError):
+        fo.from_bytes(fo._HEADER.pack(*head) + blob[fo._HEADER.size:])
+
+
+@pytest.mark.parametrize("scheme", ["independent", "permutation"])
+def test_construct_equals_per_group_sum(scheme):
+    """Each row of the matrix is, exactly, the debiased transform of its
+    group's raw sums: user u adds the sign of H[row_u, h_j(x_u)], flipped
+    when coin_u >= keep_prob, at row_u.  The groups, hashes, rows and coins
+    are re-drawn here from the streams the build is specified to use."""
+    n, d, seed, rnd = 400, 1000, 17, 3
+    p = params(c_m=1.0, beta_prime=0.3, scheme=scheme)
+    elems = np.random.default_rng(6).integers(0, d, size=n, dtype=np.uint64)
+    st = fo.construct(elems, d, p, seed, round_index=rnd)
+
+    k, m = fo.repetitions_for(p), fo.hash_range_for(p, n)
+    hash_rng = setup_stream(seed, rnd, 1)
+    hashes = [sample_hash(m, hash_rng) for _ in range(k)]
+    part = take_partition(n, k, scheme, setup_stream(seed, rnd, 0))
+    rows_rng, coins_rng = round_streams(seed, rnd)
+    rows = draw_rows(rows_rng, n, m).tolist()
+    coins = draw_coins(coins_rng, n).tolist()
+    keep = keep_probability(p.eps)
+    raw = np.zeros((k, m))
+    for u, j in enumerate(part.assignment.tolist()):
+        sign = entry(m, rows[u], hashes[j].eval(int(elems[u])))
+        raw[j, rows[u]] += sign if coins[u] < keep else -sign
+    want = np.array([naive_multiply(m, r) for r in raw]) * debias_factor(p.eps)
+
+    assert (st.k, st.m) == (k, m) and st.hashes == hashes
+    assert np.array_equal(st.matrix, want)
 
 
 def test_recovers_planted_frequency():

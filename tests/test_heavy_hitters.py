@@ -31,14 +31,15 @@ def test_threshold_formula():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        params(eps=1.5)
-    with pytest.raises(ValueError):
-        params(beta=1.0)
-    with pytest.raises(ValueError):
-        params(c_lambda=0.0)
-    with pytest.raises(ValueError):
-        params(scheme="best")
+    for bad in ({"eps": 1.5}, {"eps": 1e-17}, {"eps": math.nan},
+                {"beta": 1.0},
+                {"c_lambda": 0.0}, {"c_lambda": math.nan},
+                {"c_lambda": math.inf}, {"c_k": math.nan}, {"c_k": math.inf},
+                {"c_k": 0.5},
+                {"c_m": math.nan}, {"c_m": math.inf},
+                {"scheme": "best"}):
+        with pytest.raises(ValueError):
+            params(**bad)
 
 
 # --- the bare tree walk, driven by exact or adversarial counters ---

@@ -5,7 +5,8 @@ import pytest
 
 from hadaldp import hrr
 from hadaldp.hadamard import entry
-from hadaldp.randomizer import PrivacyBudget, debias_factor
+from hadaldp.randomizer import (PrivacyBudget, debias_factor, draw_coins, draw_rows,
+                                round_streams)
 
 BUDGET = PrivacyBudget(1.0)
 
@@ -59,12 +60,23 @@ def test_single_report_algebra():
         assert hrr.query_direct(raw, v) == pytest.approx(expect, rel=1e-12)
 
 
-def test_chunk_size_does_not_change_transcript():
+def test_build_equals_per_user_sum():
+    """The raw accumulator is, exactly, the sum over users of the sign of
+    H[row_u, x_u], flipped when coin_u >= keep_prob, at row_u, with row_u
+    and coin_u draw u of the round's two streams."""
     rng = np.random.default_rng(2)
-    elems = rng.integers(0, 1024, size=5000, dtype=np.uint64)
-    a = hrr.build(elems, 1024, BUDGET, seed=99, chunk_size=64)
-    b = hrr.build(elems, 1024, BUDGET, seed=99, chunk_size=1 << 20)
-    assert np.array_equal(a.buffer, b.buffer)
+    m, n = 64, 300
+    elems = rng.integers(0, 50, size=n, dtype=np.uint64)
+    raw = hrr.build(elems, 50, BUDGET, seed=99, round_index=4, finalize=False)
+    rows_rng, coins_rng = round_streams(99, 4)
+    rows = draw_rows(rows_rng, n, m)
+    coins = draw_coins(coins_rng, n)
+    want = np.zeros(m)
+    for x, r, u in zip(elems.tolist(), rows.tolist(), coins.tolist()):
+        sign = entry(m, r, x)
+        want[r] += sign if u < BUDGET.keep_prob else -sign
+    assert raw.n_users == n
+    assert np.array_equal(raw.buffer, want)
 
 
 def test_round_index_changes_transcript():
@@ -130,5 +142,8 @@ def test_from_bytes_rejects_garbage():
         with pytest.raises(ValueError):
             hrr.from_bytes(blob[:size])
     empty = hrr._HEADER.pack(hrr.MAGIC, hrr.VERSION, 0, 0, 1.0, 0)
-    with pytest.raises(ValueError):
-        hrr.from_bytes(empty)
+    tiny_eps = hrr._HEADER.pack(hrr.MAGIC, hrr.VERSION, 0, 4, 1e-17, 1) \
+        + blob[hrr._HEADER.size:]
+    for bad in (empty, tiny_eps):
+        with pytest.raises(ValueError):
+            hrr.from_bytes(bad)

@@ -6,23 +6,11 @@ import pytest
 from hadaldp import randomizer as rz
 from hadaldp.hadamard import entry
 from hadaldp.hashing import P61, PairwiseHash
-from hadaldp.prefixes import make_code
+from hadaldp.prefixes import encode_prefix_batch, make_code
 
 
-class FixedCoin:
-    """rng stub whose uniform draw is a constant; counts consumption."""
-
-    def __init__(self, u):
-        self.u = u
-        self.calls = 0
-
-    def random(self):
-        self.calls += 1
-        return self.u
-
-
-KEEP = FixedCoin(0.0)     # u < keep_prob for every eps > 0, so b = +1
-FLIP = FixedCoin(1.0 - 1e-12)
+KEEP = 0.0             # below keep_prob for every eps > 0: the true sign
+FLIP = 1.0 - 1e-12     # at or above keep_prob for every eps <= 1: flipped
 
 
 def test_keep_probability_ln3():
@@ -40,7 +28,8 @@ def test_debias_factor_is_reciprocal_mean():
 def test_budget_validation():
     rz.PrivacyBudget(1.0)
     rz.PrivacyBudget(1e-6)
-    for bad in (0.0, -0.5, 1.0001, math.log(3.0)):
+    # 1e-17: e^eps - 1 is 0.0 in float64, so debias_factor cannot divide by it
+    for bad in (0.0, -0.5, 1.0001, math.log(3.0), 1e-17):
         with pytest.raises(ValueError):
             rz.PrivacyBudget(bad)
 
@@ -52,62 +41,78 @@ def test_budget_split():
 
 
 def test_forced_coin_returns_entry():
-    budget = rz.PrivacyBudget(0.7)
-    for row in range(8):
-        for col in range(8):
-            assert rz.hadamard_randomize(row, col, budget, FixedCoin(0.0)) \
-                == entry(8, row, col)
-            assert rz.hadamard_randomize(row, col, budget, FixedCoin(1.0 - 1e-12)) \
-                == -entry(8, row, col)
+    keep = rz.PrivacyBudget(0.7).keep_prob
+    rows, cols = (a.ravel() for a in np.meshgrid(
+        np.arange(8, dtype=np.uint64), np.arange(8, dtype=np.uint64),
+        indexing="ij"))
+    want = np.array([entry(8, r, c) for r, c in zip(rows, cols)])
+    kept = rz.randomize(rows, cols, np.full(rows.size, KEEP), keep)
+    flipped = rz.randomize(rows, cols, np.full(rows.size, FLIP), keep)
+    assert kept.dtype == np.int8 and flipped.dtype == np.int8
+    assert np.array_equal(kept, want)
+    assert np.array_equal(flipped, -want)
 
 
-def test_hrr_client_examples():
-    budget = rz.PrivacyBudget(1.0)
-    assert rz.hrr_client(0, budget, 0, FixedCoin(0.0)) == 1
+def test_identity_column_examples():
+    keep = rz.PrivacyBudget(1.0).keep_prob
+    coin = np.array([KEEP])
+    assert rz.randomize([0], [0], coin, keep).tolist() == [1]
     # H_4[1, 1] = -1
-    assert rz.hrr_client(1, budget, 1, FixedCoin(0.0)) == -1
+    assert rz.randomize([1], [1], coin, keep).tolist() == [-1]
 
 
 def test_oracle_client_composes_with_hash():
-    budget = rz.PrivacyBudget(1.0)
+    keep = rz.PrivacyBudget(1.0).keep_prob
     ident = PairwiseHash(a=1, b=0, p=P61, m=8)
-    for row in range(8):
-        # identity-affine hash sends 13 to bucket 5
-        assert rz.hada_oracle_client(row, ident, budget, 13, FixedCoin(0.0)) \
-            == entry(8, row, 5)
+    rows = np.arange(8, dtype=np.uint64)
+    # identity-affine hash sends 13 to bucket 5
+    cols = ident.eval_batch(np.full(8, 13, dtype=np.uint64))
+    got = rz.randomize(rows, cols, np.full(8, KEEP), keep)
+    assert got.tolist() == [entry(8, r, 5) for r in range(8)]
 
 
 def test_heavy_client_full_length_prefix_is_the_element():
-    budget = rz.PrivacyBudget(0.4)
+    keep = rz.PrivacyBudget(0.4).keep_prob
     code = make_code(16, 256)   # B=4, L=4
     h = PairwiseHash(a=977, b=31, p=P61, m=16)
-    for element in (0, 27, 255):
-        for u in (0.0, 1.0 - 1e-12):
-            a = rz.hada_heavy_client(code.levels, 3, h, budget, element,
-                                     code, FixedCoin(u))
-            b = rz.hada_oracle_client(3, h, budget, element, FixedCoin(u))
-            assert a == b
+    elements = np.array([0, 27, 255], dtype=np.uint64)
+    rows = np.full(3, 3, dtype=np.uint64)
+    for u in (KEEP, FLIP):
+        coins = np.full(3, u)
+        a = rz.randomize(rows, h.eval_batch(
+            encode_prefix_batch(elements, code.levels, code)), coins, keep)
+        b = rz.randomize(rows, h.eval_batch(elements), coins, keep)
+        assert np.array_equal(a, b)
 
 
 def test_heavy_client_hashes_the_prefix():
-    budget = rz.PrivacyBudget(1.0)
+    keep = rz.PrivacyBudget(1.0).keep_prob
     code = make_code(16, 256)
     h = PairwiseHash(a=1, b=0, p=P61, m=16)
     # element 27 = digits [0,1,2,3] base 4; tau=2 keeps [0,1] -> integer 1
-    got = rz.hada_heavy_client(2, 6, h, budget, 27, code, FixedCoin(0.0))
-    assert got == entry(16, 6, 1)
+    cols = h.eval_batch(encode_prefix_batch(np.array([27], dtype=np.uint64), 2, code))
+    got = rz.randomize([6], cols, np.array([KEEP]), keep)
+    assert got.tolist() == [entry(16, 6, 1)]
 
 
 def test_exactly_one_coin_per_call():
-    budget = rz.PrivacyBudget(0.9)
-    code = make_code(16, 256)
-    h = PairwiseHash(a=5, b=9, p=P61, m=16)
-    rng = FixedCoin(0.3)
-    rz.hadamard_randomize(2, 3, budget, rng)
-    rz.hrr_client(1, budget, 2, rng)
-    rz.hada_oracle_client(0, h, budget, 200, rng)
-    rz.hada_heavy_client(3, 7, h, budget, 27, code, rng)
-    assert rng.calls == 4
+    """One coin per user: report u reads coins[u] and no other coin."""
+    keep = rz.PrivacyBudget(0.9).keep_prob
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, 64, size=200, dtype=np.uint64)
+    cols = rng.integers(0, 64, size=200, dtype=np.uint64)
+    coins = rng.random(200)
+    base = rz.randomize(rows, cols, coins, keep)
+    assert base.shape == (200,)
+    for u in (0, 57, 199):
+        moved = coins.copy()
+        moved[u] = FLIP if coins[u] < keep else KEEP
+        got = rz.randomize(rows, cols, moved, keep)
+        assert got[u] == -base[u]
+        assert np.array_equal(np.delete(got, u), np.delete(base, u))
+        # and each report is what that user alone would have sent
+        alone = rz.randomize(rows[u:u + 1], cols[u:u + 1], coins[u:u + 1], keep)
+        assert alone.tolist() == [base[u]]
 
 
 def test_output_law_is_eps_ldp():
@@ -126,31 +131,14 @@ def test_output_law_is_eps_ldp():
 
 
 def test_empirical_mean_of_report():
-    budget = rz.PrivacyBudget(1.0)
+    keep = rz.PrivacyBudget(1.0).keep_prob
     n = 200_000
-    rng = np.random.default_rng(8)
-    coins = rng.random(n)
-    total = 0
-    for u in coins:
-        total += rz.hadamard_randomize(0, 0, budget, FixedCoin(float(u)))
-    mean = total / n
+    coins = np.random.default_rng(8).random(n)
+    zeros = np.zeros(n, dtype=np.uint64)
+    mean = rz.randomize(zeros, zeros, coins, keep).mean()
     expect = (math.e - 1.0) / (math.e + 1.0)
     sigma = math.sqrt((1.0 - expect**2) / n)
     assert abs(mean - expect) <= 3.0 * sigma
-
-
-def test_wire_codec_round_trip():
-    reports = np.array([1, -1, -1, 1, 1], dtype=np.int8)
-    blob = rz.encode_reports(reports)
-    assert blob == b"\x01\x00\x00\x01\x01"
-    assert np.array_equal(rz.decode_reports(blob), reports)
-
-
-def test_wire_codec_rejects_garbage():
-    with pytest.raises(ValueError):
-        rz.decode_reports(b"\x02")
-    with pytest.raises(ValueError):
-        rz.encode_reports(np.array([1, 0], dtype=np.int8))
 
 
 def test_streams_are_reproducible_and_distinct():
