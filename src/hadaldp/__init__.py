@@ -19,7 +19,8 @@ from .freq_oracle import (OracleParams, OracleState, PROFILES, construct,
                           row_estimates, theoretical_error_bound)
 from .prefixes import PrefixCode, children_of, encode_prefix, encode_prefix_batch, make_code
 from .heavy_hitters import (FrontierOverflow, HeavyParams, SuccinctHistogram,
-                            lambda_threshold, run as heavy_run, search_with_oracle)
+                            lambda_threshold, level_noise_sigma, run as heavy_run,
+                            search_with_oracle)
 from .datasets import (Dataset, exact_counts, exact_frequency,
                        exact_heavy_hitters, gen_planted, gen_zipf,
                        load_dataset, save_dataset)

@@ -17,6 +17,11 @@ with eps * sqrt(n).  Two named constant profiles are shipped:
 - "practical": c_k = 8, c_m = 4.  Heuristic; much smaller server state,
   no formal guarantee behind the constant.
 
+A scalar query is one call of the limb kernel `backend.hash_eval`,
+broadcast over the coefficient vectors (a_j), (b_j) the state keeps, plus
+one gather from the matrix; `PairwiseHash.eval` stays the exact reference
+the tests compare it with.
+
 The median of an even-length list is the lower-middle order statistic
 (1-based index ceil(k/2)), so a query always returns one of the actual
 per-row estimates rather than an average of two.
@@ -24,12 +29,12 @@ per-row estimates rather than an average of two.
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import backend
-from .hashing import PairwiseHash, sample_hash
+from .hashing import PairwiseHash, element_index, sample_hash
 from .partition import SCHEMES, take_partition
 from .randomizer import (PrivacyBudget, debias_factor, draw_coins, draw_rows,
                          randomize, round_streams, setup_stream)
@@ -108,6 +113,14 @@ class OracleState:
     n_users: int
     hashes: list
     matrix: np.ndarray                 # k x m, finalized estimates
+    # the hashes' coefficients as uint64 vectors, so a scalar query is one
+    # limb-kernel call broadcast over the k rows
+    a: np.ndarray = field(init=False, repr=False, compare=False)
+    b: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.a = np.array([h.a for h in self.hashes], dtype=np.uint64)
+        self.b = np.array([h.b for h in self.hashes], dtype=np.uint64)
 
     @property
     def median_index(self):
@@ -167,11 +180,8 @@ def construct(elements, d, params, seed, *, hashes=None, round_index=0):
 
 def row_estimates(state, v):
     """The k per-row estimates k * matrix[j, h_j(v)] a query medians over."""
-    v = int(v)
-    if not 0 <= v < state.d:
-        raise ValueError(f"element {v} outside [0, {state.d})")
-    cols = np.fromiter((h.eval(v) for h in state.hashes), dtype=np.int64,
-                       count=state.k)
+    v = element_index(v, state.d)
+    cols = backend.hash_eval(np.uint64(v), state.a, state.b, state.m)
     return state.k * state.matrix[np.arange(state.k), cols]
 
 
@@ -184,11 +194,14 @@ def query(state, v):
 
 def query_many(state, vs):
     """Vectorized query; returns one estimate per element of vs."""
-    vs = np.ascontiguousarray(vs, dtype=np.uint64)
+    vs = np.asarray(vs)
     if vs.size == 0:
         return np.empty(0, dtype=np.float64)
-    if int(vs.max()) >= state.d:
+    if vs.dtype.kind not in "iu":
+        raise ValueError(f"elements must be integers, got dtype {vs.dtype}")
+    if int(vs.min()) < 0 or int(vs.max()) >= state.d:
         raise ValueError(f"elements must lie in [0, {state.d})")
+    vs = np.ascontiguousarray(vs, dtype=np.uint64)
     vals = np.empty((state.k, vs.size), dtype=np.float64)
     for j, h in enumerate(state.hashes):
         cols = h.eval_batch(vs).astype(np.int64)

@@ -2,13 +2,16 @@
 
 The Mersenne prime keeps the modular reduction branch-free (fold the high
 bits back in, 2^61 == 1 mod p) and leaves room for domains up to 2^61.
-Scalar evaluation goes through Python's arbitrary-precision ints, so it is
-exact by construction; the batch path uses the 32-bit-limb uint64 kernel
-from the backend.  The two must agree everywhere, and tests hold them to
-that.
+`PairwiseHash.eval` goes through Python's arbitrary-precision ints, so it
+is exact by construction; it is the reference the kernel is tested
+against.  Everything on a hot path uses the 32-bit-limb uint64 kernel
+`backend.hash_eval`: `eval_batch` over many inputs, and a frequency-oracle
+query over the k hashes of its family at once.  The two must agree
+everywhere, and tests hold them to that.
 """
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +19,21 @@ import numpy as np
 from . import backend
 
 P61 = (1 << 61) - 1
+
+
+def element_index(v, d):
+    """v as a Python int in [0, d), for a scalar query.
+
+    Accepts Python and numpy integers; anything else (a float such as 1.5
+    included) raises ValueError rather than being truncated.
+    """
+    try:
+        v = operator.index(v)
+    except TypeError:
+        raise ValueError(f"element {v!r} is not an integer") from None
+    if not 0 <= v < d:
+        raise ValueError(f"element {v} outside [0, {d})")
+    return v
 
 
 @dataclass(frozen=True)

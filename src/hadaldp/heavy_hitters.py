@@ -30,7 +30,7 @@ from .hashing import sample_hash
 from .partition import SCHEMES, take_partition
 from .prefixes import (children_of, encode_prefix, encode_prefix_batch,
                        make_code)
-from .randomizer import PrivacyBudget, setup_stream
+from .randomizer import PrivacyBudget, debias_factor, setup_stream
 
 logger = logging.getLogger(__name__)
 
@@ -69,6 +69,20 @@ def lambda_threshold(params, n, d):
     bits = max(1.0, math.log2(d))
     return (params.c_lambda / params.eps) * math.sqrt(
         n * bits * math.log(n / params.beta) / math.log(n))
+
+
+def level_noise_sigma(params, n, d):
+    """Predicted noise sigma of a level estimate: sqrt(pi/2) * c * sqrt(n*L).
+
+    c = debias_factor(eps/2) and L is the tree depth for (n, d).  Each of
+    the k rows of a level oracle sums about n/(L*k) reports of magnitude c,
+    scaled by L*k; the median of k such rows shrinks the spread by
+    sqrt(pi/(2k)).  The walk keeps a child iff its estimate clears 2*lambda,
+    so 2*lambda/sigma says how many sigmas of noise that bar stands above.
+    """
+    levels = make_code(n, d).levels
+    return (math.sqrt(math.pi / 2.0) * debias_factor(params.eps / 2.0)
+            * math.sqrt(n * levels))
 
 
 @dataclass
@@ -165,7 +179,10 @@ def run(elements, d, params, seed, *, max_frontier=None):
     code = make_code(n, d)
     lam = lambda_threshold(params, n, d)
     levels = code.levels
-    meta.update({"B": code.branching, "L": levels, "lambda": lam})
+    sigma = level_noise_sigma(params, n, d)
+    meta.update({"B": code.branching, "L": levels, "lambda": lam,
+                 "level_noise_sigma": sigma,
+                 "threshold_over_sigma": 2.0 * lam / sigma})
     if lam >= n:
         logger.warning(
             "lambda = %.1f is not below n = %d; no element can qualify, "

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
+from .hashing import element_index
 from .randomizer import (PrivacyBudget, debias_factor, draw_coins, draw_rows,
                          randomize, round_streams)
 
@@ -84,10 +85,7 @@ def query(state, v):
     """O(1) estimate lookup; requires a finalized state."""
     if not state.finalized:
         raise RuntimeError("finalize() the state before query()")
-    v = int(v)
-    if not 0 <= v < state.m:
-        raise ValueError(f"element {v} outside [0, {state.m})")
-    return float(state.buffer[v])
+    return float(state.buffer[element_index(v, state.m)])
 
 
 def query_direct(state, v):
@@ -100,9 +98,7 @@ def query_direct(state, v):
     if state.finalized:
         raise RuntimeError("query_direct() reads the raw accumulator; "
                            "this state is already finalized")
-    v = int(v)
-    if not 0 <= v < state.m:
-        raise ValueError(f"element {v} outside [0, {state.m})")
+    v = element_index(v, state.m)
     nz = np.nonzero(state.buffer)[0].astype(np.uint64)
     if nz.size == 0:
         return 0.0

@@ -28,7 +28,10 @@ class Partition:
 
     def members(self):
         """Index arrays of each subset, users in increasing order."""
-        order = np.argsort(self.assignment, kind="stable")
+        # the narrowest key type that holds k - 1: a stable argsort is a
+        # radix sort on 8- and 16-bit keys, with the same output
+        keys = self.assignment.astype(np.min_scalar_type(self.k - 1))
+        order = np.argsort(keys, kind="stable")
         bounds = np.concatenate(([0], np.cumsum(self.sizes)))
         return [order[bounds[j]:bounds[j + 1]] for j in range(self.k)]
 

@@ -155,6 +155,50 @@ def test_domain_guard_on_query():
         fo.query_many(st, np.array([0, 3], dtype=np.uint64))
 
 
+def test_query_rejects_negative_and_non_integer_input():
+    st = fo.construct(np.array([0, 1, 2], dtype=np.uint64), 3, params(), seed=0)
+    for bad in (-1, 1.5, np.float64(1.0), "1", None):
+        with pytest.raises(ValueError):
+            fo.query(st, bad)
+        with pytest.raises(ValueError):
+            fo.row_estimates(st, bad)
+    for bad in ([-1], np.array([0, -2]), [1.5], np.array([1.0]),
+                np.array([True])):
+        with pytest.raises(ValueError):
+            fo.query_many(st, bad)
+    # integer input of any width, Python or numpy, is fine
+    assert fo.query(st, np.int8(1)) == fo.query(st, np.uint64(1)) == fo.query(st, 1)
+    assert np.array_equal(fo.query_many(st, [0, 1, 2]),
+                          fo.query_many(st, np.array([0, 1, 2], dtype=np.int16)))
+
+
+def _reference_rows(state, v):
+    return [state.k * state.matrix[j, h.eval(v)] for j, h in enumerate(state.hashes)]
+
+
+def test_row_estimates_match_exact_scalar_hashes():
+    """row_estimates evaluates all k hashes in one limb-kernel call; it must
+    equal the Python-int reference PairwiseHash.eval row by row, for built
+    and for deserialized states, at both ends of the largest domain, and
+    for a family with a = b = p - 1, where every limb product carries."""
+    d = fo.MAX_DOMAIN
+    rng = np.random.default_rng(12)
+    elems = rng.integers(0, d, size=3000, dtype=np.uint64)
+    built = fo.construct(elems, d, params(), seed=31)
+    extreme = [PairwiseHash(a=P61 - 1, b=P61 - 1, p=P61, m=64),
+               PairwiseHash(a=P61 - 1, b=0, p=P61, m=64),
+               PairwiseHash(a=1, b=P61 - 1, p=P61, m=64)]
+    carried = fo.construct(elems, d, params(), seed=32, hashes=extreme)
+    vs = [0, 1, d - 1, d - 2, (1 << 32) - 1, 1 << 32]
+    vs += [int(v) for v in rng.integers(0, d, size=40, dtype=np.uint64)]
+    for state in (built, carried):
+        for st in (state, fo.from_bytes(fo.to_bytes(state))):
+            for v in vs:
+                assert fo.row_estimates(st, v).tolist() == _reference_rows(st, v)
+                assert fo.row_estimates(st, np.uint64(v)).tolist() == \
+                    _reference_rows(st, v)
+
+
 def test_reproducible_and_round_sensitive():
     elems = np.arange(1000, dtype=np.uint64) % 64
     a = fo.construct(elems, 64, params(), seed=77)

@@ -30,6 +30,32 @@ def test_threshold_formula():
     assert hh.lambda_threshold(params(), 1, 1 << 20) == math.inf
 
 
+def test_level_noise_sigma_by_hand():
+    # n = 10^5, d = 2^32: B = 256, L = 4, reports at eps/2 = 0.5
+    c = (math.exp(0.5) + 1.0) / (math.exp(0.5) - 1.0)
+    sigma = math.sqrt(math.pi / 2.0) * c * math.sqrt(100_000 * 4)
+    assert hh.level_noise_sigma(params(), 100_000, 1 << 32) == pytest.approx(sigma)
+    assert 3230 < sigma < 3245
+    # the threshold does not enter sigma; eps does, through c
+    assert hh.level_noise_sigma(params(c_lambda=7.0), 100_000, 1 << 32) \
+        == pytest.approx(sigma)
+    # n = 10^5, d = 2^16: L = 2
+    assert hh.level_noise_sigma(params(), 100_000, 1 << 16) \
+        == pytest.approx(sigma / math.sqrt(2.0))
+
+
+def test_run_records_the_level_noise():
+    # 50 users against a 2^32 domain: B = 4, L = 16; the run stops before
+    # the walk but still records what it predicted
+    hist = hh.run(np.zeros(50, dtype=np.uint64), 1 << 32, params(), seed=0)
+    meta = hist.metadata
+    c = (math.exp(0.5) + 1.0) / (math.exp(0.5) - 1.0)
+    sigma = math.sqrt(math.pi / 2.0) * c * math.sqrt(50 * 16)
+    assert meta["L"] == 16
+    assert meta["level_noise_sigma"] == pytest.approx(sigma)
+    assert meta["threshold_over_sigma"] == pytest.approx(2 * meta["lambda"] / sigma)
+
+
 def test_params_validation():
     for bad in ({"eps": 1.5}, {"eps": 1e-17}, {"eps": math.nan},
                 {"beta": 1.0},

@@ -108,6 +108,18 @@ def test_rejects_out_of_domain():
         hrr.query(state, 4)
 
 
+def test_query_rejects_negative_and_non_integer_input():
+    elems = np.array([1, 2], dtype=np.uint64)
+    raw = hrr.build(elems, 4, BUDGET, seed=0, finalize=False)
+    state = hrr.build(elems, 4, BUDGET, seed=0)
+    for bad in (-1, 1.5, np.float64(1.0), "1", None):
+        with pytest.raises(ValueError):
+            hrr.query(state, bad)
+        with pytest.raises(ValueError):
+            hrr.query_direct(raw, bad)
+    assert hrr.query(state, np.uint64(1)) == hrr.query(state, 1)
+
+
 def test_finalize_gates():
     state = hrr.build(np.array([1, 2], dtype=np.uint64), 4, BUDGET, seed=0,
                       finalize=False)

@@ -32,6 +32,21 @@ def test_permutation_spread_at_most_one(n, k, seed):
         assert spread == 0
 
 
+@pytest.mark.parametrize("k,n", [(1, 300), (255, 3000), (256, 3000),
+                                 (257, 3000), (65_537, 600)])
+def test_members_are_sorted_groups_across_key_widths(k, n):
+    """members() sorts on the narrowest key type that holds k - 1; each
+    group must still be exactly the users of that subset, in increasing
+    order, on both sides of the 8- and 16-bit boundaries."""
+    for scheme in pt.SCHEMES:
+        part = pt.take_partition(n, k, scheme, np.random.default_rng(k))
+        members = part.members()
+        assert len(members) == k
+        for j, idx in enumerate(members):
+            assert np.array_equal(idx, np.flatnonzero(part.assignment == j))
+            assert (np.diff(idx) > 0).all()
+
+
 def test_permutation_remainder_rule():
     sizes = pt.permutation_partition(12, 3, np.random.default_rng(0)).sizes
     assert sizes.tolist() == [4, 4, 4]
