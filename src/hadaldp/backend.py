@@ -3,9 +3,19 @@
 The loops are the Walsh-Hadamard butterfly passes, the Hadamard sign
 lookup, the server's scatter-add of reports, and pairwise-hash evaluation
 mod 2^61 - 1.  Each kernel is deterministic: accumulators hold
-integer-valued float64 sums of +-1 (exact below 2^53), the butterflies pair
-the same indices in the same order on every call, and the hash does exact
-32-bit-limb arithmetic in uint64.
+integer-valued float64 sums of +-1 (exact below 2^53), and the hash does
+exact 32-bit-limb arithmetic in uint64.
+
+The transform is cache-blocked in the manner of the FFHT library (Andoni,
+Indyk, Laarhoven, Razenshteyn and Schmidt, NeurIPS 2015).  A length-m row
+is an R x C matrix with C = min(m, 4096), and H_m = H_R (x) H_C: the
+passes of stride below C run inside each length-C block, the rest across
+blocks.  Both run on panels of 32 blocks (or 32 columns) copied into a
+buffer of max(C, R) x 32 doubles, 1 MiB up to m = 2^24, so the transform
+sweeps memory twice instead of log2(m) times.  Every element meets the
+same partners, in the same pass order, through the same a + b and a - b
+as in the textbook pass-by-pass loop, so the output is bit-identical to
+that loop on any float64 input.
 
 Callers reach the kernels as attributes of this module (`backend.<name>`),
 so a profiler can wrap them in place.
@@ -33,21 +43,67 @@ def set_backend(name):
         raise ValueError(f"unknown backend {name!r}; the only one is 'numpy'")
 
 
+_PANEL = 32    # blocks (low passes) or columns (high passes) per panel
+_BLOCK = 4096  # C: elements per block of a row
+
+
 def fwht_inplace(x):
-    """One in-place Walsh-Hadamard pass over the last axis (rows for 2-D)."""
+    """In-place Walsh-Hadamard transform of the last axis (rows for 2-D).
+
+    View each row as an R x C matrix, C = min(m, 4096).  The low passes
+    (stride h < C) pair elements within a row of that matrix: 32 such
+    blocks at a time are copied, transposed, into a C x 32 panel, where
+    the pass of stride h pairs panel rows h apart.  The high passes
+    (h >= C) pair matrix rows C*h' apart: R x 32 column panels are copied
+    as they are and run the passes h' = 1, ..., R/2.  A pair (i, i + h)
+    always becomes (x_i + x_{i+h}, x_i - x_{i+h}), and low passes precede
+    high ones for every element, so the result equals that of running the
+    passes h = 1, 2, ..., m/2 over the whole array, bit for bit.  The
+    panel and one half-panel scratch are the only allocations.
+    """
     if x.dtype != np.float64 or not x.flags.c_contiguous:
         raise ValueError("in-place transform needs a C-contiguous float64 array")
     m = x.shape[-1]
     if m < 1 or (m & (m - 1)) != 0:
         raise ValueError(f"length {m} is not a power of two")
-    flat = x.reshape(-1, m)
-    h = 1
-    while h < m:
-        v = flat.reshape(-1, 2, h)
-        t = v[:, 0, :] - v[:, 1, :]
-        v[:, 0, :] += v[:, 1, :]
-        v[:, 1, :] = t
-        del t   # else the next pass's half-size temporary joins this one
+    c = min(m, _BLOCK)
+    r = m // c
+    panel = np.empty(max(c, r) * _PANEL)
+    half = np.empty(panel.size // 2)
+    blocks = x.reshape(-1, c)
+    for i in range(0, blocks.shape[0], _PANEL):
+        rows = blocks[i:i + _PANEL]
+        p = panel[:rows.size].reshape(c, rows.shape[0])
+        np.copyto(p, rows.T)
+        _column_passes(p, half)
+        rows[...] = p.T
+    if r == 1:
+        return
+    for row in x.reshape(-1, r, c):
+        for j in range(0, c, _PANEL):
+            cols = row[:, j:j + _PANEL]
+            p = panel[:cols.size].reshape(r, _PANEL)
+            np.copyto(p, cols)
+            _column_passes(p, half)
+            cols[...] = p
+
+
+def _column_passes(p, half):
+    """Every butterfly pass down the columns of the contiguous 2-D panel p.
+
+    Pass h' pairs panel rows h' apart, which in the flat buffer are the
+    runs of h = h' * width elements; `half` holds each pass's differences.
+    """
+    v = p.reshape(-1)
+    h = p.shape[1]
+    while h < v.size:
+        pairs = v.reshape(-1, 2, h)
+        a = pairs[:, 0]
+        b = pairs[:, 1]
+        t = half[:v.size // 2].reshape(a.shape)
+        np.subtract(a, b, out=t)
+        a += b
+        b[...] = t
         h *= 2
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backend
-from .hashing import PairwiseHash, element_index, sample_hash
+from .hashing import PairwiseHash, element_array, element_index, sample_hash
 from .partition import SCHEMES, take_partition
 from .randomizer import (PrivacyBudget, debias_factor, draw_coins, draw_rows,
                          randomize, round_streams, setup_stream)
@@ -135,14 +135,12 @@ def construct(elements, d, params, seed, *, hashes=None, round_index=0):
     across all its oracles) they fix both k and m; otherwise k and m are
     derived from params and n, and the family is sampled here.
     """
-    elements = np.ascontiguousarray(elements, dtype=np.uint64)
+    if not 1 <= d <= MAX_DOMAIN:
+        raise ValueError(f"domain size must lie in [1, 2^61 - 1], got {d}")
+    elements = element_array(elements, d)
     n = int(elements.size)
     if n == 0:
         raise ValueError("cannot build an oracle from zero users")
-    if not 1 <= d <= MAX_DOMAIN:
-        raise ValueError(f"domain size must lie in [1, 2^61 - 1], got {d}")
-    if int(elements.max()) >= d:
-        raise ValueError(f"elements must lie in [0, {d})")
     budget = PrivacyBudget(params.eps)
 
     if hashes is not None:
@@ -194,14 +192,9 @@ def query(state, v):
 
 def query_many(state, vs):
     """Vectorized query; returns one estimate per element of vs."""
-    vs = np.asarray(vs)
+    vs = element_array(vs, state.d)
     if vs.size == 0:
         return np.empty(0, dtype=np.float64)
-    if vs.dtype.kind not in "iu":
-        raise ValueError(f"elements must be integers, got dtype {vs.dtype}")
-    if int(vs.min()) < 0 or int(vs.max()) >= state.d:
-        raise ValueError(f"elements must lie in [0, {state.d})")
-    vs = np.ascontiguousarray(vs, dtype=np.uint64)
     vals = np.empty((state.k, vs.size), dtype=np.float64)
     for j, h in enumerate(state.hashes):
         cols = h.eval_batch(vs).astype(np.int64)

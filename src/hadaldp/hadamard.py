@@ -9,10 +9,12 @@ Equivalently, indexing rows and columns from 0, the (row, col) entry is
 (-1)^popcount(row AND col): the parity of the AND of the binary index
 vectors.  Both views are implemented here and tested against each other.
 
-The fast transform runs the usual butterfly recursion in O(m log m) with
-O(m) auxiliary space.  On integer-valued inputs every intermediate is an
-exact float64 as long as magnitudes stay below 2^53, so fht() of integer
-vectors is exact, and H(H(x)) == m*x holds with == rather than allclose.
+The fast transform runs the butterfly passes in O(m log m), cache-blocked
+so that its only auxiliary space is a panel of at most max(2^17, m/128)
+doubles and half that again as scratch (see backend.fwht_inplace).  On
+integer-valued inputs every intermediate is an exact float64 as long as
+magnitudes stay below 2^53, so fht() of integer vectors is exact, and
+H(H(x)) == m*x holds with == rather than allclose.
 """
 
 import numpy as np

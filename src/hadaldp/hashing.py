@@ -36,6 +36,23 @@ def element_index(v, d):
     return v
 
 
+def element_array(elements, d):
+    """elements as a contiguous uint64 array in [0, d), for a build or batch.
+
+    Accepts integer arrays and lists of ints; a float or bool dtype, a
+    negative value or one at or above d raises ValueError rather than being
+    truncated or wrapped.  An empty input of any dtype is an empty array.
+    """
+    vs = np.asarray(elements)
+    if vs.size == 0:
+        return np.empty(vs.shape, dtype=np.uint64)
+    if vs.dtype.kind not in "iu":
+        raise ValueError(f"elements must be integers, got dtype {vs.dtype}")
+    if int(vs.min()) < 0 or int(vs.max()) >= d:
+        raise ValueError(f"elements must lie in [0, {d})")
+    return np.ascontiguousarray(vs, dtype=np.uint64)
+
+
 @dataclass(frozen=True)
 class PairwiseHash:
     """One member of the affine family, fixed modulus p = 2^61 - 1."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import freq_oracle as fo
-from .hashing import sample_hash
+from .hashing import element_array, sample_hash
 from .partition import SCHEMES, take_partition
 from .prefixes import (children_of, encode_prefix, encode_prefix_batch,
                        make_code)
@@ -160,12 +160,10 @@ def run(elements, d, params, seed, *, max_frontier=None):
     estimates are L * oracle answer; refinement estimates are unscaled and
     are what the histogram reports.
     """
-    elements = np.ascontiguousarray(elements, dtype=np.uint64)
-    n = int(elements.size)
     if not 1 <= d <= fo.MAX_DOMAIN:
         raise ValueError(f"domain size must lie in [1, 2^61 - 1], got {d}")
-    if n and int(elements.max()) >= d:
-        raise ValueError(f"elements must lie in [0, {d})")
+    elements = element_array(elements, d)
+    n = int(elements.size)
     meta = {"protocol": "hada-heavy", "n": n, "d": int(d),
             "eps": params.eps, "beta": params.beta, "c_k": params.c_k,
             "c_m": params.c_m, "c_lambda": params.c_lambda,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .hashing import element_index
+from .hashing import element_array, element_index
 from .randomizer import (PrivacyBudget, debias_factor, draw_coins, draw_rows,
                          randomize, round_streams)
 
@@ -65,10 +65,8 @@ def build(elements, d, budget, seed, *, round_index=0,
     The transcript depends only on (seed, round_index, user position).
     """
     m = dim_for(d, max_dim)
-    elements = np.ascontiguousarray(elements, dtype=np.uint64)
+    elements = element_array(elements, d)
     n = int(elements.size)
-    if n and int(elements.max()) >= d:
-        raise ValueError(f"elements must lie in [0, {d})")
     rows_rng, coins_rng = round_streams(seed, round_index)
     rows = draw_rows(rows_rng, n, m)
     reports = randomize(rows, elements, draw_coins(coins_rng, n),

@@ -147,6 +147,17 @@ def test_query_many_matches_scalar_queries():
     assert fo.query_many(st, np.empty(0, dtype=np.uint64)).size == 0
 
 
+def test_construct_rejects_bad_element_input():
+    for bad in (np.array([1.5, 2.7]), np.array([1.0]), [1.5], [-1, 2],
+                np.array([0, -2]), np.array([True, False]), [4]):
+        with pytest.raises(ValueError):
+            fo.construct(bad, 4, params(), seed=0)
+    # a list of non-negative ints builds the same state as its uint64 array
+    st = fo.construct([0, 1, 3], 4, params(), seed=0)
+    ref = fo.construct(np.array([0, 1, 3], dtype=np.uint64), 4, params(), seed=0)
+    assert np.array_equal(st.matrix, ref.matrix)
+
+
 def test_domain_guard_on_query():
     st = fo.construct(np.array([0, 1, 2], dtype=np.uint64), 3, params(), seed=0)
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from hadaldp.hashing import P61, PairwiseHash, sample_hash
+from hadaldp.hashing import P61, PairwiseHash, element_array, sample_hash
 
 
 def ref_eval(a, b, m, x):
@@ -61,6 +61,18 @@ def test_domain_guards():
         h.eval(-1)
     with pytest.raises(ValueError):
         h.eval_batch(np.array([0, P61], dtype=np.uint64))
+
+
+def test_element_array_accepts_integers_only():
+    got = element_array([0, 3, 2], 4)
+    assert got.dtype == np.uint64 and got.flags.c_contiguous
+    assert got.tolist() == [0, 3, 2]
+    assert element_array(np.array([1, 2], dtype=np.int8), 4).tolist() == [1, 2]
+    assert element_array([], 4).dtype == np.uint64
+    for bad in (np.array([1.5, 2.7]), np.array([1.0]), [1.5], [-1, 2],
+                np.array([0, -2]), np.array([True, False]), [4]):
+        with pytest.raises(ValueError):
+            element_array(bad, 4)
 
 
 def test_constructor_guards():

@@ -182,6 +182,14 @@ def test_run_rejects_bad_domains():
         hh.run(elems, 1 << 62, params(), seed=0)
 
 
+def test_run_rejects_bad_element_input():
+    for bad in (np.array([1.5, 2.7]), np.array([1.0]), [1.5], [-1, 2],
+                np.array([0, -2]), np.array([True, False]), [4]):
+        with pytest.raises(ValueError):
+            hh.run(bad, 4, params(), seed=0)
+    assert hh.run([], 4, params(), seed=0).metadata["status"] == "empty-input"
+
+
 def test_run_empty_input():
     hist = hh.run(np.empty(0, dtype=np.uint64), 1 << 16, params(), seed=0)
     assert len(hist) == 0

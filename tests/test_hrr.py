@@ -108,6 +108,17 @@ def test_rejects_out_of_domain():
         hrr.query(state, 4)
 
 
+def test_build_rejects_bad_element_input():
+    for bad in (np.array([1.5, 2.7]), np.array([1.0]), [1.5], [-1, 2],
+                np.array([0, -2]), np.array([True, False]), [4]):
+        with pytest.raises(ValueError):
+            hrr.build(bad, 4, BUDGET, seed=0)
+    st = hrr.build([0, 1, 3], 4, BUDGET, seed=0)
+    ref = hrr.build(np.array([0, 1, 3], dtype=np.uint64), 4, BUDGET, seed=0)
+    assert np.array_equal(st.buffer, ref.buffer)
+    assert hrr.build([], 4, BUDGET, seed=0).n_users == 0
+
+
 def test_query_rejects_negative_and_non_integer_input():
     elems = np.array([1, 2], dtype=np.uint64)
     raw = hrr.build(elems, 4, BUDGET, seed=0, finalize=False)
