@@ -6,6 +6,13 @@ mod 2^61 - 1.  Each kernel is deterministic: accumulators hold
 integer-valued float64 sums of +-1 (exact below 2^53), and the hash does
 exact 32-bit-limb arithmetic in uint64.
 
+Both builds, the hashed oracle's and the domain table's, add their reports
+through the one `accumulate_reports`, once per chunk of users, into a
+flat buffer.  The hash runs in blocks of 2^13 elements through one
+preallocated scratch of five block-sized rows, every limb step in place,
+so a call allocates its output and 320 KiB, whatever its size; its
+coefficients broadcast, per user in a build and per row in a query.
+
 The transform is cache-blocked in the manner of the FFHT library (Andoni,
 Indyk, Laarhoven, Razenshteyn and Schmidt, NeurIPS 2015).  A length-m row
 is an R x C matrix with C = min(m, 4096), and H_m = H_R (x) H_C: the
@@ -21,12 +28,15 @@ Callers reach the kernels as attributes of this module (`backend.<name>`),
 so a profiler can wrap them in place.
 """
 
+import math
+
 import numpy as np
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 _MASK29 = np.uint64((1 << 29) - 1)
 _P61 = np.uint64((1 << 61) - 1)  # Mersenne prime 2^61 - 1, doubles as the low-61-bit mask
-_U8 = np.uint64(8)
+_U1 = np.uint64(1)
+_U3 = np.uint64(3)
 _U29 = np.uint64(29)
 _U32 = np.uint64(32)
 _U61 = np.uint64(61)
@@ -115,30 +125,77 @@ def hadamard_signs(rows, cols):
     return 1 - 2 * parity
 
 
-def _mulmod_p61(a, x):
-    # 64x64 multiply via 32-bit limbs, reduced with 2^61 == 1 (mod p).
-    a_hi = a >> _U32
-    a_lo = a & _MASK32
-    x_hi = x >> _U32
-    x_lo = x & _MASK32
-    t0 = a_lo * x_lo                # < 2^64, exact in uint64
-    t1 = a_hi * x_lo + a_lo * x_hi  # < 2^62
-    t2 = a_hi * x_hi                # < 2^58
-    s = (_U8 * t2
-         + (t1 >> _U29) + ((t1 & _MASK29) << _U32)
-         + (t0 >> _U61) + (t0 & _P61))
-    s = (s >> _U61) + (s & _P61)
-    s = (s >> _U61) + (s & _P61)
-    return np.where(s >= _P61, s - _P61, s)
+_HASH_BLOCK = 1 << 13  # elements per block of the hash kernel
 
 
 def hash_eval(xs, a, b, m):
-    """Vectorized ((a*x + b) mod (2^61 - 1)) mod m on uint64 inputs."""
-    x = np.ascontiguousarray(xs, dtype=np.uint64)
-    s = _mulmod_p61(np.uint64(a), x) + np.uint64(b)
-    s = (s >> _U61) + (s & _P61)
-    s = np.where(s >= _P61, s - _P61, s)
-    return s % np.uint64(m)
+    """((a*x + b) mod (2^61 - 1)) mod m, elementwise on uint64 inputs.
+
+    xs, a and b broadcast against each other: per-user coefficients in a
+    build, a scalar element against the k rows' coefficients in a query.
+    Inputs must lie below 2^61 - 1.  The limb arithmetic runs in place on
+    blocks of 2^13 elements, through one preallocated scratch, into the
+    output; no step allocates a temporary the size of the input.
+    """
+    ops = [np.asarray(v, dtype=np.uint64) for v in (xs, a, b)]
+    shape = np.broadcast(*ops).shape
+    if len(shape) > 1:
+        ops = [np.broadcast_to(v, shape).reshape(-1) for v in ops]
+    out = np.empty(math.prod(shape), dtype=np.uint64)
+    n = out.size
+    scratch = np.empty((5, min(n, _HASH_BLOCK)), dtype=np.uint64)
+    m = np.uint64(m)
+    # an operand of size 1 broadcasts inside each block's ufuncs
+    for lo in range(0, n, _HASH_BLOCK):
+        hi = min(lo + _HASH_BLOCK, n)
+        _hash_block(*(v if v.size == 1 else v[lo:hi] for v in ops),
+                    m, out[lo:hi], scratch[:, :hi - lo])
+    return out.reshape(shape)
+
+
+def _hash_block(x, a, b, m, s, scratch):
+    """One block of hash_eval, written into s.
+
+    The 64 x 64-bit product goes through 32-bit limbs,
+    a*x = t2*2^64 + t1*2^32 + t0, and every term is folded with
+    2^61 == 1 (mod p): t2*2^64 == 8*t2, t1*2^32 == (t1 >> 29) +
+    ((t1 & (2^29 - 1)) << 32) and t0 == (t0 >> 61) + (t0 & p).  With b
+    added the sum stays below 2^64; one fold brings it below 2p, and one
+    conditional subtraction of p, done with shifts and masks, below p.
+    """
+    a_hi, a_lo, x_hi, x_lo, t = scratch
+    np.right_shift(a, _U32, out=a_hi)
+    np.bitwise_and(a, _MASK32, out=a_lo)
+    np.right_shift(x, _U32, out=x_hi)
+    np.bitwise_and(x, _MASK32, out=x_lo)
+    np.multiply(a_hi, x_lo, out=t)
+    np.multiply(a_lo, x_hi, out=s)
+    t += s                              # t1 < 2^62
+    np.multiply(a_hi, x_hi, out=a_hi)   # t2 < 2^58
+    np.multiply(a_lo, x_lo, out=a_lo)   # t0 < 2^64
+    np.left_shift(a_hi, _U3, out=s)
+    np.right_shift(t, _U29, out=x_hi)
+    s += x_hi
+    np.bitwise_and(t, _MASK29, out=t)
+    np.left_shift(t, _U32, out=t)
+    s += t
+    np.right_shift(a_lo, _U61, out=x_hi)
+    s += x_hi
+    np.bitwise_and(a_lo, _P61, out=a_lo)
+    s += a_lo
+    s += b                              # < 2^63 + 2^34
+    np.right_shift(s, _U61, out=t)
+    np.bitwise_and(s, _P61, out=s)
+    s += t                              # <= 2^61 + 3 < 2p
+    # (s + 1) >> 61 is 1 exactly when s >= p, and then (s + 1) & p = s - p
+    np.add(s, _U1, out=t)
+    np.right_shift(t, _U61, out=t)
+    s += t
+    np.bitwise_and(s, _P61, out=s)
+    if m & (m - _U1):
+        np.remainder(s, m, out=s)
+    else:
+        np.bitwise_and(s, m - _U1, out=s)
 
 
 def accumulate_reports(buf, rows, reports):

@@ -17,10 +17,15 @@ with eps * sqrt(n).  Two named constant profiles are shipped:
 - "practical": c_k = 8, c_m = 4.  Heuristic; much smaller server state,
   no formal guarantee behind the constant.
 
-A scalar query is one call of the limb kernel `backend.hash_eval`,
-broadcast over the coefficient vectors (a_j), (b_j) the state keeps, plus
-one gather from the matrix; `PairwiseHash.eval` stays the exact reference
-the tests compare it with.
+The build does not sort users into their subsets.  It streams them
+through `hrr.ingest`, the report path of every build, in chunks of
+consecutive users: per chunk one limb-kernel call `backend.hash_eval`
+with each user's coefficients (a_g, b_g) gathered by their subset g, one
+`randomize` and one scatter-add at g*m + row into the flattened matrix.
+A scalar query is one `backend.hash_eval` call, broadcast over the
+coefficient vectors (a_j), (b_j) the state keeps, plus one gather from
+the matrix; `PairwiseHash.eval` stays the exact reference the tests
+compare both with.
 
 The median of an even-length list is the lower-middle order statistic
 (1-based index ceil(k/2)), so a query always returns one of the actual
@@ -35,9 +40,12 @@ import numpy as np
 
 from . import backend
 from .hashing import PairwiseHash, element_array, element_index, sample_hash
+from .hrr import ingest
 from .partition import SCHEMES, take_partition
-from .randomizer import (PrivacyBudget, debias_factor, draw_coins, draw_rows,
-                         randomize, round_streams, setup_stream)
+from .randomizer import PrivacyBudget, debias_factor, setup_stream
+# module attributes that perfbench/tracer.py wraps; the builds draw through
+# hrr's names
+from .randomizer import draw_coins, draw_rows  # noqa: F401
 
 THEORY_CM = 8.0 * math.e ** 2 * math.sqrt(8.0)
 
@@ -113,8 +121,9 @@ class OracleState:
     n_users: int
     hashes: list
     matrix: np.ndarray                 # k x m, finalized estimates
-    # the hashes' coefficients as uint64 vectors, so a scalar query is one
-    # limb-kernel call broadcast over the k rows
+    # the hashes' coefficients as uint64 vectors: the build gathers them by
+    # each user's subset, and a scalar query is one limb-kernel call
+    # broadcast over the k rows
     a: np.ndarray = field(init=False, repr=False, compare=False)
     b: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -131,7 +140,10 @@ class OracleState:
 def construct(elements, d, params, seed, *, hashes=None, round_index=0):
     """Build the k x m matrix from one pass over the users.
 
-    When `hashes` is given (the heavy-hitter protocol shares one family
+    The partition assigns each user a subset g; `hrr.ingest` then adds,
+    chunk by chunk, user u's report on column h_g(x_u) at row_u of matrix
+    row g.  One row-wise transform and the debias factor finish it.  When
+    `hashes` is given (the heavy-hitter protocol shares one family
     across all its oracles) they fix both k and m; otherwise k and m are
     derived from params and n, and the family is sampled here.
     """
@@ -157,23 +169,13 @@ def construct(elements, d, params, seed, *, hashes=None, round_index=0):
         hashes = [sample_hash(m, hash_rng) for _ in range(k)]
 
     part = take_partition(n, k, params.scheme, setup_stream(seed, round_index, 0))
-    rows_rng, coins_rng = round_streams(seed, round_index)
-    rows = draw_rows(rows_rng, n, m)
-    coins = draw_coins(coins_rng, n)
-
-    matrix = np.zeros((k, m), dtype=np.float64)
-    for j, idx in enumerate(part.members()):
-        if idx.size == 0:
-            continue
-        group_rows = rows[idx]
-        reports = randomize(group_rows, hashes[j].eval_batch(elements[idx]),
-                            coins[idx], budget.keep_prob)
-        backend.accumulate_reports(matrix[j], group_rows, reports)
-
-    backend.fwht_inplace(matrix)
-    matrix *= debias_factor(params.eps)
-    return OracleState(params=params, k=k, m=m, d=int(d), n_users=n,
-                       hashes=hashes, matrix=matrix)
+    state = OracleState(params=params, k=k, m=m, d=int(d), n_users=n,
+                        hashes=hashes, matrix=np.zeros((k, m), dtype=np.float64))
+    ingest(state.matrix.reshape(-1), elements, m, budget.keep_prob, seed,
+           round_index, family=(part.assignment, state.a, state.b))
+    backend.fwht_inplace(state.matrix)
+    state.matrix *= debias_factor(params.eps)
+    return state
 
 
 def row_estimates(state, v):

@@ -5,9 +5,11 @@ bits back in, 2^61 == 1 mod p) and leaves room for domains up to 2^61.
 `PairwiseHash.eval` goes through Python's arbitrary-precision ints, so it
 is exact by construction; it is the reference the kernel is tested
 against.  Everything on a hot path uses the 32-bit-limb uint64 kernel
-`backend.hash_eval`: `eval_batch` over many inputs, and a frequency-oracle
-query over the k hashes of its family at once.  The two must agree
-everywhere, and tests hold them to that.
+`backend.hash_eval`, whose coefficients broadcast against its inputs:
+the oracle build calls it once per chunk of users with each user's
+subset's (a, b), a scalar query once with the k rows' (a, b) vectors, and
+`eval_batch` (a batch query, one row at a time) with one function's
+scalars.  The two must agree everywhere, and tests hold them to that.
 """
 
 import json
@@ -39,13 +41,16 @@ def element_index(v, d):
 def element_array(elements, d):
     """elements as a contiguous uint64 array in [0, d), for a build or batch.
 
-    Accepts integer arrays and lists of ints; a float or bool dtype, a
-    negative value or one at or above d raises ValueError rather than being
-    truncated or wrapped.  An empty input of any dtype is an empty array.
+    Accepts 1-D integer arrays and lists of ints; any other shape (a 0-d
+    scalar included), a float or bool dtype, a negative value or one at or
+    above d raises ValueError rather than being truncated, wrapped or
+    broadcast.  An empty 1-D input of any dtype is an empty array.
     """
     vs = np.asarray(elements)
+    if vs.ndim != 1:
+        raise ValueError(f"elements must be a 1-D array, got shape {vs.shape}")
     if vs.size == 0:
-        return np.empty(vs.shape, dtype=np.uint64)
+        return np.empty(0, dtype=np.uint64)
     if vs.dtype.kind not in "iu":
         raise ValueError(f"elements must be integers, got dtype {vs.dtype}")
     if int(vs.min()) < 0 or int(vs.max()) >= d:

@@ -7,6 +7,13 @@ m frequency estimates at once; scaling by debias_factor(eps) makes them
 unbiased.  Memory and finalization time are Theta(m), which is what the
 hashed oracle later removes.
 
+`ingest` is the report path of every build: it streams the users in
+chunks of CHUNK, drawing each chunk's rows and coins as the next slice of
+the round's streams, randomizing them in one call and adding them with
+one scatter-add.  `build` calls it with the element as the column;
+`freq_oracle.construct` with each user's hashed element and a row offset
+per subset.
+
 The accumulator holds raw integer +-1 sums; the debias factor is applied
 once during finalization.  That keeps query() (transform route) and
 query_direct() (direct dot product against the accumulator, usable before
@@ -27,6 +34,7 @@ MAGIC = b"HRRS"
 VERSION = 1
 DEFAULT_MAX_DIM = 1 << 28
 _HEADER = struct.Struct("<4sHHQdQ")  # magic, version, reserved, m, eps, n_users
+CHUNK = 1 << 16  # users per step of `ingest`
 
 
 @dataclass
@@ -62,21 +70,47 @@ def build(elements, d, budget, seed, *, round_index=0,
           max_dim=DEFAULT_MAX_DIM, finalize=True):
     """Randomize every user's element and accumulate the reports, in one pass.
 
-    The transcript depends only on (seed, round_index, user position).
+    The pass is `ingest` without a hash family: one group, each element
+    its own column.  The transcript depends only on (seed, round_index,
+    user position), not on the chunk size.
     """
     m = dim_for(d, max_dim)
     elements = element_array(elements, d)
-    n = int(elements.size)
-    rows_rng, coins_rng = round_streams(seed, round_index)
-    rows = draw_rows(rows_rng, n, m)
-    reports = randomize(rows, elements, draw_coins(coins_rng, n),
-                        budget.keep_prob)
     buf = np.zeros(m, dtype=np.float64)
-    backend.accumulate_reports(buf, rows, reports)
-    # the transform needs only buf; drop the per-user arrays before it
-    del rows, reports
-    state = HrrState(m=m, budget=budget, n_users=n, buffer=buf)
+    ingest(buf, elements, m, budget.keep_prob, seed, round_index)
+    state = HrrState(m=m, budget=budget, n_users=int(elements.size), buffer=buf)
     return state.finalize() if finalize else state
+
+
+def ingest(buf, elements, m, keep_prob, seed, round_index, family=None):
+    """Add every user's +-1 report into the flat buffer buf, CHUNK users at
+    a time; the one report path of every build.
+
+    User u's row is draw u of the round's row stream (uniform in [0, m)),
+    their coin draw u of the coin stream; a chunk draws consecutive slices
+    of both, so the transcript does not depend on CHUNK.  Without `family`
+    user u reports on column x_u and adds at buf[row_u].  With
+    family = (groups, a, b), buf is a k x m matrix flattened, and user u
+    of group g = groups[u] reports on column ((a[g] x_u + b[g]) mod p) mod m
+    and adds at buf[g*m + row_u].  Per chunk that is one hash, one
+    randomize and one scatter-add, each over chunk-sized arrays.
+    """
+    rows_rng, coins_rng = round_streams(seed, round_index)
+    n = elements.size
+    for lo in range(0, n, CHUNK):
+        hi = min(lo + CHUNK, n)
+        rows = draw_rows(rows_rng, hi - lo, m)
+        coins = draw_coins(coins_rng, hi - lo)
+        x = elements[lo:hi]
+        if family is None:
+            cols, at = x, rows
+        else:
+            groups, a, b = family
+            g = groups[lo:hi]
+            cols = backend.hash_eval(x, a[g], b[g], m)
+            at = g * m + rows.view(np.int64)   # rows < m: the same values
+        backend.accumulate_reports(buf, at, randomize(rows, cols, coins,
+                                                      keep_prob))
 
 
 def query(state, v):

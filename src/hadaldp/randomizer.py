@@ -4,9 +4,10 @@ Every client sends a single +-1: the sign of one Hadamard entry H[row, col],
 kept with probability e^eps/(e^eps + 1) and flipped otherwise.  Which column
 the entry comes from is the only thing the three protocol variants disagree
 about: the raw element (direct oracle), a hashed element (hashed oracle), or
-a hashed prefix of the element (heavy-hitter levels).  `randomize` makes
-every user's report in one vectorized call, and the builds hand its output
-straight to the server's accumulator.
+a hashed prefix of the element (heavy-hitter levels).  `randomize` makes a
+chunk of users' reports in one vectorized call, and `hrr.ingest`, the
+report path of every build, hands its output straight to the server's
+accumulator.
 
 With b the +-1 keep/flip coin, E[b] = (e^eps - 1)/(e^eps + 1), so the server
 multiplies accumulated reports by debias_factor(eps) = (e^eps + 1)/(e^eps - 1)

@@ -45,8 +45,69 @@ def test_mulmod_limbs_match_big_integer_arithmetic():
     xs = np.array([0, 1, P61 - 1, 1 << 60, (1 << 61) - 2] +
                   list(rng.integers(0, P61, size=500)), dtype=np.uint64)
     for a in a_vals:
-        got = backend._mulmod_p61(np.uint64(a), xs)
+        # b = 0 and a range of 2^61, above every residue, leave a*x mod p
+        got = backend.hash_eval(xs, a, 0, 1 << 61)
         assert got.tolist() == [(a * int(x)) % P61 for x in xs]
+
+
+HASH_XS = [0, 1, (1 << 32) - 1, (1 << 32) + 1, 1 << 60, (1 << 61) - 2]
+
+
+def _exact_hash(x, a, b, m):
+    return ((a * x + b) % P61) % m
+
+
+@pytest.mark.parametrize("m", [1, 3, 1000, 4096])
+@pytest.mark.parametrize("n", [(1 << 13) - 1, 1 << 13, (1 << 13) + 1,
+                               3 * (1 << 13) + 5])
+def test_hash_kernel_matches_big_integers_across_blocks(n, m):
+    """Sizes around the 2^13-element block, in the three broadcast forms
+    the package uses: per-element coefficients (a build), one function
+    over many elements (a batch query), one element against a vector of
+    functions (a scalar query over the k rows)."""
+    rng = np.random.default_rng(n + m)
+    xs = rng.integers(0, P61, size=n, dtype=np.uint64)
+    xs[:len(HASH_XS)] = HASH_XS
+    a = rng.integers(1, P61, size=n, dtype=np.uint64)
+    b = rng.integers(0, P61, size=n, dtype=np.uint64)
+    a[:3] = [1, P61 - 1, P61 - 1]
+    b[:3] = [0, P61 - 1, 0]
+    x_l, a_l, b_l = xs.tolist(), a.tolist(), b.tolist()
+
+    got = backend.hash_eval(xs, a, b, m)
+    assert got.dtype == np.uint64 and got.shape == (n,)
+    assert got.tolist() == [_exact_hash(*t, m) for t in zip(x_l, a_l, b_l)]
+    for sa, sb in ((1, 0), (P61 - 1, P61 - 1), (a_l[5], b_l[5])):
+        got = backend.hash_eval(xs, sa, sb, m)
+        assert got.tolist() == [_exact_hash(x, sa, sb, m) for x in x_l]
+    for x in HASH_XS:
+        got = backend.hash_eval(np.uint64(x), a, b, m)
+        assert got.tolist() == [_exact_hash(x, *t, m) for t in zip(a_l, b_l)]
+
+
+def test_hash_kernel_shapes():
+    assert backend.hash_eval(np.uint64(7), 3, 5, 16).shape == ()
+    assert int(backend.hash_eval(np.uint64(7), 3, 5, 16)) == 26 % 16
+    assert backend.hash_eval(np.empty(0, dtype=np.uint64), 3, 5, 16).shape == (0,)
+    xs = np.arange(6, dtype=np.uint64).reshape(2, 3)
+    got = backend.hash_eval(xs, np.array([1, 2, 3], dtype=np.uint64), 0, 1 << 61)
+    assert got.tolist() == [[0, 2, 6], [3, 8, 15]]
+
+
+def test_hash_kernel_memory_is_its_output_and_one_block_scratch():
+    n = 1 << 20
+    rng = np.random.default_rng(6)
+    xs = rng.integers(0, P61, size=n, dtype=np.uint64)
+    a = rng.integers(1, P61, size=n, dtype=np.uint64)
+    b = rng.integers(0, P61, size=n, dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        out = backend.hash_eval(xs, a, b, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 8 << 20
+    assert peak <= out.nbytes + (1 << 20)
 
 
 def test_fwht_operand_validation():

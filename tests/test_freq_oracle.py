@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from hadaldp import freq_oracle as fo
+from hadaldp import hrr
 from hadaldp.datasets import exact_frequency, gen_planted, gen_zipf
 from hadaldp.hadamard import entry, naive_multiply
 from hadaldp.hashing import P61, PairwiseHash, sample_hash
 from hadaldp.partition import take_partition
-from hadaldp.randomizer import (debias_factor, draw_coins, draw_rows,
-                                keep_probability, round_streams, setup_stream)
+from hadaldp.randomizer import (PrivacyBudget, debias_factor, draw_coins,
+                                draw_rows, keep_probability, round_streams,
+                                setup_stream)
 
 E2 = math.exp(-2.0)
 
@@ -156,6 +158,17 @@ def test_construct_rejects_bad_element_input():
     st = fo.construct([0, 1, 3], 4, params(), seed=0)
     ref = fo.construct(np.array([0, 1, 3], dtype=np.uint64), 4, params(), seed=0)
     assert np.array_equal(st.matrix, ref.matrix)
+
+
+def test_construct_and_query_many_reject_non_1d_elements():
+    st = fo.construct(np.array([0, 1, 2], dtype=np.uint64), 16, params(), seed=0)
+    for bad in (np.arange(12, dtype=np.uint64).reshape(3, 4), np.uint64(5),
+                np.array(5), np.empty((0, 3), dtype=np.uint64)):
+        with pytest.raises(ValueError, match="1-D"):
+            fo.construct(bad, 16, params(), seed=0)
+        with pytest.raises(ValueError, match="1-D"):
+            fo.query_many(st, bad)
+    assert fo.query_many(st, []).shape == (0,)
 
 
 def test_domain_guard_on_query():
@@ -310,3 +323,35 @@ def test_statistical_error_bound_violation_rate():
             total += 1
             within += int(abs(est - counts[int(v)]) <= bound)
     assert within / total >= 0.95, f"{within}/{total} inside the bound"
+
+
+CHUNK_CASES = [
+    (5, (1, 7, 64, 5)),              # n < k: most groups stay empty
+    (400, (1, 7, 64, 400)),
+    ((1 << 16) + 3, (7, 64, (1 << 16) + 3)),   # the default crosses a chunk
+]
+
+
+@pytest.mark.parametrize("scheme", ["independent", "permutation"])
+@pytest.mark.parametrize("n,chunks", CHUNK_CASES)
+def test_builds_do_not_depend_on_the_chunk_size(monkeypatch, scheme, n, chunks):
+    """Both builds ingest CHUNK users at a time; the matrix and the raw hrr
+    buffer must be bit-identical to the default chunking at any size, since
+    each chunk draws the next slice of the round's streams.  (The hrr
+    build has no partition, so the scheme only varies the oracle.)"""
+    d = 1000
+    p = params(c_m=1.0, beta_prime=0.3, scheme=scheme)
+    elems = np.random.default_rng(n).integers(0, d, size=n, dtype=np.uint64)
+    budget = PrivacyBudget(1.0)
+
+    def builds():
+        return (fo.construct(elems, d, p, seed=23, round_index=2).matrix,
+                hrr.build(elems, d, budget, seed=23, round_index=2,
+                          finalize=False).buffer)
+
+    want = builds()
+    assert fo.repetitions_for(p) == 10
+    for chunk in chunks:
+        monkeypatch.setattr(hrr, "CHUNK", chunk)
+        got = builds()
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), chunk

@@ -70,7 +70,8 @@ def test_element_array_accepts_integers_only():
     assert element_array(np.array([1, 2], dtype=np.int8), 4).tolist() == [1, 2]
     assert element_array([], 4).dtype == np.uint64
     for bad in (np.array([1.5, 2.7]), np.array([1.0]), [1.5], [-1, 2],
-                np.array([0, -2]), np.array([True, False]), [4]):
+                np.array([0, -2]), np.array([True, False]), [4],
+                np.zeros((2, 2), dtype=np.uint64), np.uint64(1), [[1]]):
         with pytest.raises(ValueError):
             element_array(bad, 4)
 

@@ -190,6 +190,13 @@ def test_run_rejects_bad_element_input():
     assert hh.run([], 4, params(), seed=0).metadata["status"] == "empty-input"
 
 
+def test_run_rejects_non_1d_elements():
+    for bad in (np.arange(12, dtype=np.uint64).reshape(3, 4), np.uint64(5),
+                np.array(5)):
+        with pytest.raises(ValueError, match="1-D"):
+            hh.run(bad, 16, params(), seed=0)
+
+
 def test_run_empty_input():
     hist = hh.run(np.empty(0, dtype=np.uint64), 1 << 16, params(), seed=0)
     assert len(hist) == 0

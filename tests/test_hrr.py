@@ -119,6 +119,13 @@ def test_build_rejects_bad_element_input():
     assert hrr.build([], 4, BUDGET, seed=0).n_users == 0
 
 
+def test_build_rejects_non_1d_elements():
+    for bad in (np.arange(12, dtype=np.uint64).reshape(3, 4), np.uint64(5),
+                np.array(5)):
+        with pytest.raises(ValueError, match="1-D"):
+            hrr.build(bad, 16, BUDGET, seed=0)
+
+
 def test_query_rejects_negative_and_non_integer_input():
     elems = np.array([1, 2], dtype=np.uint64)
     raw = hrr.build(elems, 4, BUDGET, seed=0, finalize=False)
