@@ -2,27 +2,36 @@
 
 The loops are the Walsh-Hadamard butterfly passes, the Hadamard sign
 lookup, the server's scatter-add of reports, and pairwise-hash evaluation
-mod 2^61 - 1.  Each kernel is deterministic: accumulators hold
-integer-valued float64 sums of +-1 (exact below 2^53), and the hash does
-exact 32-bit-limb arithmetic in uint64.
+mod 2^61 - 1.  Each kernel is deterministic and exact: the hash does
+32-bit-limb arithmetic in uint64, and the server's sums are int32.
 
 Both builds, the hashed oracle's and the domain table's, add their reports
 through the one `accumulate_reports`, once per chunk of users, into a
-flat buffer.  The hash runs in blocks of 2^13 elements through one
-preallocated scratch of five block-sized rows, every limb step in place,
-so a call allocates its output and 320 KiB, whatever its size; its
-coefficients broadcast, per user in a build and per row in a query.
+flat buffer of int32 sums of +-1.  The hash runs in blocks of 2^13
+elements through one preallocated scratch of five block-sized rows, every
+limb step in place, so a call allocates its output and 320 KiB, whatever
+its size; its coefficients broadcast, per user in a build and per row in
+a query.
+
+A build allocates its zeroed float64 output and keeps the int32 sums in
+the low half of those bytes (`int32_sums`).  A Hadamard transform of
+integers whose absolute values add up to at most n has every intermediate
+bounded by n, so with n < 2^31 users the int32 transform is exact, as
+the float64 one is below 2^53; it moves half the bytes.  `widen_sums`
+then writes float64(sum) * factor over the same allocation, so the
+estimates equal, bit for bit, those of a float64 sum, transform and
+scaling, and the build never holds more than its float64 output.
 
 The transform is cache-blocked in the manner of the FFHT library (Andoni,
 Indyk, Laarhoven, Razenshteyn and Schmidt, NeurIPS 2015).  A length-m row
 is an R x C matrix with C = min(m, 4096), and H_m = H_R (x) H_C: the
 passes of stride below C run inside each length-C block, the rest across
 blocks.  Both run on panels of 32 blocks (or 32 columns) copied into a
-buffer of max(C, R) x 32 doubles, 1 MiB up to m = 2^24, so the transform
-sweeps memory twice instead of log2(m) times.  Every element meets the
-same partners, in the same pass order, through the same a + b and a - b
-as in the textbook pass-by-pass loop, so the output is bit-identical to
-that loop on any float64 input.
+buffer of max(C, R) x 32 elements, 1 MiB of float64 up to m = 2^24, so
+the transform sweeps memory twice instead of log2(m) times.  Every
+element meets the same partners, in the same pass order, through the
+same a + b and a - b as in the textbook pass-by-pass loop, so the output
+is bit-identical to that loop on any float64 or int32 input.
 
 Callers reach the kernels as attributes of this module (`backend.<name>`),
 so a profiler can wrap them in place.
@@ -55,6 +64,7 @@ def set_backend(name):
 
 _PANEL = 32    # blocks (low passes) or columns (high passes) per panel
 _BLOCK = 4096  # C: elements per block of a row
+_FWHT_DTYPES = (np.dtype(np.float64), np.dtype(np.int32))
 
 
 def fwht_inplace(x):
@@ -69,17 +79,20 @@ def fwht_inplace(x):
     always becomes (x_i + x_{i+h}, x_i - x_{i+h}), and low passes precede
     high ones for every element, so the result equals that of running the
     passes h = 1, 2, ..., m/2 over the whole array, bit for bit.  The
-    panel and one half-panel scratch are the only allocations.
+    panel and one half-panel scratch, both of x's dtype, are the only
+    allocations.  x is float64, or int32 whose absolute values along a
+    row add up to less than 2^31 (then no intermediate overflows).
     """
-    if x.dtype != np.float64 or not x.flags.c_contiguous:
-        raise ValueError("in-place transform needs a C-contiguous float64 array")
+    if x.dtype not in _FWHT_DTYPES or not x.flags.c_contiguous:
+        raise ValueError("in-place transform needs a C-contiguous float64 "
+                         "or int32 array")
     m = x.shape[-1]
     if m < 1 or (m & (m - 1)) != 0:
         raise ValueError(f"length {m} is not a power of two")
     c = min(m, _BLOCK)
     r = m // c
-    panel = np.empty(max(c, r) * _PANEL)
-    half = np.empty(panel.size // 2)
+    panel = np.empty(max(c, r) * _PANEL, dtype=x.dtype)
+    half = np.empty(panel.size // 2, dtype=x.dtype)
     blocks = x.reshape(-1, c)
     for i in range(0, blocks.shape[0], _PANEL):
         rows = blocks[i:i + _PANEL]
@@ -201,7 +214,46 @@ def _hash_block(x, a, b, m, s, scratch):
 def accumulate_reports(buf, rows, reports):
     """Server side: add user i's +-1 report into buf[rows[i]].
 
-    An unbuffered scatter-add, so no temporary the size of buf.  buf stays
-    integer-valued, so the sum does not depend on user order.
+    An unbuffered scatter-add, so no temporary the size of buf.  The
+    reports are cast to buf's dtype first: numpy's scatter-add of int8
+    into int32 takes a slow mixed-dtype path, about 14x slower.  buf
+    stays integer-valued, so the sum does not depend on user order.
     """
-    np.add.at(buf, rows, np.asarray(reports, dtype=np.float64))
+    np.add.at(buf, rows, np.asarray(reports, dtype=buf.dtype))
+
+
+def int32_sums(shape):
+    """Zeroed int32 sums of the given shape, stored in the low half of the
+    bytes of a zeroed float64 array of that shape, which `widen_sums`
+    turns them into."""
+    out = np.zeros(shape, dtype=np.float64)
+    return out.reshape(-1).view(np.int32)[:out.size].reshape(out.shape)
+
+
+def widen_sums(sums, factor):
+    """float64(sums) * factor, written over the float64 array that
+    `int32_sums` stored sums in, which is returned.
+
+    Element i's int32 is read from bytes [4i, 4i + 4) and its float64
+    written to [8i, 8i + 8).  The blocks [ceil(s/2), s) go top down,
+    s = size, ceil(size/2), ..., 2: a block's destination starts at byte
+    8*ceil(s/2) >= 4s, above its own source and every source still to be
+    read.  Element 0, whose float64 covers its int32, goes last through
+    numpy's overlap-safe ufunc.  Each value is the float64 product that
+    scaling a float64 copy of the sums gives, bit for bit.
+    """
+    out = sums.base
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+            and sums.dtype == np.int32 and out.size == sums.size
+            and out.flags.c_contiguous and sums.flags.c_contiguous
+            and out.ctypes.data == sums.ctypes.data):
+        raise ValueError("sums must be the int32 view that int32_sums made")
+    src = sums.reshape(-1)
+    dst = out.reshape(-1)
+    s = src.size
+    while s > 1:
+        lo = (s + 1) // 2
+        np.multiply(src[lo:s], factor, out=dst[lo:s])
+        s = lo
+    np.multiply(src[:s], factor, out=dst[:s])
+    return out.reshape(sums.shape)

@@ -142,7 +142,8 @@ def construct(elements, d, params, seed, *, hashes=None, round_index=0):
 
     The partition assigns each user a subset g; `hrr.ingest` then adds,
     chunk by chunk, user u's report on column h_g(x_u) at row_u of matrix
-    row g.  One row-wise transform and the debias factor finish it.  When
+    row g, into int32 sums.  One row-wise int32 transform and the debias
+    factor, applied as the sums widen in place to float64, finish it.  When
     `hashes` is given (the heavy-hitter protocol shares one family
     across all its oracles) they fix both k and m; otherwise k and m are
     derived from params and n, and the family is sampled here.
@@ -169,12 +170,13 @@ def construct(elements, d, params, seed, *, hashes=None, round_index=0):
         hashes = [sample_hash(m, hash_rng) for _ in range(k)]
 
     part = take_partition(n, k, params.scheme, setup_stream(seed, round_index, 0))
+    sums = backend.int32_sums((k, m))
     state = OracleState(params=params, k=k, m=m, d=int(d), n_users=n,
-                        hashes=hashes, matrix=np.zeros((k, m), dtype=np.float64))
-    ingest(state.matrix.reshape(-1), elements, m, budget.keep_prob, seed,
+                        hashes=hashes, matrix=sums)
+    ingest(sums.reshape(-1), elements, m, budget.keep_prob, seed,
            round_index, family=(part.assignment, state.a, state.b))
-    backend.fwht_inplace(state.matrix)
-    state.matrix *= debias_factor(params.eps)
+    backend.fwht_inplace(sums)
+    state.matrix = backend.widen_sums(sums, debias_factor(params.eps))
     return state
 
 

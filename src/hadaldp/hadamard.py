@@ -11,10 +11,13 @@ vectors.  Both views are implemented here and tested against each other.
 
 The fast transform runs the butterfly passes in O(m log m), cache-blocked
 so that its only auxiliary space is a panel of at most max(2^17, m/128)
-doubles and half that again as scratch (see backend.fwht_inplace).  On
-integer-valued inputs every intermediate is an exact float64 as long as
-magnitudes stay below 2^53, so fht() of integer vectors is exact, and
-H(H(x)) == m*x holds with == rather than allclose.
+elements of the input's dtype and half that again as scratch (see
+backend.fwht_inplace).  It runs on float64 or int32.  No intermediate
+exceeds the sum of the input's absolute values, so on integer-valued
+float64 input it is exact while that sum stays below 2^53, and fht() of
+integer vectors is exact: H(H(x)) == m*x holds with == rather than
+allclose.  The builds transform their int32 report sums in place, exact
+because fewer than 2^31 users put that sum below 2^31.
 """
 
 import numpy as np
@@ -70,7 +73,11 @@ def naive_multiply(dim, x):
 
 
 def fht_inplace(x):
-    """Fast transform of x (last axis) in place; x must be C-contiguous float64."""
+    """Fast transform of x (last axis) in place.
+
+    x must be C-contiguous float64, or int32 whose absolute values along
+    each row add up to less than 2^31, so that nothing overflows.
+    """
     x = np.asarray(x)
     backend.fwht_inplace(x)
     return x

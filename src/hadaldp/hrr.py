@@ -14,8 +14,12 @@ one scatter-add.  `build` calls it with the element as the column;
 `freq_oracle.construct` with each user's hashed element and a row offset
 per subset.
 
-The accumulator holds raw integer +-1 sums; the debias factor is applied
-once during finalization.  That keeps query() (transform route) and
+The accumulator holds the raw +-1 sums as int32, in the low half of the
+bytes of the float64 estimate vector (`backend.int32_sums`).  With fewer
+than 2^31 users, which `ingest` enforces, the sums and every intermediate
+of their int32 transform are exact.  Finalization transforms the sums,
+then widens them in place to float64 while applying the debias factor,
+once (`backend.widen_sums`).  That keeps query() (transform route) and
 query_direct() (direct dot product against the accumulator, usable before
 finalization) exactly equal, bit for bit.
 """
@@ -35,6 +39,7 @@ VERSION = 1
 DEFAULT_MAX_DIM = 1 << 28
 _HEADER = struct.Struct("<4sHHQdQ")  # magic, version, reserved, m, eps, n_users
 CHUNK = 1 << 16  # users per step of `ingest`
+MAX_USERS = (1 << 31) - 1  # int32 sums: no sum or transform value exceeds n
 
 
 @dataclass
@@ -42,14 +47,15 @@ class HrrState:
     m: int
     budget: PrivacyBudget
     n_users: int
-    buffer: np.ndarray       # raw +-1 sums until finalize(), estimates after
+    buffer: np.ndarray       # int32 +-1 sums until finalize(), float64 after
     finalized: bool = False
 
     def finalize(self):
         if self.finalized:
             raise RuntimeError("state already finalized")
         backend.fwht_inplace(self.buffer)
-        self.buffer *= debias_factor(self.budget.eps)
+        self.buffer = backend.widen_sums(self.buffer,
+                                         debias_factor(self.budget.eps))
         self.finalized = True
         return self
 
@@ -76,7 +82,7 @@ def build(elements, d, budget, seed, *, round_index=0,
     """
     m = dim_for(d, max_dim)
     elements = element_array(elements, d)
-    buf = np.zeros(m, dtype=np.float64)
+    buf = backend.int32_sums(m)
     ingest(buf, elements, m, budget.keep_prob, seed, round_index)
     state = HrrState(m=m, budget=budget, n_users=int(elements.size), buffer=buf)
     return state.finalize() if finalize else state
@@ -93,10 +99,15 @@ def ingest(buf, elements, m, keep_prob, seed, round_index, family=None):
     family = (groups, a, b), buf is a k x m matrix flattened, and user u
     of group g = groups[u] reports on column ((a[g] x_u + b[g]) mod p) mod m
     and adds at buf[g*m + row_u].  Per chunk that is one hash, one
-    randomize and one scatter-add, each over chunk-sized arrays.
+    randomize and one scatter-add, each over chunk-sized arrays.  More
+    than MAX_USERS users could overflow the int32 sums, so they raise
+    ValueError before anything is drawn.
     """
-    rows_rng, coins_rng = round_streams(seed, round_index)
     n = elements.size
+    if n > MAX_USERS:
+        raise ValueError(f"{n} users exceed the int32 sums' bound of "
+                         f"2^31 - 1 = {MAX_USERS} users per build")
+    rows_rng, coins_rng = round_streams(seed, round_index)
     for lo in range(0, n, CHUNK):
         hi = min(lo + CHUNK, n)
         rows = draw_rows(rows_rng, hi - lo, m)

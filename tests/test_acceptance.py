@@ -234,7 +234,9 @@ def _level_tables(elements, code):
 
 def _table_count(tables, tau, prefix):
     vals, cnts = tables[tau - 1]
-    i = int(np.searchsorted(vals, prefix))
+    # a Python int needle makes searchsorted cast the whole uint64 table on
+    # every call; a matching scalar keeps each lookup a bare binary search
+    i = int(np.searchsorted(vals, vals.dtype.type(prefix)))
     if i < vals.size and int(vals[i]) == prefix:
         return float(cnts[i])
     return 0.0

@@ -5,6 +5,7 @@ import pytest
 
 from hadaldp import backend, hadamard
 from hadaldp.hashing import P61
+from hadaldp.randomizer import debias_factor
 
 
 def test_numpy_is_the_only_build():
@@ -37,6 +38,10 @@ def test_accumulate_is_integer_valued_and_conserving():
     # one +-1 per user, summed exactly at its row
     assert buf.tolist() == want.tolist()
     assert buf.sum() == reports.sum()
+    # the builds' int32 sums take the same int8 reports, exactly
+    sums = backend.int32_sums(m)
+    backend.accumulate_reports(sums, rows, reports)
+    assert sums.dtype == np.int32 and sums.tolist() == want.tolist()
 
 
 def test_mulmod_limbs_match_big_integer_arithmetic():
@@ -148,6 +153,29 @@ def test_fwht_is_bit_identical_to_the_pass_by_pass_loop(shape):
     assert np.array_equal(x, want)
 
 
+@pytest.mark.parametrize("shape", FWHT_SHAPES)
+def test_int32_fwht_equals_the_float64_loop(shape):
+    x = np.random.default_rng(sum(shape)).integers(-3, 4, size=shape,
+                                                   dtype=np.int32)
+    want = x.astype(np.float64)
+    _reference_fwht(want)
+    backend.fwht_inplace(x)
+    assert x.dtype == np.int32 and np.array_equal(x, want)
+
+
+def test_int32_fwht_is_exact_at_the_largest_sum():
+    # |x| sums to 2^31 - 1, so every intermediate is +-(2^31 - 1)
+    x = np.zeros(1 << 13, dtype=np.int32)
+    x[0] = 2**31 - 1
+    backend.fwht_inplace(x)
+    assert (x == 2**31 - 1).all()
+    x[:] = 0
+    x[(1 << 13) - 1] = -(2**31 - 1)
+    backend.fwht_inplace(x)
+    assert np.array_equal(x, -(2**31 - 1) * np.array(
+        [hadamard.entry(1 << 13, (1 << 13) - 1, j) for j in range(1 << 13)]))
+
+
 @pytest.mark.parametrize("m", [1 << 13, 1 << 17, 1 << 20])
 def test_fwht_two_level_involution_is_exact(m):
     x = np.random.default_rng(m).integers(-50, 51, size=m).astype(np.float64)
@@ -176,3 +204,37 @@ def test_fwht_memory_is_a_panel_not_a_half_array():
     assert x[0] == 1 << 22 and not x[1:].any()
     # a pass over the whole array would need a 16 MiB half-size temporary
     assert peak < 4 << 20
+
+
+def test_int32_fwht_memory_is_a_panel_not_a_half_array():
+    x = np.ones(1 << 22, dtype=np.int32)
+    tracemalloc.start()
+    try:
+        backend.fwht_inplace(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x[0] == 1 << 22 and not x[1:].any()
+    assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("shape", [1, 2, 3, 5, (24, 4096), 1 << 20])
+def test_widen_sums_equals_a_float64_copy_times_the_factor(shape):
+    factor = debias_factor(1.0)
+    sums = backend.int32_sums(shape)
+    rng = np.random.default_rng(sums.size)
+    sums[...] = rng.integers(-(2**31) + 1, 2**31, size=sums.shape,
+                             dtype=np.int32)
+    sums.reshape(-1)[0] = 2**31 - 1
+    want = sums.astype(np.float64) * factor
+    got = backend.widen_sums(sums, factor)
+    assert got.dtype == np.float64 and got.shape == sums.shape
+    assert np.shares_memory(got, sums)
+    assert np.array_equal(got, want)
+
+
+def test_widen_sums_rejects_sums_it_did_not_make():
+    for bad in (np.zeros(4, dtype=np.int32), backend.int32_sums(8)[2:],
+                backend.int32_sums(8).astype(np.int64)):
+        with pytest.raises(ValueError):
+            backend.widen_sums(bad, 2.0)

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hadaldp import hrr
-from hadaldp.hadamard import entry
+from hadaldp.hadamard import entry, fht
 from hadaldp.randomizer import (PrivacyBudget, debias_factor, draw_coins, draw_rows,
                                 round_streams)
 
@@ -177,3 +178,36 @@ def test_from_bytes_rejects_garbage():
     for bad in (empty, tiny_eps):
         with pytest.raises(ValueError):
             hrr.from_bytes(bad)
+
+
+def test_ingest_rejects_more_users_than_int32_sums_hold():
+    # a zero-stride view: 2^31 users, no 2^31-element allocation
+    elems = np.broadcast_to(np.uint64(0), (1 << 31,))
+    buf = np.zeros(4, dtype=np.int32)
+    with pytest.raises(ValueError, match="int32"):
+        hrr.ingest(buf, elems, 4, BUDGET.keep_prob, 0, 0)
+    assert not buf.any()
+
+
+def test_build_memory_is_its_float64_output():
+    m = 1 << 22
+    elems = np.random.default_rng(8).integers(0, m, size=1000, dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        state = hrr.build(elems, m, BUDGET, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.buffer.dtype == np.float64 and state.buffer.nbytes == 32 << 20
+    # the int32 sums and their transform live inside that buffer
+    assert peak <= (32 << 20) + (4 << 20)
+
+
+def test_raw_buffer_is_int32_until_finalize():
+    raw = hrr.build(np.array([1, 2, 3], dtype=np.uint64), 8, BUDGET, seed=0,
+                    finalize=False)
+    assert raw.buffer.dtype == np.int32 and raw.buffer.shape == (8,)
+    want = raw.buffer.astype(np.float64)
+    raw.finalize()
+    assert raw.buffer.dtype == np.float64 and raw.buffer.shape == (8,)
+    assert np.array_equal(raw.buffer, fht(want) * debias_factor(1.0))
