@@ -19,11 +19,9 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import freq_oracle as fo_mod
-from .datasets import gen_planted, gen_zipf, save_dataset
-from .experiments import (CSV_COLUMNS, ExperimentConfig, load_config,
+from .datasets import save_dataset
+from .experiments import (CSV_COLUMNS, ExperimentConfig, dataset_for,
                           run_experiment)
 
 logger = logging.getLogger(__name__)
@@ -103,9 +101,9 @@ _CONFIG_KEYS = ("seed", "trials", "eps", "beta", "beta_prime", "c_k", "c_m",
                 "planted", "n_queries", "max_frontier", "protocol")
 
 
-def _assemble_config(args, **forced):
-    """File config (if given) -> flag overrides -> forced fields."""
-    raw = {}
+def _assemble_config(args, defaults=None, **forced):
+    """Defaults -> file config (if given) -> flag overrides -> forced fields."""
+    raw = dict(defaults or {})
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             raw.update(json.load(fh))
@@ -126,11 +124,7 @@ def _assemble_config(args, **forced):
 
 def _cmd_gen(args):
     config = _assemble_config(args)
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0, 0xDA7A]))
-    if config.dataset_kind == "planted":
-        ds = gen_planted(config.n, config.d, config.planted, rng)
-    else:
-        ds = gen_zipf(config.n, config.d, config.zipf_s, rng)
+    ds = dataset_for(config, 0)   # trial 0's dataset of the same config
     out_dir = Path(config.out) if config.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "dataset.bin"
@@ -180,15 +174,8 @@ def _cmd_fo(args):
 
 
 def _cmd_hh(args):
-    file_has_d = False
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_has_d = "d" in json.load(fh)
-    forced = {"protocol": "hada-heavy"}
-    if args.d is None and not file_has_d:
-        # heavy hitters are only interesting when the domain is huge
-        forced["d"] = 1 << 32
-    config = _assemble_config(args, **forced)
+    # heavy hitters are only interesting when the domain is huge
+    config = _assemble_config(args, {"d": 1 << 32}, protocol="hada-heavy")
     return _run_and_report(config)
 
 

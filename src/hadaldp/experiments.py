@@ -57,7 +57,6 @@ class ExperimentConfig:
     dataset_path: str = None
     out: str = None
     max_frontier: int = None
-    max_dim: int = hrr.DEFAULT_MAX_DIM
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
@@ -83,17 +82,12 @@ class ExperimentConfig:
         return cls(**raw)
 
 
-def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return ExperimentConfig.from_dict(json.load(fh))
-
-
 def _trial_seed(config, trial, tag):
     ss = np.random.SeedSequence([config.seed, trial, tag])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _dataset_for(config, trial):
+def dataset_for(config, trial):
     rng = np.random.default_rng(np.random.SeedSequence(
         [config.seed, trial, 0xDA7A]))
     kind = config.dataset_kind
@@ -151,8 +145,7 @@ def _check(failures, cond, what):
 def _run_hrr_trial(config, ds, trial, failures, out_dir):
     budget = PrivacyBudget(config.eps)
     seed = _trial_seed(config, trial, 0x48)
-    state, build_ms = _timed(lambda: hrr.build(
-        ds.elements, ds.d, budget, seed, max_dim=config.max_dim))
+    state, build_ms = _timed(lambda: hrr.build(ds.elements, ds.d, budget, seed))
     queries = _sample_queries(ds, config, trial)
 
     def run_queries():
@@ -162,8 +155,7 @@ def _run_hrr_trial(config, ds, trial, failures, out_dir):
     _check(failures, np.isfinite(estimates).all(), "hrr estimates not finite")
 
     if trial == 0 and ds.n:
-        raw = hrr.build(ds.elements, ds.d, budget, seed,
-                        max_dim=config.max_dim, finalize=False)
+        raw = hrr.build(ds.elements, ds.d, budget, seed, finalize=False)
         probe = [int(v) for v in queries[:3]]
         direct = [hrr.query_direct(raw, v) for v in probe]
         raw.finalize()
@@ -296,7 +288,7 @@ def run_experiment(config):
     rows = []
     failures = []
     for trial in range(config.trials):
-        ds = _dataset_for(config, trial)
+        ds = dataset_for(config, trial)
         row = _TRIAL_RUNNERS[config.protocol](config, ds, trial, failures,
                                               out_dir)
         for col in CSV_COLUMNS:

@@ -4,9 +4,10 @@ The domain is read as L base-B digits (B ~ sqrt(n)).  Users are split into
 L groups; group tau answers for the level-tau prefix of its element, at
 budget eps/2, through the hashed median-of-k oracle with ONE hash family
 shared by every level.  The server walks the tree: it keeps a frontier of
-candidate prefixes, asks the level oracle for each child's frequency
-(scaled by L, since only n/L users answered), and keeps children whose
-estimate clears 2*lambda.  Surviving leaves get re-estimated by a final
+candidate prefixes and, once per level, builds that level's oracle, asks
+it about every child of the frontier at once (estimates scaled by L, since
+only n/L users answered), keeps the children whose estimate clears
+2*lambda and drops the oracle.  Surviving leaves get re-estimated by a final
 refinement oracle built from ALL users (again at eps/2, unscaled), so each
 user reports exactly twice and the whole protocol spends eps.
 
@@ -87,24 +88,24 @@ def level_noise_sigma(params, n, d):
 
 @dataclass
 class SearchResult:
-    leaves: list          # level-L prefixes (= elements) that survived
+    leaves: np.ndarray    # uint64 level-L prefixes (= elements) that survived
     level_sizes: list     # |frontier| after each level 1..L
 
 
-def search_with_oracle(freq_oracle, code, lam, *, max_frontier=None,
+def search_with_oracle(oracle, code, lam, *, max_frontier=None,
                        on_level=None):
     """The bare tree walk, decoupled from privacy noise.
 
-    `freq_oracle(tau, prefix)` answers with any real number; a child
-    survives iff its answer is >= 2*lam.  Feeding exact counts (or exact
-    counts perturbed by at most lam) makes the walk's guarantees exact,
-    which is how the deterministic tests drive it.
+    `oracle(tau, candidates)` gets the level-tau candidates as a uint64
+    array and answers with a float array of their estimates, one per
+    candidate; a candidate survives iff its estimate is >= 2*lam.  Feeding
+    exact counts (or exact counts perturbed by at most lam) makes the walk's
+    guarantees exact, which is how the deterministic tests drive it.
     """
-    frontier = [0]
+    frontier = np.zeros(1, dtype=np.uint64)
     sizes = []
-    threshold = 2.0 * lam
     for tau in range(1, code.levels + 1):
-        candidates = children_of(np.asarray(frontier, dtype=np.uint64), code)
+        candidates = children_of(frontier, code)
         # B^L generally overshoots d; drop prefixes no element of [0, d)
         # can have, so the walk never wanders into the padding overhang
         candidates = candidates[candidates <= encode_prefix(code.domain - 1,
@@ -113,11 +114,18 @@ def search_with_oracle(freq_oracle, code, lam, *, max_frontier=None,
             raise FrontierOverflow(
                 f"level {tau}: {candidates.size} candidates exceed the "
                 f"max_frontier guard of {max_frontier}")
-        frontier = [int(s) for s in candidates if freq_oracle(tau, int(s)) >= threshold]
-        sizes.append(len(frontier))
+        est = oracle(tau, candidates)
+        # a scalar would broadcast and keep or drop the whole level at once
+        if not (isinstance(est, np.ndarray) and est.dtype.kind == "f"
+                and est.shape == candidates.shape):
+            raise ValueError(f"level {tau}: the oracle must answer a float "
+                             f"array of one estimate per candidate, "
+                             f"{candidates.size} in all")
+        frontier = candidates[est >= 2.0 * lam]
+        sizes.append(frontier.size)
         if on_level is not None:
-            on_level(tau, len(frontier))
-        if not frontier:
+            on_level(tau, frontier.size)
+        if frontier.size == 0:
             break
     return SearchResult(leaves=frontier, level_sizes=sizes)
 
@@ -203,23 +211,20 @@ def run(elements, d, params, seed, *, max_frontier=None):
     groups = take_partition(n, levels, params.scheme,
                             setup_stream(seed, 0, 0)).members()
     warn_at = 2.0 * n / lam
-    states = {}
 
-    def level_oracle(tau, prefix):
-        if tau not in states:
-            members = groups[tau - 1]
-            if members.size == 0:
-                # a starved level has no reports and so no evidence;
-                # every candidate it is asked about dies at the 2*lambda bar
-                states[tau] = None
-            else:
-                enc = encode_prefix_batch(elements[members], tau, code)
-                d_tau = encode_prefix(d - 1, tau, code) + 1
-                states[tau] = fo.construct(enc, d_tau, oracle_params, seed,
-                                           hashes=hashes, round_index=tau)
-        if states[tau] is None:
-            return 0.0
-        return levels * fo.query(states[tau], prefix)
+    def level_oracle(tau, prefixes):
+        members = groups[tau - 1]
+        if members.size == 0:
+            # a starved level has no reports and so no evidence;
+            # every candidate it is asked about dies at the 2*lambda bar
+            return np.zeros(prefixes.size)
+        enc = encode_prefix_batch(elements[members], tau, code)
+        d_tau = encode_prefix(d - 1, tau, code) + 1
+        state = fo.construct(enc, d_tau, oracle_params, seed,
+                             hashes=hashes, round_index=tau)
+        # one fo.query per candidate while the benchmark harness counts the
+        # walk's work in scalar query calls; fo.query_many once it does not
+        return levels * np.array([fo.query(state, p) for p in prefixes.tolist()])
 
     def on_level(tau, kept):
         if kept > warn_at:
@@ -234,9 +239,8 @@ def run(elements, d, params, seed, *, max_frontier=None):
 
     refinement = fo.construct(elements, d, oracle_params, seed,
                               hashes=hashes, round_index=levels + 1)
-    leaves = np.asarray(search.leaves, dtype=np.uint64)
-    estimates = fo.query_many(refinement, leaves)
+    estimates = fo.query_many(refinement, search.leaves)
     order = np.argsort(-estimates, kind="stable")
     meta["status"] = "ok"
-    return SuccinctHistogram(elements=leaves[order],
+    return SuccinctHistogram(elements=search.leaves[order],
                              estimates=estimates[order], metadata=meta)

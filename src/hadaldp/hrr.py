@@ -36,7 +36,7 @@ from .randomizer import (PrivacyBudget, debias_factor, draw_coins, draw_rows,
 
 MAGIC = b"HRRS"
 VERSION = 1
-DEFAULT_MAX_DIM = 1 << 28
+MAX_DIM = 1 << 28  # a 2^28 float64 table is 2 GiB; larger domains are refused
 _HEADER = struct.Struct("<4sHHQdQ")  # magic, version, reserved, m, eps, n_users
 CHUNK = 1 << 16  # users per step of `ingest`
 MAX_USERS = (1 << 31) - 1  # int32 sums: no sum or transform value exceeds n
@@ -60,27 +60,26 @@ class HrrState:
         return self
 
 
-def dim_for(d, max_dim=DEFAULT_MAX_DIM):
+def dim_for(d):
     """Padded transform size 2^ceil(log2 d), guarded against runaway memory."""
     if d < 1:
         raise ValueError(f"domain size must be positive, got {d}")
     m = 1 << (int(d) - 1).bit_length()
-    if m > max_dim:
+    if m > MAX_DIM:
         raise ValueError(
-            f"domain {d} needs a transform of size {m}, above the cap {max_dim}; "
-            "raise max_dim explicitly or use the hashed oracle")
+            f"domain {d} needs a transform of size {m}, above the cap {MAX_DIM}; "
+            "use the hashed oracle")
     return m
 
 
-def build(elements, d, budget, seed, *, round_index=0,
-          max_dim=DEFAULT_MAX_DIM, finalize=True):
+def build(elements, d, budget, seed, *, round_index=0, finalize=True):
     """Randomize every user's element and accumulate the reports, in one pass.
 
     The pass is `ingest` without a hash family: one group, each element
     its own column.  The transcript depends only on (seed, round_index,
     user position), not on the chunk size.
     """
-    m = dim_for(d, max_dim)
+    m = dim_for(d)
     elements = element_array(elements, d)
     buf = backend.int32_sums(m)
     ingest(buf, elements, m, budget.keep_prob, seed, round_index)

@@ -55,13 +55,9 @@ def permutation_partition(n, k, rng):
     q, r = divmod(n, k)
     sizes = np.full(k, q, dtype=np.int64)
     sizes[:r] += 1
+    # the permutation's first sizes[0] users form subset 0, and so on
     assignment = np.empty(n, dtype=np.int64)
-    perm = rng.permutation(n)
-    start = 0
-    for j in range(k):
-        stop = start + sizes[j]
-        assignment[perm[start:stop]] = j
-        start = stop
+    assignment[rng.permutation(n)] = np.repeat(np.arange(k, dtype=np.int64), sizes)
     return Partition(assignment=assignment, sizes=sizes, scheme="permutation")
 
 

@@ -82,12 +82,17 @@ def prefix_counts():
     return table
 
 
+def counting_oracle(table):
+    """Batch oracle answering each level-tau prefix with its table count."""
+    return lambda tau, ps: np.array([float(table[(tau, p)]) for p in ps.tolist()])
+
+
 def test_exact_counts_keep_exactly_the_qualified():
     """With truthful answers a leaf survives iff its own count clears
     2*lambda, because ancestor counts only ever exceed it."""
-    table = prefix_counts()
-    res = hh.search_with_oracle(lambda t, p: float(table[(t, p)]), CODE, 10.0)
-    assert sorted(res.leaves) == [7, 100, 200]
+    res = hh.search_with_oracle(counting_oracle(prefix_counts()), CODE, 10.0)
+    assert res.leaves.dtype == np.uint64
+    assert sorted(res.leaves.tolist()) == [7, 100, 200]
     assert len(res.level_sizes) == CODE.levels
 
 
@@ -96,14 +101,14 @@ def test_lambda_sized_adversarial_noise_keeps_the_guarantees():
     prefixes are inflated, heavy ones deflated.  Everything >= 3*lambda
     must still come out; nothing < lambda may."""
     lam = 10.0
-    table = prefix_counts()
+    exact = counting_oracle(prefix_counts())
 
-    def adversary(tau, p):
-        f = float(table[(tau, p)])
-        return f + lam if f < 2 * lam else f - lam
+    def adversary(tau, ps):
+        f = exact(tau, ps)
+        return np.where(f < 2 * lam, f + lam, f - lam)
 
     res = hh.search_with_oracle(adversary, CODE, lam)
-    leaves = set(res.leaves)
+    leaves = set(res.leaves.tolist())
     must_keep = {v for v, c in MULTISET.items() if c >= 3 * lam}
     must_drop = {v for v, c in MULTISET.items() if c < lam}
     assert must_keep == {7}
@@ -116,14 +121,14 @@ def test_lambda_sized_adversarial_noise_keeps_the_guarantees():
 
 
 def test_zero_oracle_finds_nothing():
-    res = hh.search_with_oracle(lambda t, p: 0.0, CODE, 5.0)
-    assert res.leaves == []
+    res = hh.search_with_oracle(lambda t, ps: np.zeros(ps.size), CODE, 5.0)
+    assert res.leaves.size == 0
     assert res.level_sizes == [0]
 
 
 def test_frontier_guard_trips():
     code = make_code(256, 4096)  # B = 16, L = 3
-    always_keep = lambda t, p: 1e9
+    always_keep = lambda t, ps: np.full(ps.size, 1e9)
     with pytest.raises(hh.FrontierOverflow):
         hh.search_with_oracle(always_keep, code, 1.0, max_frontier=100)
     # generous guard: no trip, every leaf survives
@@ -131,16 +136,29 @@ def test_frontier_guard_trips():
     assert len(res.leaves) == 4096
 
 
+def test_oracle_answer_must_be_one_float_per_candidate():
+    """A scalar answer would broadcast over the level; a short, long,
+    2-D or integer answer is not an estimate per candidate."""
+    for bad in (lambda t, ps: 1e9,
+                lambda t, ps: np.float64(1e9),
+                lambda t, ps: np.full(ps.size - 1, 1e9),
+                lambda t, ps: np.full(ps.size + 1, 1e9),
+                lambda t, ps: np.full((ps.size, 1), 1e9),
+                lambda t, ps: np.full(ps.size, 10**9),
+                lambda t, ps: [1e9] * ps.size):
+        with pytest.raises(ValueError, match="one estimate per candidate"):
+            hh.search_with_oracle(bad, CODE, 1.0)
+
+
 def test_search_never_leaves_the_domain():
     code = make_code(16, 10)  # B = 4, L = 2, but B^L = 16 > 10
-    res = hh.search_with_oracle(lambda t, p: 1e9, code, 1.0)
-    assert res.leaves == list(range(10))
+    res = hh.search_with_oracle(lambda t, ps: np.full(ps.size, 1e9), code, 1.0)
+    assert res.leaves.tolist() == list(range(10))
 
 
 def test_on_level_reports_the_frontier_sizes():
     seen = []
-    table = prefix_counts()
-    res = hh.search_with_oracle(lambda t, p: float(table[(t, p)]), CODE, 10.0,
+    res = hh.search_with_oracle(counting_oracle(prefix_counts()), CODE, 10.0,
                                 on_level=lambda t, kept: seen.append((t, kept)))
     assert seen == list(enumerate(res.level_sizes, start=1))
 
@@ -158,17 +176,18 @@ def test_exact_search_respects_the_work_bounds():
     for v, c in exact_frequency(ds).items():
         for tau in range(1, code.levels + 1):
             table[(tau, encode_prefix(v, tau, code))] += c
+    exact = counting_oracle(table)
 
-    calls = [0]
+    queries = [0]
 
-    def oracle(tau, p):
-        calls[0] += 1
-        return float(table[(tau, p)])
+    def oracle(tau, ps):
+        queries[0] += ps.size
+        return exact(tau, ps)
 
     res = hh.search_with_oracle(oracle, code, lam)
     assert all(size <= n / lam for size in res.level_sizes)
-    assert calls[0] <= code.levels * (n / lam) * code.branching
-    assert {3, 77} <= set(res.leaves)  # both clear 2*lambda exactly
+    assert queries[0] <= code.levels * (n / lam) * code.branching
+    assert {3, 77} <= set(res.leaves.tolist())  # both clear 2*lambda exactly
 
 
 # --- the full private protocol ---

@@ -54,6 +54,12 @@ def test_permutation_remainder_rule():
     assert sizes.tolist() == [5, 4, 4]
 
 
+def test_permutation_assignment_is_pinned():
+    # the permutation [2, 4, 3, 6, 5, 0, 1] cut into blocks of 3, 2, 2
+    part = pt.permutation_partition(7, 3, np.random.default_rng(0))
+    assert part.assignment.tolist() == [2, 2, 0, 0, 0, 1, 1]
+
+
 def test_k_one_puts_everyone_in_subset_zero():
     for scheme in pt.SCHEMES:
         part = pt.take_partition(57, 1, scheme, np.random.default_rng(3))
