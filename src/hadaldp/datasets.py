@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import codec
+
 MAGIC = b"LDPD"
 VERSION = 1
 _HEADER = struct.Struct("<4sHHQQ")  # magic, version, reserved, d, n
@@ -128,28 +130,18 @@ def exact_heavy_hitters(data, threshold):
 
 def save_dataset(ds, path):
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, 0, ds.d, ds.n))
-        fh.write(ds.elements.astype("<u8", copy=False).tobytes())
+        fh.write(codec.encode(_HEADER, MAGIC, VERSION, (0, ds.d, ds.n),
+                              [("<u8", ds.elements)]))
 
 
 def load_dataset(path):
     """Read a save_dataset file; raises ValueError on any malformed file."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise ValueError(f"file is {len(blob)} bytes, shorter than the "
-                         f"{_HEADER.size}-byte header")
-    magic, version, _, d, n = _HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise ValueError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise ValueError(f"unsupported version {version}")
+    (_, d, _), (elements,) = codec.decode(blob, _HEADER, MAGIC, VERSION,
+                                          lambda f: [("<u8", f[2])])
     if d < 1:
         raise ValueError("domain size must be positive, got 0")
-    expected = _HEADER.size + 8 * n
-    if len(blob) != expected:
-        raise ValueError(f"file is {len(blob)} bytes, expected {expected}")
-    elements = np.frombuffer(blob, dtype="<u8", offset=_HEADER.size).copy()
     if elements.size and int(elements.max()) >= d:
         raise ValueError("file contains elements outside [0, d)")
     return Dataset(elements=elements, d=int(d), meta={"source": str(path)})

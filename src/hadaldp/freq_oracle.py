@@ -38,8 +38,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import backend
-from .hashing import PairwiseHash, element_array, element_index, sample_hash
+from . import backend, codec
+from .hashing import (P61, PairwiseHash, element_array, element_index,
+                      sample_hash)
 from .hrr import ingest
 from .partition import SCHEMES, take_partition
 from .randomizer import PrivacyBudget, debias_factor, setup_stream
@@ -55,10 +56,9 @@ PROFILES = {
 }
 
 MAGIC = b"HDFO"
-VERSION = 2
+VERSION = 3
 _HEADER = struct.Struct("<4sHBBIQQddddQ")
 # magic, version, scheme, reserved, k, m, d, eps, beta_prime, c_k, c_m, n_users
-_LENGTH = struct.Struct("<I")  # prefix of each JSON hash record
 
 MAX_DOMAIN = (1 << 61) - 1  # hash inputs must stay below the hash prime
 
@@ -212,31 +212,23 @@ _SCHEME_CODE = {name: i for i, name in enumerate(SCHEMES)}
 
 
 def to_bytes(state):
-    """Header + k hash records (JSON, length-prefixed) + k*m LE float64."""
+    """Format v3: the header, then the k hash coefficients a_j and the k
+    b_j as uint64, then the k x m matrix as float64, all little-endian."""
     p = state.params
-    head = _HEADER.pack(MAGIC, VERSION, _SCHEME_CODE[p.scheme], 0, state.k,
-                        state.m, state.d, p.eps, p.beta_prime, p.c_k, p.c_m,
-                        state.n_users)
-    parts = [head]
-    for h in state.hashes:
-        blob = h.to_json().encode("utf-8")
-        parts.append(_LENGTH.pack(len(blob)))
-        parts.append(blob)
-    parts.append(state.matrix.astype("<f8", copy=False).tobytes())
-    return b"".join(parts)
+    head = (_SCHEME_CODE[p.scheme], 0, state.k, state.m, state.d, p.eps,
+            p.beta_prime, p.c_k, p.c_m, state.n_users)
+    return codec.encode(_HEADER, MAGIC, VERSION, head,
+                        [("<u8", state.a), ("<u8", state.b),
+                         ("<f8", state.matrix)])
 
 
 def from_bytes(blob):
-    """Inverse of to_bytes; raises ValueError on any malformed blob."""
-    if len(blob) < _HEADER.size:
-        raise ValueError(f"blob is {len(blob)} bytes, shorter than the "
-                         f"{_HEADER.size}-byte header")
-    (magic, version, scheme_code, _, k, m, d, eps, beta_prime, c_k, c_m,
-     n_users) = _HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise ValueError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise ValueError(f"unsupported version {version}")
+    """Inverse of to_bytes; raises ValueError on any malformed blob,
+    coefficients outside the hash family's ranges included."""
+    fields, (a, b, matrix) = codec.decode(
+        blob, _HEADER, MAGIC, VERSION,
+        lambda f: [("<u8", f[2]), ("<u8", f[2]), ("<f8", f[2] * f[3])])
+    scheme_code, _, k, m, d, eps, beta_prime, c_k, c_m, n_users = fields
     if scheme_code >= len(SCHEMES):
         raise ValueError(f"unknown scheme code {scheme_code}")
     if k < 1:
@@ -247,23 +239,7 @@ def from_bytes(blob):
         raise ValueError(f"domain size must lie in [1, 2^61 - 1], got {d}")
     params = OracleParams(eps=eps, beta_prime=beta_prime, c_k=c_k, c_m=c_m,
                           scheme=SCHEMES[scheme_code])
-    offset = _HEADER.size
-    hashes = []
-    for _ in range(k):
-        if len(blob) < offset + _LENGTH.size:
-            raise ValueError("blob ends inside the hash records")
-        (length,) = _LENGTH.unpack_from(blob, offset)
-        offset += _LENGTH.size
-        if len(blob) < offset + length:
-            raise ValueError("blob ends inside the hash records")
-        h = PairwiseHash.from_json(blob[offset:offset + length].decode("utf-8"))
-        if h.m != m:
-            raise ValueError(f"hash range {h.m} differs from the header's {m}")
-        hashes.append(h)
-        offset += length
-    expected = offset + 8 * k * m
-    if len(blob) != expected:
-        raise ValueError(f"blob is {len(blob)} bytes, expected {expected}")
-    matrix = np.frombuffer(blob, dtype="<f8", offset=offset).reshape(k, m).copy()
+    hashes = [PairwiseHash(a_j, b_j, P61, m)
+              for a_j, b_j in zip(a.tolist(), b.tolist())]
     return OracleState(params=params, k=k, m=m, d=d, n_users=n_users,
-                       hashes=hashes, matrix=matrix)
+                       hashes=hashes, matrix=matrix.reshape(k, m))

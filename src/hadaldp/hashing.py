@@ -12,7 +12,6 @@ subset's (a, b), a scalar query once with the k rows' (a, b) vectors, and
 scalars.  The two must agree everywhere, and tests hold them to that.
 """
 
-import json
 import operator
 from dataclasses import dataclass
 
@@ -90,18 +89,6 @@ class PairwiseHash:
         if xs.size and int(xs.max()) >= self.p:
             raise ValueError("batch contains inputs outside [0, 2^61 - 1)")
         return backend.hash_eval(xs, self.a, self.b, self.m)
-
-    def to_json(self):
-        return json.dumps({"a": self.a, "b": self.b, "p": self.p, "m": self.m})
-
-    @classmethod
-    def from_json(cls, blob):
-        """Inverse of to_json; raises ValueError on a malformed record."""
-        try:
-            d = json.loads(blob)
-            return cls(a=int(d["a"]), b=int(d["b"]), p=int(d["p"]), m=int(d["m"]))
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise ValueError(f"malformed hash record: {exc!r}") from exc
 
 
 def sample_hash(m, rng):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backend
+from . import backend, codec
 from .hashing import element_array, element_index
 from .randomizer import (PrivacyBudget, debias_factor, draw_coins, draw_rows,
                          randomize, round_streams)
@@ -153,26 +153,16 @@ def to_bytes(state):
     """Serialize a finalized state: fixed header + m little-endian float64."""
     if not state.finalized:
         raise ValueError("serialize only finalized states")
-    header = _HEADER.pack(MAGIC, VERSION, 0, state.m, state.budget.eps,
-                          state.n_users)
-    return header + state.buffer.astype("<f8", copy=False).tobytes()
+    return codec.encode(_HEADER, MAGIC, VERSION,
+                        (0, state.m, state.budget.eps, state.n_users),
+                        [("<f8", state.buffer)])
 
 
 def from_bytes(blob):
     """Inverse of to_bytes; raises ValueError on any malformed blob."""
-    if len(blob) < _HEADER.size:
-        raise ValueError(f"blob is {len(blob)} bytes, shorter than the "
-                         f"{_HEADER.size}-byte header")
-    magic, version, _, m, eps, n_users = _HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise ValueError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise ValueError(f"unsupported version {version}")
+    (_, m, eps, n_users), (buf,) = codec.decode(
+        blob, _HEADER, MAGIC, VERSION, lambda f: [("<f8", f[1])])
     if m < 1 or m & (m - 1):
         raise ValueError(f"transform size {m} is not a power of two")
-    expected = _HEADER.size + 8 * m
-    if len(blob) != expected:
-        raise ValueError(f"blob is {len(blob)} bytes, expected {expected}")
-    buf = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).astype(np.float64)
     return HrrState(m=m, budget=PrivacyBudget(eps), n_users=n_users,
                     buffer=buf, finalized=True)

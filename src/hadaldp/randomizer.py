@@ -59,10 +59,6 @@ class PrivacyBudget:
                              "in float64, so estimates cannot be debiased")
         object.__setattr__(self, "keep_prob", keep_probability(self.eps))
 
-    def split(self, ways):
-        """Evenly divided sub-budget, for protocols that report more than once."""
-        return PrivacyBudget(self.eps / ways)
-
 
 def randomize(rows, cols, coins, keep_prob):
     """Every user's report, one int8 +-1 each: the sign of H[row, col],

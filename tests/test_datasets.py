@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,10 @@ def test_save_load_round_trip(tmp_path):
     ds = dsets.gen_planted(2000, 1 << 24, [(99, 800)], rng)
     path = tmp_path / "data.bin"
     dsets.save_dataset(ds, path)
+    # the layout, packed by hand: magic, version, reserved, d, n
+    assert path.read_bytes() == struct.pack("<4sHHQQ", b"LDPD", 1, 0, 1 << 24,
+                                            2000) \
+        + ds.elements.astype("<u8").tobytes()
     back = dsets.load_dataset(path)
     assert back.d == ds.d
     assert np.array_equal(back.elements, ds.elements)

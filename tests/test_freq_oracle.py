@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -237,7 +238,15 @@ def test_serialization_round_trip():
     rng = np.random.default_rng(6)
     elems = rng.integers(0, 10_000, size=5000, dtype=np.uint64)
     st = fo.construct(elems, 10_000, params(scheme="permutation"), seed=8)
-    back = fo.from_bytes(fo.to_bytes(st))
+    blob = fo.to_bytes(st)
+    # format v3: header, k uint64 a, k uint64 b, k x m float64
+    k, m, head = st.k, st.m, fo._HEADER.size
+    assert len(blob) == head + 16 * k + 8 * k * m
+    assert blob[head:head + 16 * k] == \
+        st.a.astype("<u8").tobytes() + st.b.astype("<u8").tobytes()
+    assert st.a.tolist() == [h.a for h in st.hashes]
+    assert st.b.tolist() == [h.b for h in st.hashes]
+    back = fo.from_bytes(blob)
     assert (back.k, back.m, back.d, back.n_users) == (st.k, st.m, st.d, st.n_users)
     assert back.params == st.params
     assert back.params.scheme == "permutation" and back.params.c_m == 4.0
@@ -261,6 +270,18 @@ def test_from_bytes_rejects_garbage():
     head[7] = 1e-17
     with pytest.raises(ValueError):
         fo.from_bytes(fo._HEADER.pack(*head) + blob[fo._HEADER.size:])
+    # a version-2 blob whose first JSON hash record nests 100000 deep
+    head = list(fo._HEADER.unpack_from(blob, 0))
+    head[1] = 2
+    with pytest.raises(ValueError):
+        fo.from_bytes(fo._HEADER.pack(*head) + struct.pack("<I", 100_000)
+                      + b"[" * 100_000)
+    # coefficients outside the family: a = 0, a = p, b = p
+    a_at, b_at = fo._HEADER.size, fo._HEADER.size + 8 * st.k
+    for at, value in ((a_at, 0), (a_at, P61), (b_at, P61)):
+        bad = blob[:at] + struct.pack("<Q", value) + blob[at + 8:]
+        with pytest.raises(ValueError):
+            fo.from_bytes(bad)
 
 
 @pytest.mark.parametrize("scheme", ["independent", "permutation"])

@@ -91,9 +91,6 @@ def test_sample_determinism_and_serialization():
     h1 = sample_hash(64, np.random.default_rng(42))
     h2 = sample_hash(64, np.random.default_rng(42))
     assert (h1.a, h1.b) == (h2.a, h2.b)
-    back = PairwiseHash.from_json(h1.to_json())
-    assert back == h1
-    assert back.eval(987654321) == h1.eval(987654321)
 
 
 def test_single_bucket_range():

@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -155,6 +156,9 @@ def test_serialization_round_trip():
     elems = rng.integers(0, 256, size=2000, dtype=np.uint64)
     state = hrr.build(elems, 256, BUDGET, seed=31)
     blob = hrr.to_bytes(state)
+    # the layout, packed by hand: magic, version, reserved, m, eps, n_users
+    assert blob == struct.pack("<4sHHQdQ", b"HRRS", 1, 0, 256, 1.0, 2000) \
+        + state.buffer.astype("<f8").tobytes()
     back = hrr.from_bytes(blob)
     assert back.m == state.m and back.n_users == state.n_users
     assert back.budget.eps == state.budget.eps

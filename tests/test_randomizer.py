@@ -34,12 +34,6 @@ def test_budget_validation():
             rz.PrivacyBudget(bad)
 
 
-def test_budget_split():
-    half = rz.PrivacyBudget(1.0).split(2)
-    assert half.eps == 0.5
-    assert half.keep_prob == rz.keep_probability(0.5)
-
-
 def test_forced_coin_returns_entry():
     keep = rz.PrivacyBudget(0.7).keep_prob
     rows, cols = (a.ravel() for a in np.meshgrid(
