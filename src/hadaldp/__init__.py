@@ -8,7 +8,7 @@ from domains as large as 2^61 while every user talks to the server twice
 at half the privacy budget.
 """
 
-from .hadamard import entry, fht, fht_inplace, hadamard_matrix, naive_multiply
+from .hadamard import entry, fht, hadamard_matrix, naive_multiply
 from .hashing import P61, PairwiseHash, sample_hash
 from .randomizer import (PrivacyBudget, debias_factor, keep_probability,
                          randomize, round_streams)

@@ -5,26 +5,28 @@ Subcommands:
 - gen: write a synthetic dataset to disk (binary elements + JSON sidecar).
 - fo:  build a frequency oracle over a dataset and report error metrics.
 - hh:  run the heavy-hitter protocol, write the discovered histogram.
-- verify: run the acceptance test module through pytest.
 
-`fo` and `hh` read an optional JSON config (--config); any flag given on
-the command line overrides the file.  Exit status is 0 only if the run's
-internal consistency checks all passed.  Timing is not a subcommand:
-`python3 perfbench/run.py` in a checkout measures the package.
+Each subcommand takes only the flags its run reads.  Each also reads an
+optional JSON config of ExperimentConfig fields (--config); any flag
+given on the command line overrides the file.  Exit status is 0 only if
+the run's internal consistency checks all passed.  The acceptance checks
+run under pytest (`pytest tests/test_acceptance.py -s` in a checkout),
+and timing is measured by `python3 perfbench/run.py` there.
 """
 
 import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from . import freq_oracle as fo_mod
 from .datasets import save_dataset
 from .experiments import (CSV_COLUMNS, ExperimentConfig, dataset_for,
                           run_experiment)
+from .partition import SCHEMES
 
-logger = logging.getLogger(__name__)
+_CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 def _parse_planted(text):
@@ -37,33 +39,32 @@ def _parse_planted(text):
 
 
 def _common_flags(p):
+    """What every subcommand reads: the config file, the seed, the output
+    directory and the synthetic dataset's shape."""
     p.add_argument("--config", type=Path, default=None,
                    help="JSON config file; explicit flags override it")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--beta-prime", dest="beta_prime", type=float, default=None)
-    p.add_argument("--ck", dest="c_k", type=float, default=None)
-    p.add_argument("--cm", dest="c_m", type=float, default=None)
-    p.add_argument("--clambda", dest="c_lambda", type=float, default=None)
-    p.add_argument("--scheme", choices=["independent", "permutation"],
-                   default=None)
-    p.add_argument("--out", type=Path, default=None)
-    p.add_argument("--profile", choices=sorted(fo_mod.PROFILES),
-                   default=None)
-
-
-def _dataset_flags(p):
+    p.add_argument("--out", default=None, metavar="DIR")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--dist", choices=["zipf", "planted"], default=None)
+    p.add_argument("--dist", dest="dataset_kind", choices=["zipf", "planted"],
+                   default=None)
     p.add_argument("--zipf-s", dest="zipf_s", type=float, default=None)
     p.add_argument("--planted", type=_parse_planted, default=None,
                    metavar="E:C,E:C,...",
                    help="planted elements with exact counts")
-    p.add_argument("--dataset", type=Path, default=None,
+
+
+def _experiment_flags(p):
+    """What the oracle and heavy-hitter runs share."""
+    p.add_argument("--dataset", dest="dataset_path", default=None,
+                   metavar="FILE",
                    help="read elements from this file instead of generating")
+    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--ck", dest="c_k", type=float, default=None)
+    p.add_argument("--cm", dest="c_m", type=float, default=None)
+    p.add_argument("--scheme", choices=SCHEMES, default=None)
 
 
 def build_parser():
@@ -72,52 +73,44 @@ def build_parser():
         description="locally private frequency estimation and heavy hitters")
     p.add_argument("-v", "--verbose", action="store_true")
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    gen = sub.add_parser("gen", help="generate a dataset file")
+    # no prefix matching: `fo --beta` must not read as `--beta-prime`
+    gen = sub.add_parser("gen", help="generate a dataset file",
+                         allow_abbrev=False)
     _common_flags(gen)
-    _dataset_flags(gen)
 
-    fo = sub.add_parser("fo", help="frequency oracle experiment")
+    fo = sub.add_parser("fo", help="frequency oracle experiment",
+                        allow_abbrev=False)
     _common_flags(fo)
-    _dataset_flags(fo)
+    _experiment_flags(fo)
+    fo.add_argument("--beta-prime", dest="beta_prime", type=float,
+                    default=None)
     fo.add_argument("--protocol", choices=["hrr", "hada-oracle"],
                     default=None)
     fo.add_argument("--queries", dest="n_queries", type=int, default=None)
 
-    hh = sub.add_parser("hh", help="heavy hitter experiment")
+    hh = sub.add_parser("hh", help="heavy hitter experiment",
+                        allow_abbrev=False)
     _common_flags(hh)
-    _dataset_flags(hh)
+    _experiment_flags(hh)
+    hh.add_argument("--beta", type=float, default=None)
+    hh.add_argument("--clambda", dest="c_lambda", type=float, default=None)
     hh.add_argument("--max-frontier", dest="max_frontier", type=int,
                     default=None)
-
-    ver = sub.add_parser("verify", help="run the acceptance tests")
-    ver.add_argument("--tests", type=Path, default=None,
-                     help="path to the acceptance test module")
     return p
 
 
-_CONFIG_KEYS = ("seed", "trials", "eps", "beta", "beta_prime", "c_k", "c_m",
-                "c_lambda", "scheme", "profile", "n", "d", "zipf_s",
-                "planted", "n_queries", "max_frontier", "protocol")
-
-
 def _assemble_config(args, defaults=None, **forced):
-    """Defaults -> file config (if given) -> flag overrides -> forced fields."""
+    """Defaults -> file config (if given) -> flag overrides -> forced fields.
+
+    Every flag whose dest names an ExperimentConfig field overrides it."""
     raw = dict(defaults or {})
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw.update(json.load(fh))
-    for key in _CONFIG_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            raw[key] = val
-    if getattr(args, "dist", None) is not None:
-        raw["dataset_kind"] = args.dist
-    if getattr(args, "dataset", None) is not None:
+    raw.update((key, val) for key, val in vars(args).items()
+               if key in _CONFIG_FIELDS and val is not None)
+    if getattr(args, "dataset_path", None) is not None:
         raw["dataset_kind"] = "file"
-        raw["dataset_path"] = str(args.dataset)
-    if getattr(args, "out", None) is not None:
-        raw["out"] = str(args.out)
     raw.update(forced)
     return ExperimentConfig.from_dict(raw)
 
@@ -179,26 +172,7 @@ def _cmd_hh(args):
     return _run_and_report(config)
 
 
-def _cmd_verify(args):
-    import pytest
-
-    if args.tests is not None:
-        target = args.tests
-    else:
-        here = Path(__file__).resolve()
-        candidates = [Path.cwd() / "tests" / "test_acceptance.py"]
-        for parent in here.parents:
-            candidates.append(parent / "tests" / "test_acceptance.py")
-        target = next((c for c in candidates if c.exists()), None)
-        if target is None:
-            print("could not find tests/test_acceptance.py; pass --tests")
-            return 2
-    # -s so each check's verdict line reaches the terminal
-    return pytest.main(["-v", "-s", str(target)])
-
-
-_COMMANDS = {"gen": _cmd_gen, "fo": _cmd_fo, "hh": _cmd_hh,
-             "verify": _cmd_verify}
+_COMMANDS = {"gen": _cmd_gen, "fo": _cmd_fo, "hh": _cmd_hh}
 
 
 def main(argv=None):

@@ -13,9 +13,12 @@ import numpy as np
 
 def encode(header, magic, version, fields, arrays):
     """header.pack(magic, version, *fields), then each (dtype, values) pair
-    of `arrays` as flat bytes of that little-endian dtype, in order."""
+    of `arrays` as flat bytes of that little-endian dtype, in order.
+
+    An array already C-contiguous in its dtype goes into the join as a
+    view, so its bytes are copied once, into the blob."""
     parts = [header.pack(magic, version, *fields)]
-    parts += [np.asarray(values).astype(dtype, copy=False).tobytes()
+    parts += [memoryview(np.ascontiguousarray(values, dtype=dtype))
               for dtype, values in arrays]
     return b"".join(parts)
 

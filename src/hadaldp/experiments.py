@@ -43,11 +43,10 @@ class ExperimentConfig:
     eps: float = 1.0
     beta: float = 0.1
     beta_prime: float = 0.05
-    c_k: float = 8.0
-    c_m: float = None          # None -> take the profile's value
+    c_k: float = fo.DEFAULT_CK
+    c_m: float = fo.DEFAULT_CM
     c_lambda: float = 1.0
     scheme: str = "independent"
-    profile: str = "practical"
     trials: int = 3
     seed: int = 0
     n_queries: int = 200
@@ -61,17 +60,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}; have {PROTOCOLS}")
-        if self.profile not in fo.PROFILES:
-            raise ValueError(f"unknown profile {self.profile!r}; "
-                             f"have {tuple(fo.PROFILES)}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-
-    @property
-    def resolved_c_m(self):
-        if self.c_m is not None:
-            return float(self.c_m)
-        return fo.PROFILES[self.profile]["c_m"]
 
     @classmethod
     def from_dict(cls, raw):
@@ -177,7 +167,7 @@ def _run_hrr_trial(config, ds, trial, failures, out_dir):
 
 def _run_oracle_trial(config, ds, trial, failures, out_dir):
     params = fo.OracleParams(eps=config.eps, beta_prime=config.beta_prime,
-                             c_k=config.c_k, c_m=config.resolved_c_m,
+                             c_k=config.c_k, c_m=config.c_m,
                              scheme=config.scheme)
     seed = _trial_seed(config, trial, 0xF0)
     state, build_ms = _timed(lambda: fo.construct(ds.elements, ds.d, params, seed))
@@ -207,7 +197,7 @@ def _run_oracle_trial(config, ds, trial, failures, out_dir):
 
 def _run_heavy_trial(config, ds, trial, failures, out_dir):
     params = hh.HeavyParams(eps=config.eps, beta=config.beta,
-                            c_k=config.c_k, c_m=config.resolved_c_m,
+                            c_k=config.c_k, c_m=config.c_m,
                             c_lambda=config.c_lambda, scheme=config.scheme)
     seed = _trial_seed(config, trial, 0x4448)
     hist, build_ms = _timed(lambda: hh.run(

@@ -12,10 +12,11 @@ something heavy or the subset drew unlucky noise.
 Sizing comes from the accuracy analysis: k grows with log(1/beta') and m
 with eps * sqrt(n).  Two named constant profiles are shipped:
 
-- "theory": c_k = 8, c_m = 8 * e^2 * sqrt(8) ~= 167.2, the values the
-  proofs need.
-- "practical": c_k = 8, c_m = 4.  Heuristic; much smaller server state,
+- "practical": c_k = 8, c_m = 4, the default of every parameter set
+  (`DEFAULT_CK`, `DEFAULT_CM`).  Heuristic; much smaller server state,
   no formal guarantee behind the constant.
+- "theory": c_k = 8, c_m = 8 * e^2 * sqrt(8) ~= 167.2 (`THEORY_CM`), the
+  values the proofs need; pass them explicitly to get them.
 
 The build does not sort users into their subsets.  It streams them
 through `hrr.ingest`, the report path of every build, in chunks of
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backend, codec
-from .hashing import (P61, PairwiseHash, element_array, element_index,
+from .hashing import (PairwiseHash, element_array, element_index,
                       sample_hash)
 from .hrr import ingest
 from .partition import SCHEMES, take_partition
@@ -54,6 +55,8 @@ PROFILES = {
     "theory": {"c_k": 8.0, "c_m": THEORY_CM},
     "practical": {"c_k": 8.0, "c_m": 4.0},
 }
+DEFAULT_CK = PROFILES["practical"]["c_k"]
+DEFAULT_CM = PROFILES["practical"]["c_m"]
 
 MAGIC = b"HDFO"
 VERSION = 3
@@ -65,10 +68,12 @@ MAX_DOMAIN = (1 << 61) - 1  # hash inputs must stay below the hash prime
 
 @dataclass(frozen=True)
 class OracleParams:
+    """Oracle sizing; c_k and c_m default to the "practical" profile."""
+
     eps: float
     beta_prime: float
-    c_k: float = 8.0
-    c_m: float = THEORY_CM
+    c_k: float = DEFAULT_CK
+    c_m: float = DEFAULT_CM
     scheme: str = "independent"
 
     def __post_init__(self):
@@ -239,7 +244,7 @@ def from_bytes(blob):
         raise ValueError(f"domain size must lie in [1, 2^61 - 1], got {d}")
     params = OracleParams(eps=eps, beta_prime=beta_prime, c_k=c_k, c_m=c_m,
                           scheme=SCHEMES[scheme_code])
-    hashes = [PairwiseHash(a_j, b_j, P61, m)
+    hashes = [PairwiseHash(a_j, b_j, m)
               for a_j, b_j in zip(a.tolist(), b.tolist())]
     return OracleState(params=params, k=k, m=m, d=d, n_users=n_users,
                        hashes=hashes, matrix=matrix.reshape(k, m))

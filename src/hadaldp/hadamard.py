@@ -9,10 +9,11 @@ Equivalently, indexing rows and columns from 0, the (row, col) entry is
 (-1)^popcount(row AND col): the parity of the AND of the binary index
 vectors.  Both views are implemented here and tested against each other.
 
-The fast transform runs the butterfly passes in O(m log m), cache-blocked
-so that its only auxiliary space is a panel of at most max(2^17, m/128)
-elements of the input's dtype and half that again as scratch (see
-backend.fwht_inplace).  It runs on float64 or int32.  No intermediate
+The fast transform, `backend.fwht_inplace`, runs the butterfly passes in
+place along the last axis in O(m log m), cache-blocked so that its only
+auxiliary space is a panel of at most max(2^17, m/128) elements of the
+input's dtype and half that again as scratch; `fht` applies it to a
+float64 copy.  It runs on float64 or int32.  No intermediate
 exceeds the sum of the input's absolute values, so on integer-valued
 float64 input it is exact while that sum stays below 2^53, and fht() of
 integer vectors is exact: H(H(x)) == m*x holds with == rather than
@@ -70,17 +71,6 @@ def naive_multiply(dim, x):
     parity = np.bitwise_count(idx[:, None] & idx[None, :]).astype(np.int64) & 1
     signs = (1 - 2 * parity).astype(np.float64)
     return signs @ x
-
-
-def fht_inplace(x):
-    """Fast transform of x (last axis) in place.
-
-    x must be C-contiguous float64, or int32 whose absolute values along
-    each row add up to less than 2^31, so that nothing overflows.
-    """
-    x = np.asarray(x)
-    backend.fwht_inplace(x)
-    return x
 
 
 def fht(x):

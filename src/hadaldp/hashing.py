@@ -63,15 +63,12 @@ class PairwiseHash:
 
     a: int
     b: int
-    p: int
     m: int
 
     def __post_init__(self):
-        if self.p != P61:
-            raise ValueError(f"modulus must be 2^61 - 1, got {self.p}")
-        if not 1 <= self.a < self.p:
+        if not 1 <= self.a < P61:
             raise ValueError(f"a must lie in [1, p), got {self.a}")
-        if not 0 <= self.b < self.p:
+        if not 0 <= self.b < P61:
             raise ValueError(f"b must lie in [0, p), got {self.b}")
         if self.m < 1:
             raise ValueError(f"range m must be positive, got {self.m}")
@@ -79,14 +76,14 @@ class PairwiseHash:
     def eval(self, x):
         """Exact scalar evaluation through Python ints."""
         x = int(x)
-        if not 0 <= x < self.p:
+        if not 0 <= x < P61:
             raise ValueError(f"input {x} outside [0, 2^61 - 1)")
-        return ((self.a * x + self.b) % self.p) % self.m
+        return ((self.a * x + self.b) % P61) % self.m
 
     def eval_batch(self, xs):
         """Vectorized evaluation of a uint64 array via the limb kernel."""
         xs = np.ascontiguousarray(xs, dtype=np.uint64)
-        if xs.size and int(xs.max()) >= self.p:
+        if xs.size and int(xs.max()) >= P61:
             raise ValueError("batch contains inputs outside [0, 2^61 - 1)")
         return backend.hash_eval(xs, self.a, self.b, self.m)
 
@@ -95,4 +92,4 @@ def sample_hash(m, rng):
     """Draw one function: a uniform in [1, p), b uniform in [0, p)."""
     a = int(rng.integers(1, P61))
     b = int(rng.integers(0, P61))
-    return PairwiseHash(a=a, b=b, p=P61, m=int(m))
+    return PairwiseHash(a=a, b=b, m=int(m))

@@ -42,10 +42,12 @@ class FrontierOverflow(RuntimeError):
 
 @dataclass(frozen=True)
 class HeavyParams:
+    """Protocol constants; c_k and c_m default to the oracle's ("practical")."""
+
     eps: float
     beta: float
-    c_k: float = 8.0
-    c_m: float = fo.THEORY_CM
+    c_k: float = fo.DEFAULT_CK
+    c_m: float = fo.DEFAULT_CM
     c_lambda: float = 1.0
     scheme: str = "independent"
 

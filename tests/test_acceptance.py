@@ -5,7 +5,7 @@ partition bookkeeping) admit no tolerance at all.  Statistical checks run
 at fixed seeds and carry their tolerance derivation next to the number, so
 a failure means the estimator drifted, not that the dice came up cold.
 
-Run through pytest, or `hadaldp verify`, which prints every verdict line.
+Run with `pytest tests/test_acceptance.py -s` to see every verdict line.
 """
 
 import math

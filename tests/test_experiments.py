@@ -7,6 +7,7 @@ import pytest
 from hadaldp import cli
 from hadaldp import experiments as ex
 from hadaldp import freq_oracle as fo
+from hadaldp import heavy_hitters as hh
 from hadaldp.datasets import load_dataset
 
 
@@ -24,17 +25,20 @@ def test_config_from_dict():
         ex.ExperimentConfig.from_dict({"nn": 50})
     with pytest.raises(ValueError):
         ex.ExperimentConfig(protocol="rappor")
-    with pytest.raises(ValueError):
-        ex.ExperimentConfig(profile="fast")
+    with pytest.raises(ValueError, match="unknown config keys"):
+        ex.ExperimentConfig.from_dict({"profile": "theory"})
     with pytest.raises(ValueError):
         ex.ExperimentConfig(trials=0)
 
 
-def test_profile_resolution():
-    assert ex.ExperimentConfig(profile="practical").resolved_c_m == 4.0
-    assert ex.ExperimentConfig(profile="theory").resolved_c_m \
-        == pytest.approx(fo.THEORY_CM)
-    assert ex.ExperimentConfig(c_m=7.5, profile="theory").resolved_c_m == 7.5
+def test_one_default_for_c_k_and_c_m():
+    from_cli = cli._assemble_config(cli.build_parser().parse_args(["fo"]))
+    for key in ("c_k", "c_m"):
+        assert getattr(fo.OracleParams(eps=1, beta_prime=.1), key) \
+            == getattr(hh.HeavyParams(eps=1, beta=.1), key) \
+            == getattr(ex.ExperimentConfig(), key) \
+            == getattr(from_cli, key) \
+            == fo.PROFILES["practical"][key]
 
 
 def test_cell_formatting(tmp_path):
@@ -122,9 +126,21 @@ def test_parser_accepts_all_subcommands():
     p.parse_args(["gen", "--n", "10", "--d", "4"])
     p.parse_args(["fo", "--protocol", "hrr"])
     p.parse_args(["hh", "--max-frontier", "1000"])
-    p.parse_args(["verify", "--tests", "x.py"])
-    with pytest.raises(SystemExit):
-        p.parse_args(["fo", "--protocol", "hada-heavy"])
+    p.parse_args(["fo", "--scheme", "permutation", "--cm", "167.2"])
+    # each subcommand takes only the flags its run reads
+    dropped = {"gen": ["--trials 2", "--eps 1", "--beta .1",
+                       "--beta-prime .1", "--ck 8", "--cm 4", "--clambda 2",
+                       "--scheme independent", "--dataset x.bin"],
+               "fo": ["--beta .1", "--clambda 2"],
+               "hh": ["--beta-prime .1", "--protocol hrr", "--queries 5"]}
+    for cmd, flags in dropped.items():
+        for flag in flags + ["--profile theory"]:
+            with pytest.raises(SystemExit):
+                p.parse_args([cmd] + flag.split())
+    for argv in (["fo", "--protocol", "hada-heavy"], ["fo", "--scheme", "x"],
+                 ["verify"]):
+        with pytest.raises(SystemExit):
+            p.parse_args(argv)
 
 
 def test_cli_gen(tmp_path):

@@ -67,7 +67,7 @@ def test_params_validation():
 def _state_with_matrix(k, m, cells):
     """Tiny handmade state: hash j is identity-affine shifted by j so that
     h_j(0) = j, letting tests pin per-row estimate values directly."""
-    hashes = [PairwiseHash(a=1, b=j, p=P61, m=m) for j in range(k)]
+    hashes = [PairwiseHash(a=1, b=j, m=m) for j in range(k)]
     matrix = np.zeros((k, m))
     for j, val in enumerate(cells):
         matrix[j, j] = val
@@ -210,9 +210,9 @@ def test_row_estimates_match_exact_scalar_hashes():
     rng = np.random.default_rng(12)
     elems = rng.integers(0, d, size=3000, dtype=np.uint64)
     built = fo.construct(elems, d, params(), seed=31)
-    extreme = [PairwiseHash(a=P61 - 1, b=P61 - 1, p=P61, m=64),
-               PairwiseHash(a=P61 - 1, b=0, p=P61, m=64),
-               PairwiseHash(a=1, b=P61 - 1, p=P61, m=64)]
+    extreme = [PairwiseHash(a=P61 - 1, b=P61 - 1, m=64),
+               PairwiseHash(a=P61 - 1, b=0, m=64),
+               PairwiseHash(a=1, b=P61 - 1, m=64)]
     carried = fo.construct(elems, d, params(), seed=32, hashes=extreme)
     vs = [0, 1, d - 1, d - 2, (1 << 32) - 1, 1 << 32]
     vs += [int(v) for v in rng.integers(0, d, size=40, dtype=np.uint64)]

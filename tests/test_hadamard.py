@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hadaldp import hadamard
+from hadaldp import backend, hadamard
 
 H2 = np.array([[1, 1], [1, -1]])
 H4 = np.array([
@@ -92,7 +92,7 @@ def test_fht_inplace_works_on_matrix_rows():
     rng = np.random.default_rng(1)
     block = rng.integers(-9, 9, size=(5, 64)).astype(np.float64)
     expect = np.stack([hadamard.naive_multiply(64, row) for row in block])
-    hadamard.fht_inplace(block)
+    backend.fwht_inplace(block)
     assert np.array_equal(block, expect)
 
 
@@ -100,9 +100,9 @@ def test_fht_rejects_bad_shapes():
     with pytest.raises(ValueError):
         hadamard.fht(np.zeros(3))
     with pytest.raises(ValueError):
-        hadamard.fht_inplace(np.zeros(6, dtype=np.float64))
+        backend.fwht_inplace(np.zeros(6, dtype=np.float64))
     with pytest.raises(ValueError):
-        hadamard.fht_inplace(np.zeros(8, dtype=np.int64))
+        backend.fwht_inplace(np.zeros(8, dtype=np.int64))
 
 
 def test_is_power_of_two():

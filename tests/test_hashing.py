@@ -13,12 +13,12 @@ def ref_eval(a, b, m, x):
 
 
 def test_known_values():
-    assert PairwiseHash(a=1, b=0, p=P61, m=8).eval(13) == 5
-    assert PairwiseHash(a=1, b=3, p=P61, m=8).eval(13) == 0
+    assert PairwiseHash(a=1, b=0, m=8).eval(13) == 5
+    assert PairwiseHash(a=1, b=3, m=8).eval(13) == 0
 
 
 def test_against_bigint_reference():
-    h = PairwiseHash(a=3, b=7, p=P61, m=16)
+    h = PairwiseHash(a=3, b=7, m=16)
     assert h.eval(10**9) == ref_eval(3, 7, 16, 10**9)
 
 
@@ -27,7 +27,7 @@ def test_against_bigint_reference():
        x=st.integers(0, P61 - 1))
 @settings(max_examples=300, deadline=None)
 def test_scalar_matches_reference(a, b, m, x):
-    assert PairwiseHash(a=a, b=b, p=P61, m=m).eval(x) == ref_eval(a, b, m, x)
+    assert PairwiseHash(a=a, b=b, m=m).eval(x) == ref_eval(a, b, m, x)
 
 
 @given(a=st.integers(1, P61 - 1), b=st.integers(0, P61 - 1),
@@ -37,7 +37,7 @@ def test_scalar_matches_reference(a, b, m, x):
 @example(a=1, b=0, m=3)
 @settings(max_examples=50, deadline=None)
 def test_batch_matches_scalar(a, b, m):
-    h = PairwiseHash(a=a, b=b, p=P61, m=m)
+    h = PairwiseHash(a=a, b=b, m=m)
     xs = np.array([0, 1, 13, 2**32, 2**60, P61 - 1], dtype=np.uint64)
     got = h.eval_batch(xs)
     assert got.tolist() == [h.eval(int(x)) for x in xs]
@@ -54,7 +54,7 @@ def test_batch_on_random_inputs():
 
 
 def test_domain_guards():
-    h = PairwiseHash(a=2, b=0, p=P61, m=4)
+    h = PairwiseHash(a=2, b=0, m=4)
     with pytest.raises(ValueError):
         h.eval(P61)
     with pytest.raises(ValueError):
@@ -78,13 +78,13 @@ def test_element_array_accepts_integers_only():
 
 def test_constructor_guards():
     with pytest.raises(ValueError):
-        PairwiseHash(a=0, b=0, p=P61, m=8)
+        PairwiseHash(a=0, b=0, m=8)
     with pytest.raises(ValueError):
-        PairwiseHash(a=1, b=P61, p=P61, m=8)
+        PairwiseHash(a=1, b=P61, m=8)
     with pytest.raises(ValueError):
-        PairwiseHash(a=1, b=0, p=P61 - 2, m=8)
+        PairwiseHash(a=P61, b=0, m=8)
     with pytest.raises(ValueError):
-        PairwiseHash(a=1, b=0, p=P61, m=0)
+        PairwiseHash(a=1, b=0, m=0)
 
 
 def test_sample_determinism_and_serialization():

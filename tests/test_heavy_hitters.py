@@ -257,6 +257,18 @@ def test_run_two_planted_heavies_end_to_end():
     assert meta["k"] >= 1 and meta["m"] >= 2
 
 
+def test_run_at_the_library_defaults_finds_the_readme_heavies():
+    # the README's hh example: the default c_m sizes each level oracle at
+    # m = 1024, where the proofs' constant would give 32768
+    n, d = 100_000, 1 << 32
+    ds = gen_planted(n, d, [(31_415, 40_000), (2_718, 30_000)],
+                     np.random.default_rng(2))
+    hist = hh.run(ds.elements, d, hh.HeavyParams(eps=1, beta=0.1, c_lambda=4),
+                  seed=7)
+    assert hist.metadata["m"] == 1024
+    assert {int(e) for e in hist.elements} >= {31_415, 2_718}
+
+
 def test_run_is_reproducible():
     n, d = 20_000, 1 << 10
     elems = np.full(n, 5, dtype=np.uint64)

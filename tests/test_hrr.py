@@ -167,6 +167,20 @@ def test_serialization_round_trip():
         assert hrr.query(back, int(v)) == hrr.query(state, int(v))
 
 
+def test_to_bytes_copies_the_table_once():
+    m = 1 << 20
+    state = hrr.build(np.arange(1000, dtype=np.uint64), m, BUDGET, seed=0)
+    tracemalloc.start()
+    try:
+        blob = hrr.to_bytes(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(blob) == hrr._HEADER.size + 8 * m
+    # the blob itself, and no second copy of the table on the way
+    assert peak < 1.5 * len(blob)
+
+
 def test_from_bytes_rejects_garbage():
     state = hrr.build(np.array([0], dtype=np.uint64), 4, BUDGET, seed=1)
     blob = hrr.to_bytes(state)
