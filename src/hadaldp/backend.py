@@ -26,12 +26,16 @@ The transform is cache-blocked in the manner of the FFHT library (Andoni,
 Indyk, Laarhoven, Razenshteyn and Schmidt, NeurIPS 2015).  A length-m row
 is an R x C matrix with C = min(m, 4096), and H_m = H_R (x) H_C: the
 passes of stride below C run inside each length-C block, the rest across
-blocks.  Both run on panels of 32 blocks (or 32 columns) copied into a
-buffer of max(C, R) x 32 elements, 1 MiB of float64 up to m = 2^24, so
-the transform sweeps memory twice instead of log2(m) times.  Every
-element meets the same partners, in the same pass order, through the
-same a + b and a - b as in the textbook pass-by-pass loop, so the output
-is bit-identical to that loop on any float64 or int32 input.
+blocks.  One slab-panel routine runs both groups: it copies slabs of
+the array, transposed so that the pass axis comes first, into a panel
+buffer of max(C, R) x 32 elements (1 MiB of float64 up to m = 2^24),
+taking as many rows of the array as fill the panel, runs the passes
+there and copies the panel back.  Every panel of a group but its last
+is full whatever the number and length of the rows, and the transform
+sweeps memory twice instead of log2(m) times.  Every element meets the
+same partners, in the same pass order, through the same a + b and
+a - b as in the textbook pass-by-pass loop, so the output is
+bit-identical to that loop on any float64 or int32 input.
 
 Callers reach the kernels as attributes of this module (`backend.<name>`),
 so a profiler can wrap them in place.
@@ -62,7 +66,7 @@ def set_backend(name):
         raise ValueError(f"unknown backend {name!r}; the only one is 'numpy'")
 
 
-_PANEL = 32    # blocks (low passes) or columns (high passes) per panel
+_PANEL = 32    # a panel holds max(C, R) x 32 elements
 _BLOCK = 4096  # C: elements per block of a row
 _FWHT_DTYPES = (np.dtype(np.float64), np.dtype(np.int32))
 
@@ -71,17 +75,17 @@ def fwht_inplace(x):
     """In-place Walsh-Hadamard transform of the last axis (rows for 2-D).
 
     View each row as an R x C matrix, C = min(m, 4096).  The low passes
-    (stride h < C) pair elements within a row of that matrix: 32 such
-    blocks at a time are copied, transposed, into a C x 32 panel, where
-    the pass of stride h pairs panel rows h apart.  The high passes
-    (h >= C) pair matrix rows C*h' apart: R x 32 column panels are copied
-    as they are and run the passes h' = 1, ..., R/2.  A pair (i, i + h)
-    always becomes (x_i + x_{i+h}, x_i - x_{i+h}), and low passes precede
-    high ones for every element, so the result equals that of running the
-    passes h = 1, 2, ..., m/2 over the whole array, bit for bit.  The
-    panel and one half-panel scratch, both of x's dtype, are the only
-    allocations.  x is float64, or int32 whose absolute values along a
-    row add up to less than 2^31 (then no intermediate overflows).
+    (stride h < C) pair elements within a row of that matrix, the high
+    passes (h >= C) pair matrix rows C*h' apart.  `_panel_passes` runs
+    both groups: the low passes along the middle axis of the view
+    (blocks, C, 1), the high ones along that of (rows, R, C).  A pair
+    (i, i + h) always becomes (x_i + x_{i+h}, x_i - x_{i+h}), and low
+    passes precede high ones for every element, so the result equals
+    that of running the passes h = 1, 2, ..., m/2 over the whole array,
+    bit for bit.  The panel and one half-panel scratch, both of x's
+    dtype, are the only allocations.  x is float64, or int32 whose
+    absolute values along a row add up to less than 2^31 (then no
+    intermediate overflows).
     """
     if x.dtype not in _FWHT_DTYPES or not x.flags.c_contiguous:
         raise ValueError("in-place transform needs a C-contiguous float64 "
@@ -93,22 +97,29 @@ def fwht_inplace(x):
     r = m // c
     panel = np.empty(max(c, r) * _PANEL, dtype=x.dtype)
     half = np.empty(panel.size // 2, dtype=x.dtype)
-    blocks = x.reshape(-1, c)
-    for i in range(0, blocks.shape[0], _PANEL):
-        rows = blocks[i:i + _PANEL]
-        p = panel[:rows.size].reshape(c, rows.shape[0])
-        np.copyto(p, rows.T)
-        _column_passes(p, half)
-        rows[...] = p.T
-    if r == 1:
-        return
-    for row in x.reshape(-1, r, c):
-        for j in range(0, c, _PANEL):
-            cols = row[:, j:j + _PANEL]
-            p = panel[:cols.size].reshape(r, _PANEL)
-            np.copyto(p, cols)
-            _column_passes(p, half)
-            cols[...] = p
+    _panel_passes(x.reshape(-1, c, 1), panel, half)
+    if r > 1:
+        _panel_passes(x.reshape(-1, r, c), panel, half)
+
+
+def _panel_passes(v, panel, half):
+    """Every butterfly pass along axis 1 of the 3-D view v = (outer, P, inner).
+
+    Slabs of g x P x w elements, w = min(inner, panel.size // P) and
+    g = panel.size // (P * w), are copied, transposed to P x g x w, into
+    the panel, so every panel but a last partial one is full whatever
+    the shape.  The passes run there, and the panel is copied back.
+    """
+    outer, p_len, inner = v.shape
+    w = min(inner, panel.size // p_len)
+    g = panel.size // (p_len * w)
+    for i in range(0, outer, g):
+        for j in range(0, inner, w):
+            slab = v[i:i + g, :, j:j + w]
+            p = panel[:slab.size].reshape(p_len, slab.shape[0], slab.shape[2])
+            np.copyto(p, slab.transpose(1, 0, 2))
+            _column_passes(p.reshape(p_len, -1), half)
+            slab[...] = p.transpose(1, 0, 2)
 
 
 def _column_passes(p, half):

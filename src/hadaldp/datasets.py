@@ -108,7 +108,11 @@ def gen_planted(n, d, heavy, rng):
 
 
 def exact_frequency(data):
-    """Exact counts as {element: count}, one streaming pass with a dict."""
+    """Exact counts as {element: count}, one streaming pass with a dict.
+
+    The brute-force reference the tests check estimates and `exact_counts`
+    against; the package itself counts with `exact_counts`.
+    """
     counts = {}
     for v in _as_elements(data).tolist():
         counts[v] = counts.get(v, 0) + 1

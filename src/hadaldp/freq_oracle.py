@@ -18,6 +18,8 @@ with eps * sqrt(n).  Two named constant profiles are shipped:
 - "theory": c_k = 8, c_m = 8 * e^2 * sqrt(8) ~= 167.2 (`THEORY_CM`), the
   values the proofs need; pass them explicitly to get them.
 
+Every build's hash family, an oracle's own or the one a heavy-hitter run
+shares, is drawn by `sample_family` from its round's setup stream 1.
 The build does not sort users into their subsets.  It streams them
 through `hrr.ingest`, the report path of every build, in chunks of
 consecutive users: per chunk one limb-kernel call `backend.hash_eval`
@@ -25,8 +27,10 @@ with each user's coefficients (a_g, b_g) gathered by their subset g, one
 `randomize` and one scatter-add at g*m + row into the flattened matrix.
 A scalar query is one `backend.hash_eval` call, broadcast over the
 coefficient vectors (a_j), (b_j) the state keeps, plus one gather from
-the matrix; `PairwiseHash.eval` stays the exact reference the tests
-compare both with.
+the matrix.  A batch query answers its elements in chunks of 2^14, so
+it holds its output and one chunk x k scratch, however many elements it
+is asked about.  `PairwiseHash.eval` stays the exact reference the tests
+compare the hash kernel with.
 
 The median of an even-length list is the lower-middle order statistic
 (1-based index ceil(k/2)), so a query always returns one of the actual
@@ -64,6 +68,7 @@ _HEADER = struct.Struct("<4sHBBIQQddddQ")
 # magic, version, scheme, reserved, k, m, d, eps, beta_prime, c_k, c_m, n_users
 
 MAX_DOMAIN = (1 << 61) - 1  # hash inputs must stay below the hash prime
+_QUERY_CHUNK = 1 << 14      # elements per chunk of query_many
 
 
 @dataclass(frozen=True)
@@ -142,6 +147,14 @@ class OracleState:
         return (self.k - 1) // 2
 
 
+def sample_family(k, m, seed, round_index=0):
+    """The k hash functions into [m] of round round_index, drawn in turn
+    from its setup stream 1, the stream that holds the family of every
+    build: an oracle's own, or the one a heavy-hitter run shares."""
+    rng = setup_stream(seed, round_index, 1)
+    return [sample_hash(m, rng) for _ in range(k)]
+
+
 def construct(elements, d, params, seed, *, hashes=None, round_index=0):
     """Build the k x m matrix from one pass over the users.
 
@@ -151,7 +164,7 @@ def construct(elements, d, params, seed, *, hashes=None, round_index=0):
     factor, applied as the sums widen in place to float64, finish it.  When
     `hashes` is given (the heavy-hitter protocol shares one family
     across all its oracles) they fix both k and m; otherwise k and m are
-    derived from params and n, and the family is sampled here.
+    derived from params and n, and `sample_family` draws the family.
     """
     if not 1 <= d <= MAX_DOMAIN:
         raise ValueError(f"domain size must lie in [1, 2^61 - 1], got {d}")
@@ -171,8 +184,7 @@ def construct(elements, d, params, seed, *, hashes=None, round_index=0):
     else:
         k = repetitions_for(params)
         m = hash_range_for(params, n)
-        hash_rng = setup_stream(seed, round_index, 1)
-        hashes = [sample_hash(m, hash_rng) for _ in range(k)]
+        hashes = sample_family(k, m, seed, round_index)
 
     part = take_partition(n, k, params.scheme, setup_stream(seed, round_index, 0))
     sums = backend.int32_sums((k, m))
@@ -200,17 +212,29 @@ def query(state, v):
 
 
 def query_many(state, vs):
-    """Vectorized query; returns one estimate per element of vs."""
+    """Vectorized query; returns one estimate per element of vs.
+
+    Elements are answered in chunks of 2^14 through one chunk x k float64
+    scratch: per row j a hash of the chunk and a gather from matrix row j
+    into scratch column j, then the scale by k and an in-place partition
+    along each scratch row, whose median column goes into the output.  A
+    call so holds its output, that scratch (3 MiB at k = 24) and a row's
+    chunk-sized temporaries, whatever the number of elements, and what it
+    returns owns its data.
+    """
     vs = element_array(vs, state.d)
-    if vs.size == 0:
-        return np.empty(0, dtype=np.float64)
-    vals = np.empty((state.k, vs.size), dtype=np.float64)
-    for j, h in enumerate(state.hashes):
-        cols = h.eval_batch(vs).astype(np.int64)
-        vals[j] = state.matrix[j, cols]
-    vals *= state.k
+    out = np.empty(vs.size, dtype=np.float64)
+    scratch = np.empty((min(vs.size, _QUERY_CHUNK), state.k))
     mid = state.median_index
-    return np.partition(vals, mid, axis=0)[mid]
+    for lo in range(0, vs.size, _QUERY_CHUNK):
+        chunk = vs[lo:lo + _QUERY_CHUNK]
+        vals = scratch[:chunk.size]
+        for j, h in enumerate(state.hashes):
+            vals[:, j] = state.matrix[j].take(h.eval_batch(chunk))
+        vals *= state.k
+        vals.partition(mid, axis=1)
+        out[lo:lo + chunk.size] = vals[:, mid]
+    return out
 
 
 _SCHEME_CODE = {name: i for i, name in enumerate(SCHEMES)}

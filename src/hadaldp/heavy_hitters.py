@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import freq_oracle as fo
-from .hashing import element_array, sample_hash
+from .hashing import element_array
 from .partition import SCHEMES, take_partition
 from .prefixes import (children_of, encode_prefix, encode_prefix_batch,
                        make_code)
@@ -206,8 +206,7 @@ def run(elements, d, params, seed, *, max_frontier=None):
     # One hash family serves every constituent oracle, so its range must
     # satisfy the largest of them: the refinement oracle over all n users.
     m = fo.hash_range_for(oracle_params, n)
-    hash_rng = setup_stream(seed, 0, 1)
-    hashes = [sample_hash(m, hash_rng) for _ in range(k)]
+    hashes = fo.sample_family(k, m, seed)
     meta.update({"k": k, "m": m, "beta_prime": beta_prime})
 
     groups = take_partition(n, levels, params.scheme,

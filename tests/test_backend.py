@@ -140,7 +140,9 @@ def _reference_fwht(x):
 FWHT_SHAPES = ([(r, m) for m in (1, 2, 2048, 4096, 8192)
                 for r in (1, 31, 32, 33, 141)]
                + [(1 << 17,), (3, 1 << 17), (1 << 20,), (2, 3, 256),
-                  (2, 3, 8192), (0, 8192)])
+                  (2, 3, 8192), (0, 8192),
+                  # two slabs per row in the high passes; one partial panel
+                  (24, 1 << 18), (7, 1 << 14)])
 
 
 @pytest.mark.parametrize("shape", FWHT_SHAPES)
@@ -161,6 +163,23 @@ def test_int32_fwht_equals_the_float64_loop(shape):
     _reference_fwht(want)
     backend.fwht_inplace(x)
     assert x.dtype == np.int32 and np.array_equal(x, want)
+
+
+def test_fwht_fills_its_panels_at_short_matrix_rows(monkeypatch):
+    """At (24, 8192) each row is a 2 x 4096 matrix: the 48 blocks fill two
+    panels of low passes and the 24 rows two panels of high passes."""
+    calls = []
+    column_passes = backend._column_passes
+
+    def counted(p, half):
+        calls.append(p.shape)
+        column_passes(p, half)
+
+    monkeypatch.setattr(backend, "_column_passes", counted)
+    x = np.ones((24, 8192), dtype=np.int32)
+    backend.fwht_inplace(x)
+    assert (x[:, 0] == 8192).all() and not x[:, 1:].any()
+    assert len(calls) <= 4, calls
 
 
 def test_int32_fwht_is_exact_at_the_largest_sum():

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,26 @@ def test_query_many_matches_scalar_queries():
     batch = fo.query_many(st, vs)
     assert batch.tolist() == [fo.query(st, int(v)) for v in vs]
     assert fo.query_many(st, np.empty(0, dtype=np.uint64)).size == 0
+
+
+def test_query_many_memory_is_its_output_and_one_chunk_scratch():
+    rng = np.random.default_rng(8)
+    d = 1 << 32
+    elems = rng.integers(0, d, size=20_000, dtype=np.uint64)
+    st = fo.construct(elems, d, params(), seed=5)
+    vs = rng.integers(0, d, size=1 << 20, dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        est = fo.query_many(st, vs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert st.k == 24 and est.shape == vs.shape
+    # the answer is not a row of a k x n scratch kept alive with it
+    assert est.base is None and est.flags.owndata
+    assert peak <= est.nbytes + st.k * (1 << 14) * 8 + (1 << 20)
+    some = rng.integers(0, vs.size, size=20)
+    assert est[some].tolist() == [fo.query(st, int(v)) for v in vs[some]]
 
 
 def test_construct_rejects_bad_element_input():
@@ -310,6 +331,7 @@ def test_construct_equals_per_group_sum(scheme):
     want = np.array([naive_multiply(m, r) for r in raw]) * debias_factor(p.eps)
 
     assert (st.k, st.m) == (k, m) and st.hashes == hashes
+    assert fo.sample_family(k, m, seed, rnd) == hashes
     assert np.array_equal(st.matrix, want)
 
 
