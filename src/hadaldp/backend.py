@@ -13,14 +13,14 @@ limb step in place, so a call allocates its output and 320 KiB, whatever
 its size; its coefficients broadcast, per user in a build and per row in
 a query.
 
-A build allocates its zeroed float64 output and keeps the int32 sums in
-the low half of those bytes (`int32_sums`).  A Hadamard transform of
-integers whose absolute values add up to at most n has every intermediate
-bounded by n, so with n < 2^31 users the int32 transform is exact, as
-the float64 one is below 2^53; it moves half the bytes.  `widen_sums`
-then writes float64(sum) * factor over the same allocation, so the
-estimates equal, bit for bit, those of a float64 sum, transform and
-scaling, and the build never holds more than its float64 output.
+The server state of both builds is the transform of those int32 sums.
+A Hadamard transform of integers whose absolute values add up to at most
+n has every intermediate bounded by n, so with n < 2^31 users the int32
+transform is exact, as the float64 one is below 2^53, and it moves half
+the bytes.  No kernel applies the debias factor: each state keeps its
+cells as int32 and scales the cells a query reads, float64(cell) *
+factor, which is bit for bit what a float64 sum, transform and scaling
+would give.
 
 The transform is cache-blocked in the manner of the FFHT library (Andoni,
 Indyk, Laarhoven, Razenshteyn and Schmidt, NeurIPS 2015).  A length-m row
@@ -232,39 +232,3 @@ def accumulate_reports(buf, rows, reports):
     """
     np.add.at(buf, rows, np.asarray(reports, dtype=buf.dtype))
 
-
-def int32_sums(shape):
-    """Zeroed int32 sums of the given shape, stored in the low half of the
-    bytes of a zeroed float64 array of that shape, which `widen_sums`
-    turns them into."""
-    out = np.zeros(shape, dtype=np.float64)
-    return out.reshape(-1).view(np.int32)[:out.size].reshape(out.shape)
-
-
-def widen_sums(sums, factor):
-    """float64(sums) * factor, written over the float64 array that
-    `int32_sums` stored sums in, which is returned.
-
-    Element i's int32 is read from bytes [4i, 4i + 4) and its float64
-    written to [8i, 8i + 8).  The blocks [ceil(s/2), s) go top down,
-    s = size, ceil(size/2), ..., 2: a block's destination starts at byte
-    8*ceil(s/2) >= 4s, above its own source and every source still to be
-    read.  Element 0, whose float64 covers its int32, goes last through
-    numpy's overlap-safe ufunc.  Each value is the float64 product that
-    scaling a float64 copy of the sums gives, bit for bit.
-    """
-    out = sums.base
-    if not (isinstance(out, np.ndarray) and out.dtype == np.float64
-            and sums.dtype == np.int32 and out.size == sums.size
-            and out.flags.c_contiguous and sums.flags.c_contiguous
-            and out.ctypes.data == sums.ctypes.data):
-        raise ValueError("sums must be the int32 view that int32_sums made")
-    src = sums.reshape(-1)
-    dst = out.reshape(-1)
-    s = src.size
-    while s > 1:
-        lo = (s + 1) // 2
-        np.multiply(src[lo:s], factor, out=dst[lo:s])
-        s = lo
-    np.multiply(src[:s], factor, out=dst[:s])
-    return out.reshape(sums.shape)

@@ -145,19 +145,15 @@ def _run_hrr_trial(config, ds, trial, failures, out_dir):
     _, finalize_ms = _timed(state.finalize)
     build_ms += finalize_ms
 
-    def run_queries():
-        return np.array([hrr.query(state, int(v)) for v in queries])
-
-    estimates, query_ms = _timed(run_queries)
+    estimates, query_ms = _timed(lambda: hrr.query_many(state, queries))
     _check(failures, np.isfinite(estimates).all(), "hrr estimates not finite")
 
     if probe:
-        _check(failures,
-               all(hrr.query(state, v) == e for v, e in zip(probe, direct)),
+        _check(failures, np.array_equal(hrr.query_many(state, probe), direct),
                "hrr transform path disagrees with the direct dot product")
         back = hrr.from_bytes(hrr.to_bytes(state))
-        _check(failures,
-               all(hrr.query(back, v) == hrr.query(state, v) for v in probe),
+        _check(failures, np.array_equal(hrr.query_many(back, probe),
+                                        hrr.query_many(state, probe)),
                "hrr serialization round-trip changed estimates")
 
     truths = _lookup_counts(*exact_counts(ds), queries)

@@ -4,10 +4,13 @@ Users are split into k subsets.  Subset j shares one pairwise-independent
 hash h_j mapping the domain into [m], and runs the Hadamard randomizer on
 the hashed value, so the server keeps a k x m matrix instead of a
 length-2^ceil(log2 d) vector.  One row-wise transform finalizes all k
-repetitions.  A query re-hashes the element per row, scales each row's
-cell by k (each subset only saw ~1/k of the users), and takes the median
-across rows, which shrugs off the few rows where the hash collided with
-something heavy or the subset drew unlucky noise.
+repetitions; the matrix holds the transformed int32 sums.  A query
+re-hashes the element per row, scales each row's cell by the debias
+factor and then by k (each subset only saw ~1/k of the users), and takes
+the median across rows, which shrugs off the few rows where the hash
+collided with something heavy or the subset drew unlucky noise.
+The factor is computed once per state, and k * (float64(cell) * factor)
+is bit for bit what a matrix of float64 debiased cells would give.
 
 Sizing comes from the accuracy analysis: k grows with log(1/beta') and m
 with eps * sqrt(n).  Two named constant profiles are shipped:
@@ -25,12 +28,12 @@ through `hrr.ingest`, the report path of every build, in chunks of
 consecutive users: per chunk one limb-kernel call `backend.hash_eval`
 with each user's coefficients (a_g, b_g) gathered by their subset g, one
 `randomize` and one scatter-add at g*m + row into the flattened matrix.
-A scalar query is one `backend.hash_eval` call, broadcast over the
-coefficient vectors (a_j), (b_j) the state keeps, plus one gather from
-the matrix.  A batch query answers its elements in chunks of 2^14, so
-it holds its output and one chunk x k scratch, however many elements it
-is asked about.  `PairwiseHash.eval` stays the exact reference the tests
-compare the hash kernel with.
+Every query hashes through `backend.hash_eval`: a scalar query once,
+broadcast over the coefficient vectors (a_j), (b_j) the state keeps,
+plus one gather from the matrix; a batch query once per row and chunk
+of 2^14 elements, so it holds its output and one chunk x k scratch,
+however many elements it is asked about.  `PairwiseHash.eval` stays
+the exact reference the tests compare the hash kernel with.
 
 The median of an even-length list is the lower-middle order statistic
 (1-based index ceil(k/2)), so a query always returns one of the actual
@@ -63,7 +66,7 @@ DEFAULT_CK = PROFILES["practical"]["c_k"]
 DEFAULT_CM = PROFILES["practical"]["c_m"]
 
 MAGIC = b"HDFO"
-VERSION = 3
+VERSION = 4
 _HEADER = struct.Struct("<4sHBBIQQddddQ")
 # magic, version, scheme, reserved, k, m, d, eps, beta_prime, c_k, c_m, n_users
 
@@ -130,16 +133,19 @@ class OracleState:
     d: int
     n_users: int
     hashes: list
-    matrix: np.ndarray                 # k x m, finalized estimates
+    matrix: np.ndarray                 # k x m int32, transformed sums
     # the hashes' coefficients as uint64 vectors: the build gathers them by
-    # each user's subset, and a scalar query is one limb-kernel call
-    # broadcast over the k rows
+    # each user's subset, a scalar query broadcasts them over the k rows,
+    # and a batch query takes one row's pair per limb-kernel call
     a: np.ndarray = field(init=False, repr=False, compare=False)
     b: np.ndarray = field(init=False, repr=False, compare=False)
+    # what a read multiplies a cell by, before the scaling by k
+    factor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.a = np.array([h.a for h in self.hashes], dtype=np.uint64)
         self.b = np.array([h.b for h in self.hashes], dtype=np.uint64)
+        self.factor = debias_factor(self.params.eps)
 
     @property
     def median_index(self):
@@ -160,8 +166,8 @@ def construct(elements, d, params, seed, *, hashes=None, round_index=0):
 
     The partition assigns each user a subset g; `hrr.ingest` then adds,
     chunk by chunk, user u's report on column h_g(x_u) at row_u of matrix
-    row g, into int32 sums.  One row-wise int32 transform and the debias
-    factor, applied as the sums widen in place to float64, finish it.  When
+    row g, into int32 sums.  One row-wise int32 transform finishes it;
+    the debias factor is applied where an estimate is read.  When
     `hashes` is given (the heavy-hitter protocol shares one family
     across all its oracles) they fix both k and m; otherwise k and m are
     derived from params and n, and `sample_family` draws the family.
@@ -187,21 +193,20 @@ def construct(elements, d, params, seed, *, hashes=None, round_index=0):
         hashes = sample_family(k, m, seed, round_index)
 
     part = take_partition(n, k, params.scheme, setup_stream(seed, round_index, 0))
-    sums = backend.int32_sums((k, m))
     state = OracleState(params=params, k=k, m=m, d=int(d), n_users=n,
-                        hashes=hashes, matrix=sums)
-    ingest(sums.reshape(-1), elements, m, budget.keep_prob, seed,
+                        hashes=hashes, matrix=np.zeros((k, m), np.int32))
+    ingest(state.matrix.reshape(-1), elements, m, budget.keep_prob, seed,
            round_index, family=(part.assignment, state.a, state.b))
-    backend.fwht_inplace(sums)
-    state.matrix = backend.widen_sums(sums, debias_factor(params.eps))
+    backend.fwht_inplace(state.matrix)
     return state
 
 
 def row_estimates(state, v):
-    """The k per-row estimates k * matrix[j, h_j(v)] a query medians over."""
+    """The k per-row estimates k * (matrix[j, h_j(v)] * factor) a query
+    medians over."""
     v = element_index(v, state.d)
     cols = backend.hash_eval(np.uint64(v), state.a, state.b, state.m)
-    return state.k * state.matrix[np.arange(state.k), cols]
+    return state.k * (state.matrix[np.arange(state.k), cols] * state.factor)
 
 
 def query(state, v):
@@ -215,10 +220,11 @@ def query_many(state, vs):
     """Vectorized query; returns one estimate per element of vs.
 
     Elements are answered in chunks of 2^14 through one chunk x k float64
-    scratch: per row j a hash of the chunk and a gather from matrix row j
-    into scratch column j, then the scale by k and an in-place partition
-    along each scratch row, whose median column goes into the output.  A
-    call so holds its output, that scratch (3 MiB at k = 24) and a row's
+    scratch: per row j one `backend.hash_eval` of the chunk and a gather
+    from matrix row j into scratch column j, then the scale by the debias
+    factor and by k, in that order, and an in-place partition along each
+    scratch row, whose median column goes into the output.  A call so
+    holds its output, that scratch (3 MiB at k = 24) and a row's
     chunk-sized temporaries, whatever the number of elements, and what it
     returns owns its data.
     """
@@ -229,8 +235,10 @@ def query_many(state, vs):
     for lo in range(0, vs.size, _QUERY_CHUNK):
         chunk = vs[lo:lo + _QUERY_CHUNK]
         vals = scratch[:chunk.size]
-        for j, h in enumerate(state.hashes):
-            vals[:, j] = state.matrix[j].take(h.eval_batch(chunk))
+        for j in range(state.k):
+            vals[:, j] = state.matrix[j].take(
+                backend.hash_eval(chunk, state.a[j], state.b[j], state.m))
+        vals *= state.factor
         vals *= state.k
         vals.partition(mid, axis=1)
         out[lo:lo + chunk.size] = vals[:, mid]
@@ -241,14 +249,14 @@ _SCHEME_CODE = {name: i for i, name in enumerate(SCHEMES)}
 
 
 def to_bytes(state):
-    """Format v3: the header, then the k hash coefficients a_j and the k
-    b_j as uint64, then the k x m matrix as float64, all little-endian."""
+    """Format v4: the header, then the k hash coefficients a_j and the k
+    b_j as uint64, then the k x m matrix as int32, all little-endian."""
     p = state.params
     head = (_SCHEME_CODE[p.scheme], 0, state.k, state.m, state.d, p.eps,
             p.beta_prime, p.c_k, p.c_m, state.n_users)
     return codec.encode(_HEADER, MAGIC, VERSION, head,
                         [("<u8", state.a), ("<u8", state.b),
-                         ("<f8", state.matrix)])
+                         ("<i4", state.matrix)])
 
 
 def from_bytes(blob):
@@ -256,7 +264,7 @@ def from_bytes(blob):
     coefficients outside the hash family's ranges included."""
     fields, (a, b, matrix) = codec.decode(
         blob, _HEADER, MAGIC, VERSION,
-        lambda f: [("<u8", f[2]), ("<u8", f[2]), ("<f8", f[2] * f[3])])
+        lambda f: [("<u8", f[2]), ("<u8", f[2]), ("<i4", f[2] * f[3])])
     scheme_code, _, k, m, d, eps, beta_prime, c_k, c_m, n_users = fields
     if scheme_code >= len(SCHEMES):
         raise ValueError(f"unknown scheme code {scheme_code}")

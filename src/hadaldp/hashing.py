@@ -8,8 +8,8 @@ against.  Everything on a hot path uses the 32-bit-limb uint64 kernel
 `backend.hash_eval`, whose coefficients broadcast against its inputs:
 the oracle build calls it once per chunk of users with each user's
 subset's (a, b), a scalar query once with the k rows' (a, b) vectors, and
-`eval_batch` (a batch query, one row at a time) with one function's
-scalars.  The two must agree everywhere, and tests hold them to that.
+a batch query once per row with that row's scalars.  The two must agree
+everywhere, and tests hold them to that.
 """
 
 import operator
@@ -80,6 +80,8 @@ class PairwiseHash:
             raise ValueError(f"input {x} outside [0, 2^61 - 1)")
         return ((self.a * x + self.b) % P61) % self.m
 
+    # no caller in the package: perfbench/tracer.py wraps it, and the
+    # tests use it to hash a batch with one function
     def eval_batch(self, xs):
         """Vectorized evaluation of a uint64 array via the limb kernel."""
         xs = np.ascontiguousarray(xs, dtype=np.uint64)

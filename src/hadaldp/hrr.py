@@ -14,18 +14,19 @@ one scatter-add.  `build` calls it with the element as the column;
 `freq_oracle.construct` with each user's hashed element and a row offset
 per subset.
 
-The accumulator holds the raw +-1 sums as int32, in the low half of the
-bytes of the float64 estimate vector (`backend.int32_sums`).  With fewer
-than 2^31 users, which `ingest` enforces, the sums and every intermediate
-of their int32 transform are exact.  Finalization transforms the sums,
-then widens them in place to float64 while applying the debias factor,
-once (`backend.widen_sums`).  That keeps query() (transform route) and
-query_direct() (direct dot product against the accumulator, usable before
-finalization) exactly equal, bit for bit.
+The server state is the accumulator's transform, kept as int32.  With
+fewer than 2^31 users, which `ingest` enforces, the sums and every
+intermediate of their int32 transform are exact.  Finalization is the
+transform alone; a read applies the debias factor, computed once per
+state, to the cells it returns: float64(cell) * factor, bit for bit the
+value a float64 transform and scaling would hold.  That keeps query()
+and query_many() (transform route) and query_direct() (direct dot
+product against the accumulator, usable before finalization) exactly
+equal.
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,8 +36,8 @@ from .randomizer import (PrivacyBudget, debias_factor, draw_coins, draw_rows,
                          randomize, round_streams)
 
 MAGIC = b"HRRS"
-VERSION = 1
-MAX_DIM = 1 << 28  # a 2^28 float64 table is 2 GiB; larger domains are refused
+VERSION = 2
+MAX_DIM = 1 << 28  # an int32 2^28 table is 1 GiB; larger domains are refused
 _HEADER = struct.Struct("<4sHHQdQ")  # magic, version, reserved, m, eps, n_users
 CHUNK = 1 << 16  # users per step of `ingest`
 MAX_USERS = (1 << 31) - 1  # int32 sums: no sum or transform value exceeds n
@@ -47,15 +48,18 @@ class HrrState:
     m: int
     budget: PrivacyBudget
     n_users: int
-    buffer: np.ndarray       # int32 +-1 sums until finalize(), float64 after
+    buffer: np.ndarray       # int32 +-1 sums; their transform once finalized
     finalized: bool = False
+    # what a read multiplies a transformed cell by
+    factor: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.factor = debias_factor(self.budget.eps)
 
     def finalize(self):
         if self.finalized:
             raise RuntimeError("state already finalized")
         backend.fwht_inplace(self.buffer)
-        self.buffer = backend.widen_sums(self.buffer,
-                                         debias_factor(self.budget.eps))
         self.finalized = True
         return self
 
@@ -81,7 +85,7 @@ def build(elements, d, budget, seed, *, round_index=0, finalize=True):
     """
     m = dim_for(d)
     elements = element_array(elements, d)
-    buf = backend.int32_sums(m)
+    buf = np.zeros(m, np.int32)
     ingest(buf, elements, m, budget.keep_prob, seed, round_index)
     state = HrrState(m=m, budget=budget, n_users=int(elements.size), buffer=buf)
     return state.finalize() if finalize else state
@@ -118,7 +122,9 @@ def ingest(buf, elements, m, keep_prob, seed, round_index, family=None):
             groups, a, b = family
             g = groups[lo:hi]
             cols = backend.hash_eval(x, a[g], b[g], m)
-            at = g * m + rows.view(np.int64)   # rows < m: the same values
+            # widened first: g * m overflows a narrow g; rows < m, so its
+            # int64 view holds the same values
+            at = g.astype(np.int64) * m + rows.view(np.int64)
         backend.accumulate_reports(buf, at, randomize(rows, cols, coins,
                                                       keep_prob))
 
@@ -127,7 +133,15 @@ def query(state, v):
     """O(1) estimate lookup; requires a finalized state."""
     if not state.finalized:
         raise RuntimeError("finalize() the state before query()")
-    return float(state.buffer[element_index(v, state.m)])
+    return float(state.buffer[element_index(v, state.m)]) * state.factor
+
+
+def query_many(state, vs):
+    """query() for every element of vs, as one float64 array: one gather
+    and one scaling; requires a finalized state."""
+    if not state.finalized:
+        raise RuntimeError("finalize() the state before query_many()")
+    return state.buffer[element_array(vs, state.m)] * state.factor
 
 
 def query_direct(state, v):
@@ -146,22 +160,23 @@ def query_direct(state, v):
         return 0.0
     signs = backend.hadamard_signs(nz, np.full(nz.size, v, dtype=np.uint64))
     return float(np.dot(state.buffer[nz.astype(np.int64)], signs)
-                 * debias_factor(state.budget.eps))
+                 * state.factor)
 
 
 def to_bytes(state):
-    """Serialize a finalized state: fixed header + m little-endian float64."""
+    """Serialize a finalized state, format v2: the header, then the m
+    transformed cells as little-endian int32."""
     if not state.finalized:
         raise ValueError("serialize only finalized states")
     return codec.encode(_HEADER, MAGIC, VERSION,
                         (0, state.m, state.budget.eps, state.n_users),
-                        [("<f8", state.buffer)])
+                        [("<i4", state.buffer)])
 
 
 def from_bytes(blob):
     """Inverse of to_bytes; raises ValueError on any malformed blob."""
     (_, m, eps, n_users), (buf,) = codec.decode(
-        blob, _HEADER, MAGIC, VERSION, lambda f: [("<f8", f[1])])
+        blob, _HEADER, MAGIC, VERSION, lambda f: [("<i4", f[1])])
     if m < 1 or m & (m - 1):
         raise ValueError(f"transform size {m} is not a power of two")
     return HrrState(m=m, budget=PrivacyBudget(eps), n_users=n_users,

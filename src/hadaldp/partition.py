@@ -18,7 +18,8 @@ SCHEMES = ("independent", "permutation")
 
 @dataclass(frozen=True)
 class Partition:
-    assignment: np.ndarray  # int64, assignment[u] = subset of user u
+    # assignment[u] = subset of user u, in the narrowest type that holds k - 1
+    assignment: np.ndarray
     sizes: np.ndarray       # int64, len k, sizes[j] = |subset j|
     scheme: str
 
@@ -28,36 +29,46 @@ class Partition:
 
     def members(self):
         """Index arrays of each subset, users in increasing order."""
-        # the narrowest key type that holds k - 1: a stable argsort is a
-        # radix sort on 8- and 16-bit keys, with the same output
-        keys = self.assignment.astype(np.min_scalar_type(self.k - 1))
-        order = np.argsort(keys, kind="stable")
+        # a stable argsort is a radix sort on 8- and 16-bit keys
+        order = np.argsort(self.assignment, kind="stable")
         bounds = np.concatenate(([0], np.cumsum(self.sizes)))
         return [order[bounds[j]:bounds[j + 1]] for j in range(self.k)]
 
 
+_CHUNK = 1 << 16  # users per draw of `independent_partition`
+
+
 def _check(n, k):
+    """Validate (n, k); return the assignment's dtype, the narrowest that
+    holds k - 1."""
     if n < 0:
         raise ValueError(f"user count must be non-negative, got {n}")
     if k < 1:
         raise ValueError(f"need at least one subset, got k={k}")
+    return np.min_scalar_type(k - 1)
 
 
 def independent_partition(n, k, rng):
-    _check(n, k)
-    assignment = rng.integers(0, k, size=n, dtype=np.int64)
-    sizes = np.bincount(assignment, minlength=k).astype(np.int64)
+    """Subsets uniform in [0, k): the values of one n-long int64 draw from
+    rng, drawn _CHUNK at a time and stored narrow, so that no n-long
+    int64 array (nor, for the sizes, an n-long intp copy) is made."""
+    assignment = np.empty(n, dtype=_check(n, k))
+    sizes = np.zeros(k, dtype=np.int64)
+    for lo in range(0, n, _CHUNK):
+        part = rng.integers(0, k, size=min(_CHUNK, n - lo), dtype=np.int64)
+        assignment[lo:lo + part.size] = part
+        sizes += np.bincount(part, minlength=k)
     return Partition(assignment=assignment, sizes=sizes, scheme="independent")
 
 
 def permutation_partition(n, k, rng):
-    _check(n, k)
+    narrow = _check(n, k)
     q, r = divmod(n, k)
     sizes = np.full(k, q, dtype=np.int64)
     sizes[:r] += 1
     # the permutation's first sizes[0] users form subset 0, and so on
-    assignment = np.empty(n, dtype=np.int64)
-    assignment[rng.permutation(n)] = np.repeat(np.arange(k, dtype=np.int64), sizes)
+    assignment = np.empty(n, dtype=narrow)
+    assignment[rng.permutation(n)] = np.repeat(np.arange(k, dtype=narrow), sizes)
     return Partition(assignment=assignment, sizes=sizes, scheme="permutation")
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from hadaldp import backend, hadamard
 from hadaldp.hashing import P61
-from hadaldp.randomizer import debias_factor
 
 
 def test_numpy_is_the_only_build():
@@ -39,7 +38,7 @@ def test_accumulate_is_integer_valued_and_conserving():
     assert buf.tolist() == want.tolist()
     assert buf.sum() == reports.sum()
     # the builds' int32 sums take the same int8 reports, exactly
-    sums = backend.int32_sums(m)
+    sums = np.zeros(m, dtype=np.int32)
     backend.accumulate_reports(sums, rows, reports)
     assert sums.dtype == np.int32 and sums.tolist() == want.tolist()
 
@@ -236,24 +235,3 @@ def test_int32_fwht_memory_is_a_panel_not_a_half_array():
     assert x[0] == 1 << 22 and not x[1:].any()
     assert peak < 4 << 20
 
-
-@pytest.mark.parametrize("shape", [1, 2, 3, 5, (24, 4096), 1 << 20])
-def test_widen_sums_equals_a_float64_copy_times_the_factor(shape):
-    factor = debias_factor(1.0)
-    sums = backend.int32_sums(shape)
-    rng = np.random.default_rng(sums.size)
-    sums[...] = rng.integers(-(2**31) + 1, 2**31, size=sums.shape,
-                             dtype=np.int32)
-    sums.reshape(-1)[0] = 2**31 - 1
-    want = sums.astype(np.float64) * factor
-    got = backend.widen_sums(sums, factor)
-    assert got.dtype == np.float64 and got.shape == sums.shape
-    assert np.shares_memory(got, sums)
-    assert np.array_equal(got, want)
-
-
-def test_widen_sums_rejects_sums_it_did_not_make():
-    for bad in (np.zeros(4, dtype=np.int32), backend.int32_sums(8)[2:],
-                backend.int32_sums(8).astype(np.int64)):
-        with pytest.raises(ValueError):
-            backend.widen_sums(bad, 2.0)

@@ -16,6 +16,7 @@ from hadaldp.randomizer import (PrivacyBudget, debias_factor, draw_coins,
                                 setup_stream)
 
 E2 = math.exp(-2.0)
+F = debias_factor(1.0)   # the debias factor at params()' eps
 
 
 def params(**kw):
@@ -67,9 +68,10 @@ def test_params_validation():
 
 def _state_with_matrix(k, m, cells):
     """Tiny handmade state: hash j is identity-affine shifted by j so that
-    h_j(0) = j, letting tests pin per-row estimate values directly."""
+    h_j(0) = j, letting tests pin per-row estimate values directly: row j
+    estimates k * (cells[j] * F)."""
     hashes = [PairwiseHash(a=1, b=j, m=m) for j in range(k)]
-    matrix = np.zeros((k, m))
+    matrix = np.zeros((k, m), dtype=np.int32)
     for j, val in enumerate(cells):
         matrix[j, j] = val
     return fo.OracleState(params=params(), k=k, m=m, d=m, n_users=1,
@@ -77,29 +79,29 @@ def _state_with_matrix(k, m, cells):
 
 
 def test_median_selects_middle_scaled_row():
-    st = _state_with_matrix(3, 8, [10.0, 50.0, 90.0])
-    assert fo.row_estimates(st, 0).tolist() == [30.0, 150.0, 270.0]
-    assert fo.query(st, 0) == 150.0
+    st = _state_with_matrix(3, 8, [10, 50, 90])
+    assert fo.row_estimates(st, 0).tolist() == [3 * (c * F) for c in (10, 50, 90)]
+    assert fo.query(st, 0) == 3 * (50 * F)
 
 
 def test_even_k_takes_lower_middle():
-    st = _state_with_matrix(4, 8, [10.0, 50.0, 90.0, 130.0])
-    # sorted scaled estimates [40, 200, 360, 520]: lower-middle is 200
-    assert fo.query(st, 0) == 200.0
-    st2 = _state_with_matrix(2, 8, [7.0, 9.0])
-    assert fo.query(st2, 0) == 14.0
+    st = _state_with_matrix(4, 8, [10, 50, 90, 130])
+    # sorted cells [10, 50, 90, 130]: the lower middle is 50
+    assert fo.query(st, 0) == 4 * (50 * F)
+    st2 = _state_with_matrix(2, 8, [7, 9])
+    assert fo.query(st2, 0) == 2 * (7 * F)
 
 
 def test_k_one_is_the_single_row():
-    st = _state_with_matrix(1, 4, [42.0])
-    assert fo.query(st, 0) == 42.0
+    st = _state_with_matrix(1, 4, [42])
+    assert fo.query(st, 0) == 42 * F
 
 
 def test_all_zero_matrix_queries_zero():
     rng = np.random.default_rng(0)
     hashes = [sample_hash(16, rng) for _ in range(5)]
     st = fo.OracleState(params=params(), k=5, m=16, d=1000, n_users=1,
-                        hashes=hashes, matrix=np.zeros((5, 16)))
+                        hashes=hashes, matrix=np.zeros((5, 16), np.int32))
     assert fo.query(st, 123) == 0.0
 
 
@@ -171,6 +173,22 @@ def test_query_many_memory_is_its_output_and_one_chunk_scratch():
     assert est[some].tolist() == [fo.query(st, int(v)) for v in vs[some]]
 
 
+def test_construct_memory_is_its_int32_matrix_and_one_chunk():
+    """The build holds the k x m int32 matrix, a one-byte subset per user
+    and one chunk's temporaries (2^16 users at under 96 bytes each): no
+    float64 matrix and no n-long int64 array."""
+    n, d = 1 << 20, 1 << 32
+    elems = np.random.default_rng(9).integers(0, d, size=n, dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        st = fo.construct(elems, d, params(), seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (st.k, st.m) == (24, 4096) and st.matrix.dtype == np.int32
+    assert peak <= st.matrix.nbytes + n + 96 * (1 << 16)
+
+
 def test_construct_rejects_bad_element_input():
     for bad in (np.array([1.5, 2.7]), np.array([1.0]), [1.5], [-1, 2],
                 np.array([0, -2]), np.array([True, False]), [4]):
@@ -219,7 +237,9 @@ def test_query_rejects_negative_and_non_integer_input():
 
 
 def _reference_rows(state, v):
-    return [state.k * state.matrix[j, h.eval(v)] for j, h in enumerate(state.hashes)]
+    factor = debias_factor(state.params.eps)
+    return [state.k * (float(state.matrix[j, h.eval(v)]) * factor)
+            for j, h in enumerate(state.hashes)]
 
 
 def test_row_estimates_match_exact_scalar_hashes():
@@ -260,11 +280,11 @@ def test_serialization_round_trip():
     elems = rng.integers(0, 10_000, size=5000, dtype=np.uint64)
     st = fo.construct(elems, 10_000, params(scheme="permutation"), seed=8)
     blob = fo.to_bytes(st)
-    # format v3: header, k uint64 a, k uint64 b, k x m float64
+    # format v4: header, k uint64 a, k uint64 b, k x m int32
     k, m, head = st.k, st.m, fo._HEADER.size
-    assert len(blob) == head + 16 * k + 8 * k * m
-    assert blob[head:head + 16 * k] == \
-        st.a.astype("<u8").tobytes() + st.b.astype("<u8").tobytes()
+    assert len(blob) == head + 16 * k + 4 * k * m
+    assert blob[head:] == st.a.astype("<u8").tobytes() \
+        + st.b.astype("<u8").tobytes() + st.matrix.astype("<i4").tobytes()
     assert st.a.tolist() == [h.a for h in st.hashes]
     assert st.b.tolist() == [h.b for h in st.hashes]
     back = fo.from_bytes(blob)
@@ -273,6 +293,7 @@ def test_serialization_round_trip():
     assert back.params.scheme == "permutation" and back.params.c_m == 4.0
     assert fo.hash_range_for(back.params, back.n_users) == back.m
     assert back.hashes == st.hashes
+    assert back.matrix.dtype == np.int32
     assert np.array_equal(back.matrix, st.matrix)
     vs = rng.integers(0, 10_000, size=64, dtype=np.uint64)
     assert np.array_equal(fo.query_many(back, vs), fo.query_many(st, vs))
@@ -297,6 +318,12 @@ def test_from_bytes_rejects_garbage():
     with pytest.raises(ValueError):
         fo.from_bytes(fo._HEADER.pack(*head) + struct.pack("<I", 100_000)
                       + b"[" * 100_000)
+    # a version-3 blob: the same coefficients, the matrix as float64
+    head[1] = 3
+    with pytest.raises(ValueError):
+        fo.from_bytes(fo._HEADER.pack(*head)
+                      + blob[fo._HEADER.size:fo._HEADER.size + 16 * st.k]
+                      + (st.matrix * st.factor).astype("<f8").tobytes())
     # coefficients outside the family: a = 0, a = p, b = p
     a_at, b_at = fo._HEADER.size, fo._HEADER.size + 8 * st.k
     for at, value in ((a_at, 0), (a_at, P61), (b_at, P61)):
@@ -307,8 +334,8 @@ def test_from_bytes_rejects_garbage():
 
 @pytest.mark.parametrize("scheme", ["independent", "permutation"])
 def test_construct_equals_per_group_sum(scheme):
-    """Each row of the matrix is, exactly, the debiased transform of its
-    group's raw sums: user u adds the sign of H[row_u, h_j(x_u)], flipped
+    """Each row of the matrix is, exactly, the transform of its group's
+    raw sums: user u adds the sign of H[row_u, h_j(x_u)], flipped
     when coin_u >= keep_prob, at row_u.  The groups, hashes, rows and coins
     are re-drawn here from the streams the build is specified to use."""
     n, d, seed, rnd = 400, 1000, 17, 3
@@ -328,11 +355,11 @@ def test_construct_equals_per_group_sum(scheme):
     for u, j in enumerate(part.assignment.tolist()):
         sign = entry(m, rows[u], hashes[j].eval(int(elems[u])))
         raw[j, rows[u]] += sign if coins[u] < keep else -sign
-    want = np.array([naive_multiply(m, r) for r in raw]) * debias_factor(p.eps)
+    want = np.array([naive_multiply(m, r) for r in raw])
 
     assert (st.k, st.m) == (k, m) and st.hashes == hashes
     assert fo.sample_family(k, m, seed, rnd) == hashes
-    assert np.array_equal(st.matrix, want)
+    assert st.matrix.dtype == np.int32 and np.array_equal(st.matrix, want)
 
 
 def test_recovers_planted_frequency():

@@ -157,9 +157,10 @@ def test_serialization_round_trip():
     state = hrr.build(elems, 256, BUDGET, seed=31)
     blob = hrr.to_bytes(state)
     # the layout, packed by hand: magic, version, reserved, m, eps, n_users
-    assert blob == struct.pack("<4sHHQdQ", b"HRRS", 1, 0, 256, 1.0, 2000) \
-        + state.buffer.astype("<f8").tobytes()
+    assert blob == struct.pack("<4sHHQdQ", b"HRRS", 2, 0, 256, 1.0, 2000) \
+        + state.buffer.astype("<i4").tobytes()
     back = hrr.from_bytes(blob)
+    assert back.buffer.dtype == np.int32
     assert back.m == state.m and back.n_users == state.n_users
     assert back.budget.eps == state.budget.eps
     assert np.array_equal(back.buffer, state.buffer)
@@ -176,7 +177,7 @@ def test_to_bytes_copies_the_table_once():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(blob) == hrr._HEADER.size + 8 * m
+    assert len(blob) == hrr._HEADER.size + 4 * m
     # the blob itself, and no second copy of the table on the way
     assert peak < 1.5 * len(blob)
 
@@ -192,7 +193,10 @@ def test_from_bytes_rejects_garbage():
     empty = hrr._HEADER.pack(hrr.MAGIC, hrr.VERSION, 0, 0, 1.0, 0)
     tiny_eps = hrr._HEADER.pack(hrr.MAGIC, hrr.VERSION, 0, 4, 1e-17, 1) \
         + blob[hrr._HEADER.size:]
-    for bad in (empty, tiny_eps):
+    # version 1 stored the table as float64 estimates
+    version_1 = hrr._HEADER.pack(hrr.MAGIC, 1, 0, 4, 1.0, 1) \
+        + (state.buffer * state.factor).astype("<f8").tobytes()
+    for bad in (empty, tiny_eps, version_1):
         with pytest.raises(ValueError):
             hrr.from_bytes(bad)
 
@@ -206,7 +210,7 @@ def test_ingest_rejects_more_users_than_int32_sums_hold():
     assert not buf.any()
 
 
-def test_build_memory_is_its_float64_output():
+def test_build_memory_is_its_int32_table():
     m = 1 << 22
     elems = np.random.default_rng(8).integers(0, m, size=1000, dtype=np.uint64)
     tracemalloc.start()
@@ -215,16 +219,34 @@ def test_build_memory_is_its_float64_output():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert state.buffer.dtype == np.float64 and state.buffer.nbytes == 32 << 20
-    # the int32 sums and their transform live inside that buffer
-    assert peak <= (32 << 20) + (4 << 20)
+    assert state.buffer.dtype == np.int32 and state.buffer.nbytes == 4 * m
+    # the sums are transformed in place; no float64 copy is made
+    assert peak <= 4 * m + (4 << 20)
 
 
-def test_raw_buffer_is_int32_until_finalize():
+def test_buffer_is_int32_before_and_after_finalize():
     raw = hrr.build(np.array([1, 2, 3], dtype=np.uint64), 8, BUDGET, seed=0,
                     finalize=False)
     assert raw.buffer.dtype == np.int32 and raw.buffer.shape == (8,)
-    want = raw.buffer.astype(np.float64)
+    want = fht(raw.buffer.astype(np.float64))
     raw.finalize()
-    assert raw.buffer.dtype == np.float64 and raw.buffer.shape == (8,)
-    assert np.array_equal(raw.buffer, fht(want) * debias_factor(1.0))
+    assert raw.buffer.dtype == np.int32 and np.array_equal(raw.buffer, want)
+    assert [hrr.query(raw, v) for v in range(8)] == \
+        [float(w) * debias_factor(1.0) for w in want]
+
+
+def test_query_many_equals_query_bit_for_bit():
+    rng = np.random.default_rng(10)
+    elems = rng.integers(0, 1000, size=5000, dtype=np.uint64)
+    state = hrr.build(elems, 1000, PrivacyBudget(0.7), seed=3, finalize=False)
+    with pytest.raises(RuntimeError):
+        hrr.query_many(state, [1, 2])
+    state.finalize()
+    vs = rng.integers(0, state.m, size=500, dtype=np.uint64)
+    got = hrr.query_many(state, vs)
+    assert got.dtype == np.float64 and got.shape == vs.shape
+    assert got.tolist() == [hrr.query(state, int(v)) for v in vs]
+    assert hrr.query_many(state, []).shape == (0,)
+    for bad in ([-1], [1.5], [state.m], np.array([[1]])):
+        with pytest.raises(ValueError):
+            hrr.query_many(state, bad)

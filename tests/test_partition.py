@@ -13,6 +13,7 @@ def test_cover_and_disjoint(n, k, seed, scheme):
     part = pt.take_partition(n, k, scheme, np.random.default_rng(seed))
     assert part.k == k
     assert part.assignment.shape == (n,)
+    assert part.assignment.dtype == np.min_scalar_type(k - 1)
     assert int(part.sizes.sum()) == n
     members = part.members()
     seen = np.concatenate(members) if members else np.empty(0, dtype=np.int64)
@@ -35,11 +36,14 @@ def test_permutation_spread_at_most_one(n, k, seed):
 @pytest.mark.parametrize("k,n", [(1, 300), (255, 3000), (256, 3000),
                                  (257, 3000), (65_537, 600)])
 def test_members_are_sorted_groups_across_key_widths(k, n):
-    """members() sorts on the narrowest key type that holds k - 1; each
-    group must still be exactly the users of that subset, in increasing
-    order, on both sides of the 8- and 16-bit boundaries."""
+    """The assignment, which members() sorts on, has the narrowest type
+    that holds k - 1; each group must still be exactly the users of that
+    subset, in increasing order, on both sides of the 8- and 16-bit
+    boundaries."""
+    width = {1: 1, 255: 1, 256: 1, 257: 2, 65_537: 4}[k]
     for scheme in pt.SCHEMES:
         part = pt.take_partition(n, k, scheme, np.random.default_rng(k))
+        assert part.assignment.dtype.itemsize == width
         members = part.members()
         assert len(members) == k
         for j, idx in enumerate(members):
@@ -97,6 +101,13 @@ def test_fixed_seed_reproduces():
         a = pt.take_partition(500, 7, scheme, np.random.default_rng(11))
         b = pt.take_partition(500, 7, scheme, np.random.default_rng(11))
         assert np.array_equal(a.assignment, b.assignment)
+    # drawn 2^16 users at a time, the independent scheme's subsets are the
+    # values of one n-long int64 draw, at n both below and past a chunk
+    for n in (500, 2 * (1 << 16) + 5):
+        part = pt.independent_partition(n, 24, np.random.default_rng(12))
+        want = np.random.default_rng(12).integers(0, 24, size=n, dtype=np.int64)
+        assert np.array_equal(part.assignment, want)
+        assert np.array_equal(part.sizes, np.bincount(want, minlength=24))
 
 
 def test_guards():
