@@ -9,9 +9,10 @@ Subcommands:
 Each subcommand takes only the flags its run reads.  Each also reads an
 optional JSON config of ExperimentConfig fields (--config); any flag
 given on the command line overrides the file.  Exit status is 0 only if
-the run's internal consistency checks all passed.  The acceptance checks
-run under pytest (`pytest tests/test_acceptance.py -s` in a checkout),
-and timing is measured by `python3 perfbench/run.py` there.
+the run's internal consistency checks all passed; a tripped
+--max-frontier guard exits 1 with one line on stderr.  The acceptance
+checks run under pytest (`pytest tests/test_acceptance.py -s` in a
+checkout), and timing is measured by `python3 perfbench/run.py` there.
 """
 
 import argparse
@@ -24,6 +25,7 @@ from pathlib import Path
 from .datasets import save_dataset
 from .experiments import (CSV_COLUMNS, ExperimentConfig, dataset_for,
                           run_experiment)
+from .heavy_hitters import FrontierOverflow
 from .partition import SCHEMES
 
 _CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
@@ -154,7 +156,11 @@ def _fmt(v):
 
 
 def _run_and_report(config):
-    summary = run_experiment(config)
+    try:
+        summary = run_experiment(config)
+    except FrontierOverflow as exc:
+        print(f"hadaldp: {exc}", file=sys.stderr)
+        return 1
     _print_summary(summary)
     return 1 if summary["assertion_failures"] else 0
 

@@ -96,6 +96,12 @@ class OracleParams:
             raise ValueError(f"unknown scheme {self.scheme!r}; have {SCHEMES}")
 
 
+def check_domain(d):
+    """Every build's domain bound: 1 <= d <= MAX_DOMAIN."""
+    if not 1 <= d <= MAX_DOMAIN:
+        raise ValueError(f"domain size must lie in [1, 2^61 - 1], got {d}")
+
+
 def repetitions_for(params):
     """k = ceil(c_k * ln(1/beta')), at least 1.
 
@@ -161,6 +167,12 @@ def sample_family(k, m, seed, round_index=0):
     return [sample_hash(m, rng) for _ in range(k)]
 
 
+def family_for(params, n, seed, round_index=0):
+    """k = repetitions_for(params) hashes into m = hash_range_for(params, n)."""
+    return sample_family(repetitions_for(params), hash_range_for(params, n),
+                         seed, round_index)
+
+
 def construct(elements, d, params, seed, *, hashes=None, round_index=0):
     """Build the k x m matrix from one pass over the users.
 
@@ -169,28 +181,21 @@ def construct(elements, d, params, seed, *, hashes=None, round_index=0):
     row g, into int32 sums.  One row-wise int32 transform finishes it;
     the debias factor is applied where an estimate is read.  When
     `hashes` is given (the heavy-hitter protocol shares one family
-    across all its oracles) they fix both k and m; otherwise k and m are
-    derived from params and n, and `sample_family` draws the family.
+    across all its oracles) they fix both k and m; otherwise
+    `family_for` sizes and draws the family from params and n.
     """
-    if not 1 <= d <= MAX_DOMAIN:
-        raise ValueError(f"domain size must lie in [1, 2^61 - 1], got {d}")
+    check_domain(d)
     elements = element_array(elements, d)
     n = int(elements.size)
     if n == 0:
         raise ValueError("cannot build an oracle from zero users")
     budget = PrivacyBudget(params.eps)
 
-    if hashes is not None:
-        if not hashes:
-            raise ValueError("need at least one hash")
-        k = len(hashes)
-        m = hashes[0].m
-        if any(h.m != m for h in hashes):
-            raise ValueError("all shared hashes must have the same range m")
-    else:
-        k = repetitions_for(params)
-        m = hash_range_for(params, n)
-        hashes = sample_family(k, m, seed, round_index)
+    if hashes is None:
+        hashes = family_for(params, n, seed, round_index)
+    if not hashes or any(h.m != hashes[0].m for h in hashes):
+        raise ValueError("need one or more hashes, all with the same range m")
+    k, m = len(hashes), hashes[0].m
 
     part = take_partition(n, k, params.scheme, setup_stream(seed, round_index, 0))
     state = OracleState(params=params, k=k, m=m, d=int(d), n_users=n,
@@ -245,14 +250,11 @@ def query_many(state, vs):
     return out
 
 
-_SCHEME_CODE = {name: i for i, name in enumerate(SCHEMES)}
-
-
 def to_bytes(state):
     """Format v4: the header, then the k hash coefficients a_j and the k
     b_j as uint64, then the k x m matrix as int32, all little-endian."""
     p = state.params
-    head = (_SCHEME_CODE[p.scheme], 0, state.k, state.m, state.d, p.eps,
+    head = (SCHEMES.index(p.scheme), 0, state.k, state.m, state.d, p.eps,
             p.beta_prime, p.c_k, p.c_m, state.n_users)
     return codec.encode(_HEADER, MAGIC, VERSION, head,
                         [("<u8", state.a), ("<u8", state.b),
@@ -272,8 +274,7 @@ def from_bytes(blob):
         raise ValueError("need at least one repetition, got k = 0")
     if m < 1 or m & (m - 1):
         raise ValueError(f"hash range {m} is not a power of two")
-    if not 1 <= d <= MAX_DOMAIN:
-        raise ValueError(f"domain size must lie in [1, 2^61 - 1], got {d}")
+    check_domain(d)
     params = OracleParams(eps=eps, beta_prime=beta_prime, c_k=c_k, c_m=c_m,
                           scheme=SCHEMES[scheme_code])
     hashes = [PairwiseHash(a_j, b_j, m)

@@ -9,7 +9,10 @@ it about every child of the frontier at once (estimates scaled by L, since
 only n/L users answered), keeps the children whose estimate clears
 2*lambda and drops the oracle.  Surviving leaves get re-estimated by a final
 refinement oracle built from ALL users (again at eps/2, unscaled), so each
-user reports exactly twice and the whole protocol spends eps.
+user reports exactly twice and the whole protocol spends eps (a walk with
+no leaf builds no refinement).  Every oracle is `freq_oracle`'s, built from
+`HeavyParams.oracle_params` and the family `fo.family_for` draws; level
+tau's users are those whose partition `assignment` is tau - 1.
 
 If every estimate the walk sees is within lambda of the truth, the output
 provably contains every element of frequency >= 3*lambda, contains nothing
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import freq_oracle as fo
 from .hashing import element_array
-from .partition import SCHEMES, take_partition
+from .partition import take_partition
 from .prefixes import (children_of, encode_prefix, encode_prefix_batch,
                        make_code)
 from .randomizer import PrivacyBudget, debias_factor, setup_stream
@@ -55,14 +58,16 @@ class HeavyParams:
         PrivacyBudget(self.eps)  # range check, (0, 1]
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        # c_k and c_m go to the constituent oracles, which need the same
-        if not 1 <= self.c_k < math.inf:
-            raise ValueError(f"c_k must be finite and at least 1, got {self.c_k}")
-        if not (0 < self.c_m < math.inf and 0 < self.c_lambda < math.inf):
-            raise ValueError("c_m and c_lambda must be finite and positive, "
-                             f"got {self.c_m}, {self.c_lambda}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; have {SCHEMES}")
+        if not 0 < self.c_lambda < math.inf:
+            raise ValueError(
+                f"c_lambda must be finite and positive, got {self.c_lambda}")
+        # c_k, c_m and scheme go to the constituent oracles, which check them
+        self.oracle_params(self.beta)
+
+    def oracle_params(self, beta_prime):
+        """The parameters of every constituent oracle: budget eps/2."""
+        return fo.OracleParams(eps=self.eps / 2.0, beta_prime=beta_prime,
+                               c_k=self.c_k, c_m=self.c_m, scheme=self.scheme)
 
 
 def lambda_threshold(params, n, d):
@@ -170,8 +175,7 @@ def run(elements, d, params, seed, *, max_frontier=None):
     estimates are L * oracle answer; refinement estimates are unscaled and
     are what the histogram reports.
     """
-    if not 1 <= d <= fo.MAX_DOMAIN:
-        raise ValueError(f"domain size must lie in [1, 2^61 - 1], got {d}")
+    fo.check_domain(d)
     elements = element_array(elements, d)
     n = int(elements.size)
     meta = {"protocol": "hada-heavy", "n": n, "d": int(d),
@@ -199,27 +203,23 @@ def run(elements, d, params, seed, *, max_frontier=None):
         return _empty_histogram(meta)
 
     beta_prime = params.beta / (n * levels)
-    oracle_params = fo.OracleParams(eps=params.eps / 2.0, beta_prime=beta_prime,
-                                    c_k=params.c_k, c_m=params.c_m,
-                                    scheme=params.scheme)
-    k = fo.repetitions_for(oracle_params)
+    oracle_params = params.oracle_params(beta_prime)
     # One hash family serves every constituent oracle, so its range must
     # satisfy the largest of them: the refinement oracle over all n users.
-    m = fo.hash_range_for(oracle_params, n)
-    hashes = fo.sample_family(k, m, seed)
-    meta.update({"k": k, "m": m, "beta_prime": beta_prime})
+    hashes = fo.family_for(oracle_params, n, seed)
+    meta.update({"k": len(hashes), "m": hashes[0].m, "beta_prime": beta_prime})
 
-    groups = take_partition(n, levels, params.scheme,
-                            setup_stream(seed, 0, 0)).members()
+    level = take_partition(n, levels, params.scheme,
+                           setup_stream(seed, 0, 0)).assignment
     warn_at = 2.0 * n / lam
 
     def level_oracle(tau, prefixes):
-        members = groups[tau - 1]
-        if members.size == 0:
+        enc = encode_prefix_batch(
+            elements.take(np.flatnonzero(level == tau - 1)), tau, code)
+        if enc.size == 0:
             # a starved level has no reports and so no evidence;
             # every candidate it is asked about dies at the 2*lambda bar
             return np.zeros(prefixes.size)
-        enc = encode_prefix_batch(elements[members], tau, code)
         d_tau = encode_prefix(d - 1, tau, code) + 1
         state = fo.construct(enc, d_tau, oracle_params, seed,
                              hashes=hashes, round_index=tau)
@@ -237,11 +237,13 @@ def run(elements, d, params, seed, *, max_frontier=None):
     search = search_with_oracle(level_oracle, code, lam,
                                 max_frontier=max_frontier, on_level=on_level)
     meta["level_sizes"] = search.level_sizes
+    meta["status"] = "ok"
+    if search.leaves.size == 0:
+        return _empty_histogram(meta)
 
     refinement = fo.construct(elements, d, oracle_params, seed,
                               hashes=hashes, round_index=levels + 1)
     estimates = fo.query_many(refinement, search.leaves)
     order = np.argsort(-estimates, kind="stable")
-    meta["status"] = "ok"
     return SuccinctHistogram(elements=search.leaves[order],
                              estimates=estimates[order], metadata=meta)

@@ -7,6 +7,9 @@ Two schemes, chosen by name everywhere a partition is taken:
 - "permutation": a uniformly random permutation is cut into k contiguous
   blocks.  Sizes are fixed: when k does not divide n, the first (n mod k)
   blocks take the extra user (ceil(n/k)), the rest get floor(n/k).
+
+The builds read only `assignment`, a subset per user in the narrowest
+type that holds k - 1.  Neither scheme makes an n-long int64 array.
 """
 
 from dataclasses import dataclass
@@ -27,6 +30,8 @@ class Partition:
     def k(self):
         return int(self.sizes.shape[0])
 
+    # no caller in the package, whose builds read `assignment`:
+    # perfbench/tracer.py wraps it, and the tests group users with it
     def members(self):
         """Index arrays of each subset, users in increasing order."""
         # a stable argsort is a radix sort on 8- and 16-bit keys
@@ -66,9 +71,11 @@ def permutation_partition(n, k, rng):
     q, r = divmod(n, k)
     sizes = np.full(k, q, dtype=np.int64)
     sizes[:r] += 1
-    # the permutation's first sizes[0] users form subset 0, and so on
+    # rng.permutation(n), held narrow; its first sizes[0] users form subset 0
+    perm = np.arange(n, dtype=np.min_scalar_type(max(n - 1, 0)))
+    rng.shuffle(perm)
     assignment = np.empty(n, dtype=narrow)
-    assignment[rng.permutation(n)] = np.repeat(np.arange(k, dtype=narrow), sizes)
+    assignment[perm] = np.repeat(np.arange(k, dtype=narrow), sizes)
     return Partition(assignment=assignment, sizes=sizes, scheme="permutation")
 
 

@@ -201,6 +201,15 @@ def test_cli_hh_domain_defaults(tmp_path):
     assert summary["config"]["d"] == 65_536
 
 
+def test_cli_hh_reports_a_tripped_guard_in_one_line(tmp_path, capsys):
+    rc = cli.main(["hh", "--n", "5000", "--d", "65536", "--trials", "1",
+                   "--seed", "5", "--max-frontier", "1",
+                   "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("hadaldp: level 1: ")
+
+
 def test_cli_hh_planted_run(tmp_path):
     rc = cli.main(["hh", "--n", "5000", "--d", "65536", "--clambda", "6",
                    "--dist", "planted", "--planted", "30:4000",

@@ -173,15 +173,16 @@ def test_query_many_memory_is_its_output_and_one_chunk_scratch():
     assert est[some].tolist() == [fo.query(st, int(v)) for v in vs[some]]
 
 
-def test_construct_memory_is_its_int32_matrix_and_one_chunk():
+@pytest.mark.parametrize("scheme", ["independent", "permutation"])
+def test_construct_memory_is_its_int32_matrix_and_one_chunk(scheme):
     """The build holds the k x m int32 matrix, a one-byte subset per user
     and one chunk's temporaries (2^16 users at under 96 bytes each): no
-    float64 matrix and no n-long int64 array."""
+    float64 matrix and no n-long int64 array, the permutation included."""
     n, d = 1 << 20, 1 << 32
     elems = np.random.default_rng(9).integers(0, d, size=n, dtype=np.uint64)
     tracemalloc.start()
     try:
-        st = fo.construct(elems, d, params(), seed=5)
+        st = fo.construct(elems, d, params(scheme=scheme), seed=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from hadaldp import freq_oracle as fo
 from hadaldp import heavy_hitters as hh
 from hadaldp.datasets import exact_frequency, gen_planted
 from hadaldp.prefixes import encode_prefix, make_code
@@ -269,6 +271,26 @@ def test_run_at_the_library_defaults_finds_the_readme_heavies():
     assert {int(e) for e in hist.elements} >= {31_415, 2_718}
 
 
+def test_run_memory_holds_no_n_long_int64_array():
+    """A run holds a level per user, in one byte; while a level oracle is
+    built, that level's prefixes (8n/L bytes), and under every build a
+    subset per user, the k x m int32 matrix and one chunk's temporaries
+    (2^16 users at under 96 bytes each).  No n-long int64 array."""
+    n, d = 1 << 20, 1 << 32
+    heavies = [(31_415, n // 5), (2_718_281_828, n // 8)]
+    ds = gen_planted(n, d, heavies, np.random.default_rng(3))
+    tracemalloc.start()
+    try:
+        hist = hh.run(ds.elements, d, params(c_lambda=4.0), seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    meta = hist.metadata
+    assert {e for e, _ in heavies} <= {int(e) for e in hist.elements}
+    matrix = meta["k"] * meta["m"] * 4
+    assert peak <= matrix + n + 8 * n // meta["L"] + n + 96 * (1 << 16)
+
+
 def test_run_is_reproducible():
     n, d = 20_000, 1 << 10
     elems = np.full(n, 5, dtype=np.uint64)
@@ -295,18 +317,33 @@ def test_run_point_mass_estimate_concentrates():
     assert abs(float(np.median(ests)) - n) <= lam
 
 
-def test_run_all_below_lambda_returns_nothing():
+def test_run_all_below_lambda_returns_nothing(monkeypatch):
     """Uniform data with every count far under lambda: the histogram
     should be empty in at least 18 of 20 runs (the guarantee is allowed
-    to fail with probability beta)."""
+    to fail with probability beta).  A walk that ends with no leaf
+    builds no refinement oracle."""
     n, d = 20_000, 1 << 16
     p = params(c_lambda=6.0)
     assert hh.lambda_threshold(p, n, d) < n
+    rounds = []
+    construct = fo.construct
+
+    def recorded(*args, round_index=0, **kw):
+        rounds.append(round_index)
+        return construct(*args, round_index=round_index, **kw)
+
+    monkeypatch.setattr(fo, "construct", recorded)
     empty = 0
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         elems = rng.integers(0, d, size=n, dtype=np.uint64)
+        rounds.clear()
         hist = hh.run(elems, d, p, seed=seed)
+        meta = hist.metadata
+        assert meta["status"] == "ok"
+        assert (meta["L"] + 1 in rounds) == (len(hist) > 0)
+        assert hist.elements.dtype == np.uint64
+        assert hist.estimates.dtype == np.float64
         empty += int(len(hist) == 0)
     assert empty >= 18, f"only {empty}/20 runs came back empty"
 

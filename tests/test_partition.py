@@ -108,6 +108,13 @@ def test_fixed_seed_reproduces():
         want = np.random.default_rng(12).integers(0, 24, size=n, dtype=np.int64)
         assert np.array_equal(part.assignment, want)
         assert np.array_equal(part.sizes, np.bincount(want, minlength=24))
+    # held narrow, the permutation scheme's draw is rng.permutation(n)'s
+    for n in (0, 1, 500, 2 * (1 << 16) + 5):
+        part = pt.permutation_partition(n, 24, np.random.default_rng(13))
+        want = np.empty(n, dtype=part.assignment.dtype)
+        want[np.random.default_rng(13).permutation(n)] = np.repeat(
+            np.arange(24, dtype=want.dtype), part.sizes)
+        assert np.array_equal(part.assignment, want)
 
 
 def test_guards():
