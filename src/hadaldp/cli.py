@@ -8,11 +8,14 @@ Subcommands:
 
 Each subcommand takes only the flags its run reads.  Each also reads an
 optional JSON config of ExperimentConfig fields (--config); any flag
-given on the command line overrides the file.  Exit status is 0 only if
-the run's internal consistency checks all passed; a tripped
---max-frontier guard exits 1 with one line on stderr.  The acceptance
-checks run under pytest (`pytest tests/test_acceptance.py -s` in a
-checkout), and timing is measured by `python3 perfbench/run.py` there.
+given on the command line overrides the file.  The dataset follows from
+those inputs: --dataset FILE reads that file, --planted plants its
+elements over a uniform background, and otherwise the elements are drawn
+zipf.  Exit status is 0 only if the run's internal consistency checks all
+passed; a tripped --max-frontier guard exits 1 with one line on stderr.
+The acceptance checks run under pytest (`pytest tests/test_acceptance.py
+-s` in a checkout), and timing is measured by `python3 perfbench/run.py`
+there.
 """
 
 import argparse
@@ -49,12 +52,10 @@ def _common_flags(p):
     p.add_argument("--out", default=None, metavar="DIR")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--dist", dest="dataset_kind", choices=["zipf", "planted"],
-                   default=None)
     p.add_argument("--zipf-s", dest="zipf_s", type=float, default=None)
     p.add_argument("--planted", type=_parse_planted, default=None,
                    metavar="E:C,E:C,...",
-                   help="planted elements with exact counts")
+                   help="planted elements with exact counts, over uniform noise")
 
 
 def _experiment_flags(p):
@@ -111,8 +112,6 @@ def _assemble_config(args, defaults=None, **forced):
             raw.update(json.load(fh))
     raw.update((key, val) for key, val in vars(args).items()
                if key in _CONFIG_FIELDS and val is not None)
-    if getattr(args, "dataset_path", None) is not None:
-        raw["dataset_kind"] = "file"
     raw.update(forced)
     return ExperimentConfig.from_dict(raw)
 

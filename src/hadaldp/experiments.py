@@ -1,10 +1,11 @@
 """Reproducible experiment runs behind the `fo` and `hh` subcommands.
 
 A run is fully described by an ExperimentConfig (JSON file, overridden by
-CLI flags).  Each trial regenerates its dataset and protocol state from
-seeds derived off (config.seed, trial), so the same config file gives the
-same CSV byte-for-byte.  Alongside the metrics, every run re-checks a few
-internal consistency properties (transform path against the direct dot
+CLI flags), whose inputs also name the dataset (see dataset_for).  Each
+trial reads or regenerates its dataset, and builds its protocol state,
+from seeds derived off (config.seed, trial), so the same config file gives
+the same CSV byte-for-byte.  Alongside the metrics, every run re-checks a
+few internal consistency properties (transform path against the direct dot
 product, medians being actual row estimates, serialization round-trips);
 any violation is reported and flips the exit status, on the theory that a
 benchmark that silently measures a broken estimator is worse than no
@@ -50,7 +51,6 @@ class ExperimentConfig:
     trials: int = 3
     seed: int = 0
     n_queries: int = 200
-    dataset_kind: str = "zipf"   # zipf | planted | file
     zipf_s: float = 1.1
     planted: list = field(default_factory=list)  # [[element, count], ...]
     dataset_path: str = None
@@ -62,6 +62,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}; have {PROTOCOLS}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.dataset_path and self.planted:
+            raise ValueError("give a dataset file or planted elements, not both")
 
     @classmethod
     def from_dict(cls, raw):
@@ -78,21 +80,19 @@ def _trial_seed(config, trial, tag):
 
 
 def dataset_for(config, trial):
-    rng = np.random.default_rng(np.random.SeedSequence(
-        [config.seed, trial, 0xDA7A]))
-    kind = config.dataset_kind
-    if kind == "zipf":
-        return gen_zipf(config.n, config.d, config.zipf_s, rng)
-    if kind == "planted":
-        return gen_planted(config.n, config.d, config.planted, rng)
-    if kind == "file":
-        if not config.dataset_path:
-            raise ValueError("dataset_kind 'file' needs dataset_path")
+    """The file at dataset_path if one is named; else the planted elements
+    over a uniform background if any are given; else zipf.  A config that
+    names both a file and planted elements is rejected when it is made."""
+    if config.dataset_path:
         ds = load_dataset(config.dataset_path)
         if ds.d != config.d or ds.n != config.n:
             logger.info("taking n=%d, d=%d from the dataset file", ds.n, ds.d)
         return ds
-    raise ValueError(f"unknown dataset kind {kind!r}")
+    rng = np.random.default_rng(np.random.SeedSequence(
+        [config.seed, trial, 0xDA7A]))
+    if config.planted:
+        return gen_planted(config.n, config.d, config.planted, rng)
+    return gen_zipf(config.n, config.d, config.zipf_s, rng)
 
 
 def _timed(fn):

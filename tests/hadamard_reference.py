@@ -23,7 +23,7 @@ because fewer than 2^31 users put that sum below 2^31.
 
 import numpy as np
 
-from . import backend
+from hadaldp import backend
 
 
 def is_power_of_two(m):

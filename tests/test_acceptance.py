@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from hadaldp import hadamard, hrr
+from hadaldp import hrr
 from hadaldp import freq_oracle as fo
 from hadaldp import heavy_hitters as hh
 from hadaldp.datasets import exact_frequency, exact_heavy_hitters, gen_planted, gen_zipf
@@ -22,6 +22,8 @@ from hadaldp.partition import take_partition
 from hadaldp.prefixes import encode_prefix_batch, make_code
 from hadaldp.randomizer import (PrivacyBudget, debias_factor, keep_probability,
                                 randomize)
+
+import hadamard_reference as hadamard
 
 
 def _verdict(num, ok, what, detail):

@@ -144,3 +144,8 @@ def test_load_rejects_garbage(tmp_path):
     corrupt.write_bytes(hdr + blob[dsets._HEADER.size:])
     with pytest.raises(ValueError):
         dsets.load_dataset(corrupt)
+    # and to claim d = 0, an empty domain
+    hdr = dsets._HEADER.pack(dsets.MAGIC, dsets.VERSION, 0, 0, 50)
+    corrupt.write_bytes(hdr + blob[dsets._HEADER.size:])
+    with pytest.raises(ValueError, match="domain size must be positive"):
+        dsets.load_dataset(corrupt)

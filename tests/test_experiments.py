@@ -8,6 +8,7 @@ from hadaldp import cli
 from hadaldp import experiments as ex
 from hadaldp import freq_oracle as fo
 from hadaldp import heavy_hitters as hh
+from hadaldp import hrr
 from hadaldp.datasets import load_dataset
 
 
@@ -25,8 +26,9 @@ def test_config_from_dict():
         ex.ExperimentConfig.from_dict({"nn": 50})
     with pytest.raises(ValueError):
         ex.ExperimentConfig(protocol="rappor")
-    with pytest.raises(ValueError, match="unknown config keys"):
-        ex.ExperimentConfig.from_dict({"profile": "theory"})
+    for dropped in ({"profile": "theory"}, {"dataset_kind": "zipf"}):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            ex.ExperimentConfig.from_dict(dropped)
     with pytest.raises(ValueError):
         ex.ExperimentConfig(trials=0)
 
@@ -83,7 +85,7 @@ def test_rerun_reproduces_every_statistic(tmp_path):
 def test_oracle_experiment_summary(tmp_path):
     cfg = ex.ExperimentConfig(protocol="hada-oracle", n=2000, d=1024,
                               trials=2, n_queries=50, seed=4,
-                              dataset_kind="planted", planted=[[9, 700]],
+                              planted=[[9, 700]],
                               out=str(tmp_path))
     summary = ex.run_experiment(cfg)
     assert summary["assertion_failures"] == []
@@ -99,7 +101,7 @@ def test_oracle_experiment_summary(tmp_path):
 def test_heavy_experiment_artifacts(tmp_path):
     cfg = ex.ExperimentConfig(protocol="hada-heavy", n=20_000, d=1 << 16,
                               trials=1, seed=6, c_lambda=6.0,
-                              dataset_kind="planted", planted=[[321, 12_000]],
+                              planted=[[321, 12_000]],
                               out=str(tmp_path))
     summary = ex.run_experiment(cfg)
     assert summary["assertion_failures"] == []
@@ -134,7 +136,7 @@ def test_parser_accepts_all_subcommands():
                "fo": ["--beta .1", "--clambda 2"],
                "hh": ["--beta-prime .1", "--protocol hrr", "--queries 5"]}
     for cmd, flags in dropped.items():
-        for flag in flags + ["--profile theory"]:
+        for flag in flags + ["--profile theory", "--dist zipf"]:
             with pytest.raises(SystemExit):
                 p.parse_args([cmd] + flag.split())
     for argv in (["fo", "--protocol", "hada-heavy"], ["fo", "--scheme", "x"],
@@ -144,16 +146,38 @@ def test_parser_accepts_all_subcommands():
 
 
 def test_cli_gen(tmp_path):
-    rc = cli.main(["gen", "--n", "500", "--d", "1024", "--dist", "planted",
-                   "--planted", "7:100", "--seed", "3",
-                   "--out", str(tmp_path)])
+    # --planted alone picks the planted generator
+    rc = cli.main(["gen", "--n", "500", "--d", "1024", "--planted", "7:400",
+                   "--seed", "3", "--out", str(tmp_path)])
     assert rc == 0
     ds = load_dataset(tmp_path / "dataset.bin")
     assert ds.n == 500 and ds.d == 1024
-    assert int((ds.elements == 7).sum()) >= 100
+    assert int((ds.elements == 7).sum()) == 400
     sidecar = json.loads((tmp_path / "dataset.json").read_text())
     assert sidecar["generator"] == "planted"
+    assert sidecar["heavy"] == [[7, 400]]
     assert sidecar["seed"] == 3
+
+
+def test_cli_runs_on_the_dataset_file_it_is_given(tmp_path):
+    """gen, then fo on that file, named by --dataset or by a config file's
+    dataset_path: every row takes n and d from the file."""
+    assert cli.main(["gen", "--n", "300", "--d", "64", "--seed", "4",
+                     "--out", str(tmp_path)]) == 0
+    data = str(tmp_path / "dataset.bin")
+    assert cli.main(["fo", "--dataset", data, "--protocol", "hada-oracle",
+                     "--trials", "1", "--out", str(tmp_path / "flag")]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"protocol": "hrr", "dataset_path": data,
+                               "trials": 2}))
+    assert cli.main(["fo", "--config", str(cfg),
+                     "--out", str(tmp_path / "file")]) == 0
+    for run in ("flag", "file"):
+        summary = json.loads((tmp_path / run / "summary.json").read_text())
+        assert [(row["n"], row["d"]) for row in summary["trials"]] \
+            == [(300, 64)] * summary["config"]["trials"]
+    with pytest.raises(ValueError, match="not both"):
+        cli.main(["fo", "--dataset", data, "--planted", "3:10"])
 
 
 def test_cli_fo_smoke(tmp_path):
@@ -161,6 +185,21 @@ def test_cli_fo_smoke(tmp_path):
                    "--trials", "1", "--seed", "1", "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "trials.csv").exists()
+
+
+def test_a_failed_check_flips_the_exit_status(tmp_path, monkeypatch, capsys):
+    direct = hrr.query_direct
+    monkeypatch.setattr(hrr, "query_direct",
+                        lambda state, v: direct(state, v) + 1.0)
+    summary = ex.run_experiment(_hrr_config(tmp_path / "lib"))
+    assert summary["assertion_failures"] == [
+        "hrr transform path disagrees with the direct dot product"]
+    rc = cli.main(["fo", "--protocol", "hrr", "--n", "200", "--d", "16",
+                   "--trials", "1", "--seed", "1",
+                   "--out", str(tmp_path / "cli")])
+    assert rc == 1
+    assert "CONSISTENCY FAILURE: hrr transform path disagrees" \
+        in capsys.readouterr().out
 
 
 def test_cli_fo_refuses_the_tree_protocol(tmp_path):
@@ -212,7 +251,7 @@ def test_cli_hh_reports_a_tripped_guard_in_one_line(tmp_path, capsys):
 
 def test_cli_hh_planted_run(tmp_path):
     rc = cli.main(["hh", "--n", "5000", "--d", "65536", "--clambda", "6",
-                   "--dist", "planted", "--planted", "30:4000",
+                   "--planted", "30:4000",
                    "--trials", "1", "--seed", "5", "--out", str(tmp_path)])
     assert rc == 0
     line = (tmp_path / "trials.csv").read_text().splitlines()[1]

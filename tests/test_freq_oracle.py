@@ -8,12 +8,13 @@ import pytest
 from hadaldp import freq_oracle as fo
 from hadaldp import hrr
 from hadaldp.datasets import exact_frequency, gen_planted, gen_zipf
-from hadaldp.hadamard import entry, naive_multiply
 from hadaldp.hashing import P61, PairwiseHash, sample_hash
 from hadaldp.partition import take_partition
 from hadaldp.randomizer import (PrivacyBudget, debias_factor, draw_coins,
                                 draw_rows, keep_probability, round_streams,
                                 setup_stream)
+
+from hadamard_reference import entry, naive_multiply
 
 E2 = math.exp(-2.0)
 F = debias_factor(1.0)   # the debias factor at params()' eps
@@ -120,6 +121,8 @@ def test_construct_shapes_and_guards():
         fo.construct(np.array([5], dtype=np.uint64), 5, params(), seed=0)
     with pytest.raises(ValueError):
         fo.construct(np.array([0], dtype=np.uint64), 1 << 62, params(), seed=0)
+    with pytest.raises(ValueError, match="non-negative"):
+        fo.hash_range_for(params(), -1)
 
 
 def test_shared_hashes_fix_geometry():
@@ -331,6 +334,17 @@ def test_from_bytes_rejects_garbage():
         bad = blob[:at] + struct.pack("<Q", value) + blob[at + 8:]
         with pytest.raises(ValueError):
             fo.from_bytes(bad)
+    # header fields out of range, each with arrays of the length it implies:
+    # a scheme code past the table, k = 0, and m = 3
+    coeffs = blob[a_at:b_at + 8 * st.k]
+    for at, value, arrays, match in (
+            (2, len(fo.SCHEMES), blob[fo._HEADER.size:], "scheme code"),
+            (4, 0, b"", "k = 0"),
+            (5, 3, coeffs + bytes(4 * 3 * st.k), "not a power of two")):
+        head = list(fo._HEADER.unpack_from(blob, 0))
+        head[at] = value
+        with pytest.raises(ValueError, match=match):
+            fo.from_bytes(fo._HEADER.pack(*head) + arrays)
 
 
 @pytest.mark.parametrize("scheme", ["independent", "permutation"])

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from hadaldp import backend, hadamard
+from hadaldp import backend
+
+import hadamard_reference as hadamard
 
 H2 = np.array([[1, 1], [1, -1]])
 H4 = np.array([

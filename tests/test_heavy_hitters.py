@@ -348,6 +348,29 @@ def test_run_all_below_lambda_returns_nothing(monkeypatch):
     assert empty >= 18, f"only {empty}/20 runs came back empty"
 
 
+def test_starved_level_builds_no_oracle(monkeypatch):
+    """Four users over L = 32 levels leave the first level's group
+    empty.  That level answers zeros without building an oracle, so every
+    root candidate dies at the 2*lambda bar and the walk ends there."""
+    built = []
+    construct = fo.construct
+
+    def recorded(*args, **kw):
+        built.append(kw.get("round_index"))
+        return construct(*args, **kw)
+
+    monkeypatch.setattr(fo, "construct", recorded)
+    elems = np.full(4, 7, dtype=np.uint64)
+    p = hh.HeavyParams(eps=1, beta=0.1, c_lambda=0.1)
+    for seed in range(5):
+        hist = hh.run(elems, 1 << 32, p, seed)
+        meta = hist.metadata
+        assert meta["L"] == 32 and meta["lambda"] < 2
+        assert meta["status"] == "ok" and meta["level_sizes"] == [0]
+        assert len(hist) == 0
+    assert built == []
+
+
 def test_run_planted_recall_over_a_wide_domain():
     """One element holding half the users in a 2^32 domain: recalled in
     at least 18 of 20 runs, and nothing under lambda ever has company."""

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from hadaldp import hrr
-from hadaldp.hadamard import entry, fht
 from hadaldp.randomizer import (PrivacyBudget, debias_factor, draw_coins, draw_rows,
                                 round_streams)
+
+from hadamard_reference import entry, fht
 
 BUDGET = PrivacyBudget(1.0)
 
@@ -25,6 +26,8 @@ def test_dim_for_rounds_up_to_power_of_two():
 def test_dim_cap():
     with pytest.raises(ValueError):
         hrr.dim_for((1 << 28) + 1)
+    with pytest.raises(ValueError, match="positive"):
+        hrr.dim_for(0)
 
 
 def test_empty_build_is_all_zero():
@@ -33,6 +36,10 @@ def test_empty_build_is_all_zero():
     assert (state.buffer == 0).all()
     for v in range(16):
         assert hrr.query(state, v) == 0.0
+    raw = hrr.build(np.empty(0, dtype=np.uint64), 16, BUDGET, seed=0,
+                    finalize=False)
+    for v in range(16):
+        assert hrr.query_direct(raw, v) == 0.0
 
 
 def test_query_equals_query_direct_everywhere():
@@ -144,6 +151,8 @@ def test_finalize_gates():
                       finalize=False)
     with pytest.raises(RuntimeError):
         hrr.query(state, 1)
+    with pytest.raises(ValueError, match="finalized"):
+        hrr.to_bytes(state)
     state.finalize()
     with pytest.raises(RuntimeError):
         state.finalize()

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from hadaldp import randomizer as rz
-from hadaldp.hadamard import entry
 from hadaldp.hashing import PairwiseHash
 from hadaldp.prefixes import encode_prefix_batch, make_code
+
+from hadamard_reference import entry
 
 
 KEEP = 0.0             # below keep_prob for every eps > 0: the true sign
