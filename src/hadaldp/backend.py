@@ -11,7 +11,10 @@ flat buffer of int32 sums of +-1.  The hash runs in blocks of 2^13
 elements through one preallocated scratch of five block-sized rows, every
 limb step in place, so a call allocates its output and 320 KiB, whatever
 its size; its coefficients broadcast, per user in a build and per row in
-a query.
+a query.  An operand of size 1 (a row's a and b in a batch query, the
+element in a scalar query) is a numpy scalar whose limbs are split once
+per call, so its multiplies run array x scalar and no row of the scratch
+is filled with copies of it.
 
 The server state of both builds is the transform of those int32 sums.
 A Hadamard transform of integers whose absolute values add up to at most
@@ -156,57 +159,74 @@ def hash_eval(xs, a, b, m):
     """((a*x + b) mod (2^61 - 1)) mod m, elementwise on uint64 inputs.
 
     xs, a and b broadcast against each other: per-user coefficients in a
-    build, a scalar element against the k rows' coefficients in a query.
+    build, one row's (a, b) against many elements in a batch query, a
+    scalar element against the k rows' coefficients in a scalar query.
     Inputs must lie below 2^61 - 1.  The limb arithmetic runs in place on
     blocks of 2^13 elements, through one preallocated scratch, into the
-    output; no step allocates a temporary the size of the input.
+    output; no step allocates a temporary the size of the input.  An
+    operand of size 1 is taken as a numpy scalar, its 32-bit limbs split
+    once per call, so its multiplies run array x scalar in every block.
     """
     ops = [np.asarray(v, dtype=np.uint64) for v in (xs, a, b)]
     shape = np.broadcast(*ops).shape
     if len(shape) > 1:
-        ops = [np.broadcast_to(v, shape).reshape(-1) for v in ops]
+        ops = [v if v.size == 1 else np.broadcast_to(v, shape).reshape(-1)
+               for v in ops]
+    x, a, b = (v.reshape(-1)[0] if v.size == 1 else v for v in ops)
+    x_limbs, a_limbs = ((v >> _U32, v & _MASK32) if v.ndim == 0 else None
+                        for v in (x, a))
     out = np.empty(math.prod(shape), dtype=np.uint64)
     n = out.size
     scratch = np.empty((5, min(n, _HASH_BLOCK)), dtype=np.uint64)
     m = np.uint64(m)
-    # an operand of size 1 broadcasts inside each block's ufuncs
     for lo in range(0, n, _HASH_BLOCK):
         hi = min(lo + _HASH_BLOCK, n)
-        _hash_block(*(v if v.size == 1 else v[lo:hi] for v in ops),
-                    m, out[lo:hi], scratch[:, :hi - lo])
+        rows = scratch[:, :hi - lo]
+        _hash_block(x_limbs or _split(x[lo:hi], rows[2], rows[3]),
+                    a_limbs or _split(a[lo:hi], rows[0], rows[1]),
+                    b if b.ndim == 0 else b[lo:hi], m, out[lo:hi], rows)
     return out.reshape(shape)
 
 
-def _hash_block(x, a, b, m, s, scratch):
+def _split(v, hi, lo):
+    """Write v's 32-bit limbs, v >> 32 and v & (2^32 - 1), into the rows
+    hi and lo, and return them."""
+    np.right_shift(v, _U32, out=hi)
+    np.bitwise_and(v, _MASK32, out=lo)
+    return hi, lo
+
+
+def _hash_block(x, a, b, m, s, rows):
     """One block of hash_eval, written into s.
 
-    The 64 x 64-bit product goes through 32-bit limbs,
-    a*x = t2*2^64 + t1*2^32 + t0, and every term is folded with
-    2^61 == 1 (mod p): t2*2^64 == 8*t2, t1*2^32 == (t1 >> 29) +
-    ((t1 & (2^29 - 1)) << 32) and t0 == (t0 >> 61) + (t0 & p).  With b
-    added the sum stays below 2^64; one fold brings it below 2p, and one
-    conditional subtraction of p, done with shifts and masks, below p.
+    x and a come as their 32-bit limbs (hi, lo), each a block row or a
+    numpy scalar; b is a block row or a numpy scalar.  The 64 x 64-bit
+    product goes through the limbs, a*x = t2*2^64 + t1*2^32 + t0, and
+    every term is folded with 2^61 == 1 (mod p): t2*2^64 == 8*t2,
+    t1*2^32 == (t1 >> 29) + ((t1 & (2^29 - 1)) << 32) and
+    t0 == (t0 >> 61) + (t0 & p).  With b added the sum stays below 2^64;
+    one fold brings it below 2p, and one conditional subtraction of p,
+    done with shifts and masks, below p.  Rows 0 and 1 hold a's limbs if
+    a is a block, then t2 and t0; rows 2 and 3 x's limbs if x is a block,
+    then row 2 the fold's terms; row 4 is t1.
     """
-    a_hi, a_lo, x_hi, x_lo, t = scratch
-    np.right_shift(a, _U32, out=a_hi)
-    np.bitwise_and(a, _MASK32, out=a_lo)
-    np.right_shift(x, _U32, out=x_hi)
-    np.bitwise_and(x, _MASK32, out=x_lo)
+    (x_hi, x_lo), (a_hi, a_lo) = x, a
+    t2, t0, u, _, t = rows
     np.multiply(a_hi, x_lo, out=t)
     np.multiply(a_lo, x_hi, out=s)
     t += s                              # t1 < 2^62
-    np.multiply(a_hi, x_hi, out=a_hi)   # t2 < 2^58
-    np.multiply(a_lo, x_lo, out=a_lo)   # t0 < 2^64
-    np.left_shift(a_hi, _U3, out=s)
-    np.right_shift(t, _U29, out=x_hi)
-    s += x_hi
+    np.multiply(a_hi, x_hi, out=t2)     # t2 < 2^58
+    np.multiply(a_lo, x_lo, out=t0)     # t0 < 2^64
+    np.left_shift(t2, _U3, out=s)
+    np.right_shift(t, _U29, out=u)
+    s += u
     np.bitwise_and(t, _MASK29, out=t)
     np.left_shift(t, _U32, out=t)
     s += t
-    np.right_shift(a_lo, _U61, out=x_hi)
-    s += x_hi
-    np.bitwise_and(a_lo, _P61, out=a_lo)
-    s += a_lo
+    np.right_shift(t0, _U61, out=u)
+    s += u
+    np.bitwise_and(t0, _P61, out=t0)
+    s += t0
     s += b                              # < 2^63 + 2^34
     np.right_shift(s, _U61, out=t)
     np.bitwise_and(s, _P61, out=s)

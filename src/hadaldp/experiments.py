@@ -1,17 +1,20 @@
 """Reproducible experiment runs behind the `fo` and `hh` subcommands.
 
 A run is fully described by an ExperimentConfig (JSON file, overridden by
-CLI flags), whose inputs also name the dataset (see dataset_for).  Each
-trial reads or regenerates its dataset, and builds its protocol state,
-from seeds derived off (config.seed, trial), so the same config file gives
-the same CSV byte-for-byte.  Alongside the metrics, every run re-checks a
-few internal consistency properties (transform path against the direct dot
+CLI flags), whose inputs also name the dataset (see dataset_for).  A
+dataset file is read once per run and shared by every trial; otherwise
+each trial regenerates its dataset.  Each trial builds its protocol
+state, and draws any generated dataset, from seeds derived off
+(config.seed, trial), so the same config file gives the same CSV
+byte-for-byte.  Alongside the metrics, every run re-checks a few
+internal consistency properties (transform path against the direct dot
 product, medians being actual row estimates, serialization round-trips);
-any violation is reported and flips the exit status, on the theory that a
-benchmark that silently measures a broken estimator is worse than no
+any violation is reported and flips the exit status, on the theory that
+a benchmark that silently measures a broken estimator is worse than no
 benchmark.
 """
 
+import itertools
 import json
 import logging
 import math
@@ -93,6 +96,15 @@ def dataset_for(config, trial):
     if config.planted:
         return gen_planted(config.n, config.d, config.planted, rng)
     return gen_zipf(config.n, config.d, config.zipf_s, rng)
+
+
+def _trial_datasets(config):
+    """Each trial's dataset in turn: a file's, read once and shared by
+    every trial since its data does not depend on the trial, else
+    dataset_for's per-trial draw."""
+    if config.dataset_path:
+        return itertools.repeat(dataset_for(config, 0), config.trials)
+    return (dataset_for(config, trial) for trial in range(config.trials))
 
 
 def _timed(fn):
@@ -268,6 +280,8 @@ def run_experiment(config):
 
     summary["assertion_failures"] is empty iff every internal consistency
     check passed; the CLI turns that into the exit status.
+    summary["dataset"] holds the n and d of the data the trials ran on,
+    a file's where the config names one, not the config's n and d.
     """
     out_dir = None
     if config.out is not None:
@@ -276,8 +290,7 @@ def run_experiment(config):
 
     rows = []
     failures = []
-    for trial in range(config.trials):
-        ds = dataset_for(config, trial)
+    for trial, ds in enumerate(_trial_datasets(config)):
         row = _TRIAL_RUNNERS[config.protocol](config, ds, trial, failures,
                                               out_dir)
         for col in CSV_COLUMNS:
@@ -286,8 +299,8 @@ def run_experiment(config):
         logger.info("trial %d done: %s", trial,
                     {k: v for k, v in row.items() if v is not None})
 
-    summary = {"config": asdict(config), "trials": rows,
-               "aggregates": _aggregate(rows),
+    summary = {"config": asdict(config), "dataset": {"n": ds.n, "d": ds.d},
+               "trials": rows, "aggregates": _aggregate(rows),
                "assertion_failures": failures}
     if out_dir is not None:
         write_rows_csv(rows, out_dir / "trials.csv")

@@ -10,7 +10,10 @@ factor and then by k (each subset only saw ~1/k of the users), and takes
 the median across rows, which shrugs off the few rows where the hash
 collided with something heavy or the subset drew unlucky noise.
 The factor is computed once per state, and k * (float64(cell) * factor)
-is bit for bit what a matrix of float64 debiased cells would give.
+is bit for bit what a matrix of float64 debiased cells would give.  That
+map never decreases a cell (factor > 0, k >= 1, and rounding to nearest
+is monotone), so the median of the scaled cells is the scaled median
+cell: a batch query medians the int32 cells and scales only its answer.
 
 Sizing comes from the accuracy analysis: k grows with log(1/beta') and m
 with eps * sqrt(n).  Two named constant profiles are shipped:
@@ -30,10 +33,14 @@ with each user's coefficients (a_g, b_g) gathered by their subset g, one
 `randomize` and one scatter-add at g*m + row into the flattened matrix.
 Every query hashes through `backend.hash_eval`: a scalar query once,
 broadcast over the coefficient vectors (a_j), (b_j) the state keeps,
-plus one gather from the matrix; a batch query once per row and chunk
-of 2^14 elements, so it holds its output and one chunk x k scratch,
-however many elements it is asked about.  `PairwiseHash.eval` stays
-the exact reference the tests compare the hash kernel with.
+plus one gather from the matrix.  A batch query takes its elements in
+chunks of 2^14 and hashes only a chunk's distinct elements, once per
+row, gathering their int32 cells into one chunk x k int32 scratch; it
+medians the cells there and debiases once per answer, at the end.  So
+it holds its output, that k * 2^14 * 4-byte scratch and a chunk's
+temporaries, however many elements it is asked about.
+`PairwiseHash.eval` stays the exact reference the tests compare the
+hash kernel with.
 
 The median of an even-length list is the lower-middle order statistic
 (1-based index ceil(k/2)), so a query always returns one of the actual
@@ -224,29 +231,34 @@ def query(state, v):
 def query_many(state, vs):
     """Vectorized query; returns one estimate per element of vs.
 
-    Elements are answered in chunks of 2^14 through one chunk x k float64
-    scratch: per row j one `backend.hash_eval` of the chunk and a gather
-    from matrix row j into scratch column j, then the scale by the debias
-    factor and by k, in that order, and an in-place partition along each
-    scratch row, whose median column goes into the output.  A call so
-    holds its output, that scratch (3 MiB at k = 24) and a row's
-    chunk-sized temporaries, whatever the number of elements, and what it
+    Elements are answered in chunks of 2^14.  Each chunk is reduced to
+    its distinct elements, and only those are hashed: per row j one
+    `backend.hash_eval` and a gather from matrix row j into column j of
+    one chunk x k int32 scratch.  An in-place partition along each
+    scratch row picks the median cell, which is copied back out to
+    every position of its element.  The output is scaled once at the
+    end, by the debias factor and then by k, as `row_estimates` scales
+    each cell: x -> k * (float64(x) * factor) never decreases, so the
+    median of the scaled cells is the scaled median cell, bit for bit.
+    A call so holds its output, that scratch (1.5 MiB at k = 24) and a
+    chunk's temporaries, whatever the number of elements, and what it
     returns owns its data.
     """
     vs = element_array(vs, state.d)
     out = np.empty(vs.size, dtype=np.float64)
-    scratch = np.empty((min(vs.size, _QUERY_CHUNK), state.k))
+    scratch = np.empty((min(vs.size, _QUERY_CHUNK), state.k), np.int32)
     mid = state.median_index
     for lo in range(0, vs.size, _QUERY_CHUNK):
         chunk = vs[lo:lo + _QUERY_CHUNK]
-        vals = scratch[:chunk.size]
+        distinct, where = np.unique(chunk, return_inverse=True)
+        cells = scratch[:distinct.size]
         for j in range(state.k):
-            vals[:, j] = state.matrix[j].take(
-                backend.hash_eval(chunk, state.a[j], state.b[j], state.m))
-        vals *= state.factor
-        vals *= state.k
-        vals.partition(mid, axis=1)
-        out[lo:lo + chunk.size] = vals[:, mid]
+            cells[:, j] = state.matrix[j].take(
+                backend.hash_eval(distinct, state.a[j], state.b[j], state.m))
+        cells.partition(mid, axis=1)
+        out[lo:lo + chunk.size] = cells[:, mid][where]
+    out *= state.factor
+    out *= state.k
     return out
 
 

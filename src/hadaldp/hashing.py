@@ -8,8 +8,10 @@ against.  Everything on a hot path uses the 32-bit-limb uint64 kernel
 `backend.hash_eval`, whose coefficients broadcast against its inputs:
 the oracle build calls it once per chunk of users with each user's
 subset's (a, b), a scalar query once with the k rows' (a, b) vectors, and
-a batch query once per row with that row's scalars.  The two must agree
-everywhere, and tests hold them to that.
+a batch query once per row with that row's scalars.  An operand of size
+1, the element of a scalar query or a row's (a, b) in a batch query, has
+its 32-bit limbs split once per call.  The two must agree everywhere,
+and tests hold them to that.
 """
 
 import operator

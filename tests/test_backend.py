@@ -91,6 +91,41 @@ def test_hash_kernel_matches_big_integers_across_blocks(n, m):
         assert got.tolist() == [_exact_hash(x, *t, m) for t in zip(a_l, b_l)]
 
 
+HASH_COEFFS = [(1, 0), (1, P61 - 1), (P61 - 1, 0), (P61 - 1, P61 - 1),
+               ((1 << 32) + 1, (1 << 32) - 1)]
+
+
+@pytest.mark.parametrize("m", [1, 3, 4096, 1 << 61])
+def test_hash_kernel_splits_a_size_one_operand_once(m):
+    """A size-1 operand has its limbs split once, as numpy scalars.  Every
+    form of it, a 1-element 1-D array, a numpy scalar or a Python int,
+    must hash like the big-integer formula and broadcast as before."""
+    xs = np.array(HASH_XS, dtype=np.uint64)
+    for sa, sb in HASH_COEFFS:
+        want = [_exact_hash(x, sa, sb, m) for x in HASH_XS]
+        for a, b in ((np.array([sa], dtype=np.uint64),
+                      np.array([sb], dtype=np.uint64)),
+                     (np.uint64(sa), np.uint64(sb)), (sa, sb),
+                     (np.uint64(sa), np.array([sb], dtype=np.uint64))):
+            got = backend.hash_eval(xs, a, b, m)
+            assert got.shape == xs.shape and got.tolist() == want
+        got = backend.hash_eval(xs.reshape(2, 3), np.array([sa], np.uint64),
+                                sb, m)
+        assert got.shape == (2, 3) and got.ravel().tolist() == want
+    a = np.array([c[0] for c in HASH_COEFFS], dtype=np.uint64)
+    b = np.array([c[1] for c in HASH_COEFFS], dtype=np.uint64)
+    for x in HASH_XS:
+        want = [_exact_hash(x, *c, m) for c in HASH_COEFFS]
+        got = backend.hash_eval(np.array([x], dtype=np.uint64), a, b, m)
+        assert got.shape == a.shape and got.tolist() == want
+        got = backend.hash_eval(np.array([[x]], dtype=np.uint64), a, b, m)
+        assert got.shape == (1, a.size) and got[0].tolist() == want
+        got = backend.hash_eval(np.uint64(x), a[:1], b[:1], m)
+        assert got.shape == (1,) and got.tolist() == want[:1]
+        got = backend.hash_eval(x, *HASH_COEFFS[-1], m)
+        assert got.shape == () and int(got) == want[-1]
+
+
 def test_hash_kernel_shapes():
     assert backend.hash_eval(np.uint64(7), 3, 5, 16).shape == ()
     assert int(backend.hash_eval(np.uint64(7), 3, 5, 16)) == 26 % 16

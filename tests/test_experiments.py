@@ -180,6 +180,29 @@ def test_cli_runs_on_the_dataset_file_it_is_given(tmp_path):
         cli.main(["fo", "--dataset", data, "--planted", "3:10"])
 
 
+def test_a_run_reads_its_dataset_file_once_and_records_its_size(
+        tmp_path, monkeypatch):
+    """Three trials on a gen --n 300 --d 64 file: the file is read once,
+    and summary.json records the file's n and d beside the config's."""
+    assert cli.main(["gen", "--n", "300", "--d", "64", "--seed", "4",
+                     "--out", str(tmp_path)]) == 0
+    reads = []
+    monkeypatch.setattr(ex, "load_dataset",
+                        lambda path: reads.append(path) or load_dataset(path))
+    cfg = ex.ExperimentConfig(protocol="hada-oracle", trials=3, seed=2,
+                              dataset_path=str(tmp_path / "dataset.bin"),
+                              out=str(tmp_path / "run"))
+    summary = ex.run_experiment(cfg)
+    assert summary["assertion_failures"] == [] and len(reads) == 1
+    loaded = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert loaded["dataset"] == summary["dataset"] == {"n": 300, "d": 64}
+    assert (loaded["config"]["n"], loaded["config"]["d"]) == (100_000, 1 << 20)
+    assert [(row["n"], row["d"]) for row in loaded["trials"]] == [(300, 64)] * 3
+    # generated data has the config's size
+    summary = ex.run_experiment(_hrr_config(tmp_path / "gen"))
+    assert summary["dataset"] == {"n": 100, "d": 16}
+
+
 def test_cli_fo_smoke(tmp_path):
     rc = cli.main(["fo", "--protocol", "hrr", "--n", "200", "--d", "16",
                    "--trials", "1", "--seed", "1", "--out", str(tmp_path)])

@@ -156,6 +156,75 @@ def test_query_many_matches_scalar_queries():
     assert fo.query_many(st, np.empty(0, dtype=np.uint64)).size == 0
 
 
+def _family_state(k, n, d, seed):
+    """An oracle over n users drawn from a small range, built with a family
+    of k hashes into m = 64, so its cells repeat."""
+    elems = np.random.default_rng(seed).integers(0, 40, size=n,
+                                                 dtype=np.uint64)
+    return fo.construct(elems, d, params(), seed,
+                        hashes=fo.sample_family(k, 64, seed))
+
+
+@pytest.mark.parametrize("k", [6, 7])
+def test_query_many_answers_repeats_within_and_across_chunks(k):
+    """3 * 2^14 + 5 elements drawn from 300 values: every chunk repeats
+    elements of its own and of the others, and the last chunk has 5."""
+    d = 1 << 40
+    st = _family_state(k, 3000, d, seed=k)
+    rng = np.random.default_rng(40 + k)
+    values = rng.integers(0, d, size=300, dtype=np.uint64)
+    vs = values[rng.integers(0, values.size, size=3 * (1 << 14) + 5)]
+    assert np.unique(vs).size == 300
+    scalar = {int(v): fo.query(st, int(v)) for v in values}
+    assert fo.query_many(st, vs).tolist() == [scalar[int(v)] for v in vs]
+
+
+@pytest.mark.parametrize("k", [6, 7])
+def test_query_many_answers_distinct_elements(monkeypatch, k):
+    """All-distinct input, at the default chunk and at chunks of 64
+    that leave a short last chunk."""
+    d = 1 << 40
+    st = _family_state(k, 3000, d, seed=k)
+    vs = np.random.default_rng(50 + k).choice(d, size=1000, replace=False)
+    vs = vs.astype(np.uint64)
+    want = [fo.query(st, int(v)) for v in vs]
+    assert fo.query_many(st, vs).tolist() == want
+    monkeypatch.setattr(fo, "_QUERY_CHUNK", 64)
+    assert fo.query_many(st, vs).tolist() == want
+    assert fo.query_many(st, vs[::-1]).tolist() == want[::-1]
+
+
+def _scale_then_partition(state, vs):
+    """The batch median as first written: every gathered cell scaled by
+    the debias factor and then by k, and the scaled cells partitioned."""
+    vals = np.array([[float(state.matrix[j, h.eval(v)])
+                      for j, h in enumerate(state.hashes)] for v in vs])
+    vals *= state.factor
+    vals *= state.k
+    vals.partition(state.median_index, axis=1)
+    return vals[:, state.median_index]
+
+
+@pytest.mark.parametrize("k", [4, 5])
+@pytest.mark.parametrize("eps", [1.0, 0.01])
+def test_query_many_medians_the_cells_then_scales(k, eps):
+    """query_many partitions the int32 cells and scales only the median;
+    on cells with negatives, ties, zeros and the int32 extremes it must
+    equal the median of the scaled cells, bit for bit."""
+    m = 8
+    rng = np.random.default_rng(k)
+    cells = np.array([-3, -3, -1, 0, 0, 0, 2, 2, 7, -(1 << 31), (1 << 31) - 1,
+                      123_456_789, -123_456_789, 1, 1, -1])
+    matrix = rng.choice(cells, size=(k, m)).astype(np.int32)
+    st = fo.OracleState(params=params(eps=eps), k=k, m=m, d=1 << 20,
+                        n_users=1, hashes=fo.sample_family(k, m, seed=k),
+                        matrix=matrix)
+    vs = rng.integers(0, 1 << 20, size=500, dtype=np.uint64)
+    got = fo.query_many(st, vs)
+    assert got.tolist() == _scale_then_partition(st, vs).tolist()
+    assert got.tolist() == [fo.query(st, int(v)) for v in vs]
+
+
 def test_query_many_memory_is_its_output_and_one_chunk_scratch():
     rng = np.random.default_rng(8)
     d = 1 << 32
