@@ -7,14 +7,24 @@ mod 2^61 - 1.  Each kernel is deterministic and exact: the hash does
 
 Both builds, the hashed oracle's and the domain table's, add their reports
 through the one `accumulate_reports`, once per chunk of users, into a
-flat buffer of int32 sums of +-1.  The hash runs in blocks of 2^13
-elements through one preallocated scratch of five block-sized rows, every
-limb step in place, so a call allocates its output and 320 KiB, whatever
-its size; its coefficients broadcast, per user in a build and per row in
-a query.  An operand of size 1 (a row's a and b in a batch query, the
-element in a scalar query) is a numpy scalar whose limbs are split once
-per call, so its multiplies run array x scalar and no row of the scratch
-is filled with copies of it.
+flat buffer of int32 sums of +-1.
+
+The hash has one formula, in one kernel, `hash_block`, which takes its
+element and coefficient operands already split into 32-bit limbs and
+runs every limb step in place in a five-row scratch.  `hash_eval` is its
+blocked entry for arrays: it runs the kernel on blocks of 2^13 elements
+through one preallocated scratch, so a call allocates its output and
+320 KiB, whatever its size; its coefficients broadcast, per user in a
+build.  An operand of size 1 is a numpy scalar whose limbs are split
+once per call, so its multiplies run array x scalar and no row of the
+scratch is filled with copies of it.  The queries enter at the block
+with limbs they already hold and skip that set-up: a scalar query, k
+elements far under one block, once; a batch query once per row.  When
+the element's high limb is zero, three of the kernel's limb terms are
+zero, and it skips them; every element and prefix of the benchmark
+workloads is below 2^32 (d <= 2^32), so they all take that path.  For a
+power-of-two range m the last two reductions, mod p and mod m, are one
+mask.
 
 The server state of both builds is the transform of those int32 sums.
 A Hadamard transform of integers whose absolute values add up to at most
@@ -50,7 +60,8 @@ import numpy as np
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 _MASK29 = np.uint64((1 << 29) - 1)
-_P61 = np.uint64((1 << 61) - 1)  # Mersenne prime 2^61 - 1, doubles as the low-61-bit mask
+_P61_INT = (1 << 61) - 1  # Mersenne prime 2^61 - 1, doubles as the low-61-bit mask
+_P61 = np.uint64(_P61_INT)
 _U1 = np.uint64(1)
 _U3 = np.uint64(3)
 _U29 = np.uint64(29)
@@ -159,13 +170,14 @@ def hash_eval(xs, a, b, m):
     """((a*x + b) mod (2^61 - 1)) mod m, elementwise on uint64 inputs.
 
     xs, a and b broadcast against each other: per-user coefficients in a
-    build, one row's (a, b) against many elements in a batch query, a
-    scalar element against the k rows' coefficients in a scalar query.
-    Inputs must lie below 2^61 - 1.  The limb arithmetic runs in place on
-    blocks of 2^13 elements, through one preallocated scratch, into the
-    output; no step allocates a temporary the size of the input.  An
-    operand of size 1 is taken as a numpy scalar, its 32-bit limbs split
-    once per call, so its multiplies run array x scalar in every block.
+    build, one function's (a, b) against many elements in
+    `PairwiseHash.eval_batch`.  Inputs must lie below 2^61 - 1.  This is
+    the blocked entry of the kernel: it splits the operands' 32-bit limbs
+    into one preallocated scratch and runs `hash_block` once per block of
+    2^13 elements, into the output; no step allocates a temporary the size
+    of the input.  An operand of size 1 is taken as a numpy scalar, its
+    limbs split once per call, so its multiplies run array x scalar in
+    every block.
     """
     ops = [np.asarray(v, dtype=np.uint64) for v in (xs, a, b)]
     shape = np.broadcast(*ops).shape
@@ -173,53 +185,67 @@ def hash_eval(xs, a, b, m):
         ops = [v if v.size == 1 else np.broadcast_to(v, shape).reshape(-1)
                for v in ops]
     x, a, b = (v.reshape(-1)[0] if v.size == 1 else v for v in ops)
-    x_limbs, a_limbs = ((v >> _U32, v & _MASK32) if v.ndim == 0 else None
+    x_limbs, a_limbs = (split_limbs(v) if v.ndim == 0 else None
                         for v in (x, a))
     out = np.empty(math.prod(shape), dtype=np.uint64)
     n = out.size
     scratch = np.empty((5, min(n, _HASH_BLOCK)), dtype=np.uint64)
-    m = np.uint64(m)
+    m = int(m)
     for lo in range(0, n, _HASH_BLOCK):
         hi = min(lo + _HASH_BLOCK, n)
         rows = scratch[:, :hi - lo]
-        _hash_block(x_limbs or _split(x[lo:hi], rows[2], rows[3]),
-                    a_limbs or _split(a[lo:hi], rows[0], rows[1]),
-                    b if b.ndim == 0 else b[lo:hi], m, out[lo:hi], rows)
+        hash_block(x_limbs or split_limbs(x[lo:hi], rows[2], rows[3]),
+                   a_limbs or split_limbs(a[lo:hi], rows[0], rows[1]),
+                   b if b.ndim == 0 else b[lo:hi], m, out[lo:hi], rows)
     return out.reshape(shape)
 
 
-def _split(v, hi, lo):
-    """Write v's 32-bit limbs, v >> 32 and v & (2^32 - 1), into the rows
-    hi and lo, and return them."""
-    np.right_shift(v, _U32, out=hi)
-    np.bitwise_and(v, _MASK32, out=lo)
-    return hi, lo
+def split_limbs(v, hi=None, lo=None):
+    """v's 32-bit limbs (v >> 32, v & (2^32 - 1)), written into the arrays
+    hi and lo if given."""
+    return np.right_shift(v, _U32, out=hi), np.bitwise_and(v, _MASK32, out=lo)
 
 
-def _hash_block(x, a, b, m, s, rows):
-    """One block of hash_eval, written into s.
+def hash_block(x, a, b, m, s, rows):
+    """The hash kernel on one block, written into s.
 
-    x and a come as their 32-bit limbs (hi, lo), each a block row or a
-    numpy scalar; b is a block row or a numpy scalar.  The 64 x 64-bit
-    product goes through the limbs, a*x = t2*2^64 + t1*2^32 + t0, and
-    every term is folded with 2^61 == 1 (mod p): t2*2^64 == 8*t2,
+    x and a come as their 32-bit limbs (hi, lo), each a pair of block rows
+    or of scalars (numpy or Python ints); b is a block row or a scalar,
+    and m a Python int.  `hash_eval` calls this once per block; a scalar
+    query calls it once, with the element's limbs against the k rows'
+    coefficients.  The 64 x 64-bit product goes through the limbs,
+    a*x = t2*2^64 + t1*2^32 + t0, and every term is folded with
+    2^61 == 1 (mod p): t2*2^64 == 8*t2,
     t1*2^32 == (t1 >> 29) + ((t1 & (2^29 - 1)) << 32) and
     t0 == (t0 >> 61) + (t0 & p).  With b added the sum stays below 2^64;
     one fold brings it below 2p, and one conditional subtraction of p,
-    done with shifts and masks, below p.  Rows 0 and 1 hold a's limbs if
-    a is a block, then t2 and t0; rows 2 and 3 x's limbs if x is a block,
-    then row 2 the fold's terms; row 4 is t1.
+    done with shifts and masks, below p.
+
+    When x's high limb is zero (a scalar element below 2^32, or a block
+    of them) a_lo*x_hi and t2 = a_hi*x_hi are zero, so those two products,
+    their adds and the shift of t2 are skipped; every element and prefix
+    of the benchmark workloads (d <= 2^32) takes that path.  For a
+    power-of-two m the final reductions mod p and mod m are one mask,
+    (m - 1) & p: m - 1 up to m = 2^61, and p above it, where s < p < m
+    already.
+
+    Rows 0 and 1 hold a's limbs if a is a block, then t2 and t0; rows 2
+    and 3 x's limbs if x is a block, then row 2 the fold's terms; row 4
+    is t1.  Only rows 0, 1, 2 and 4 are written.
     """
     (x_hi, x_lo), (a_hi, a_lo) = x, a
     t2, t0, u, _, t = rows
     np.multiply(a_hi, x_lo, out=t)
-    np.multiply(a_lo, x_hi, out=s)
-    t += s                              # t1 < 2^62
-    np.multiply(a_hi, x_hi, out=t2)     # t2 < 2^58
+    if np.count_nonzero(x_hi) if isinstance(x_hi, np.ndarray) else x_hi:
+        np.multiply(a_lo, x_hi, out=s)
+        t += s                          # t1 < 2^62
+        np.multiply(a_hi, x_hi, out=t2)     # t2 < 2^58
+        np.left_shift(t2, _U3, out=s)
+        np.right_shift(t, _U29, out=u)
+        s += u
+    else:                               # t1 = a_hi*x_lo, t2 = 0
+        np.right_shift(t, _U29, out=s)
     np.multiply(a_lo, x_lo, out=t0)     # t0 < 2^64
-    np.left_shift(t2, _U3, out=s)
-    np.right_shift(t, _U29, out=u)
-    s += u
     np.bitwise_and(t, _MASK29, out=t)
     np.left_shift(t, _U32, out=t)
     s += t
@@ -235,11 +261,12 @@ def _hash_block(x, a, b, m, s, rows):
     np.add(s, _U1, out=t)
     np.right_shift(t, _U61, out=t)
     s += t
-    np.bitwise_and(s, _P61, out=s)
-    if m & (m - _U1):
+    if m & (m - 1):
+        np.bitwise_and(s, _P61, out=s)
         np.remainder(s, m, out=s)
     else:
-        np.bitwise_and(s, m - _U1, out=s)
+        np.bitwise_and(s, (m - 1) & _P61_INT, out=s)
+    return s
 
 
 def accumulate_reports(buf, rows, reports):

@@ -5,15 +5,16 @@ hash h_j mapping the domain into [m], and runs the Hadamard randomizer on
 the hashed value, so the server keeps a k x m matrix instead of a
 length-2^ceil(log2 d) vector.  One row-wise transform finalizes all k
 repetitions; the matrix holds the transformed int32 sums.  A query
-re-hashes the element per row, scales each row's cell by the debias
-factor and then by k (each subset only saw ~1/k of the users), and takes
-the median across rows, which shrugs off the few rows where the hash
-collided with something heavy or the subset drew unlucky noise.
-The factor is computed once per state, and k * (float64(cell) * factor)
-is bit for bit what a matrix of float64 debiased cells would give.  That
-map never decreases a cell (factor > 0, k >= 1, and rounding to nearest
-is monotone), so the median of the scaled cells is the scaled median
-cell: a batch query medians the int32 cells and scales only its answer.
+re-hashes the element per row and reads one cell per row.  Its estimate
+is the median across rows of the cell scaled by the debias factor and
+then by k (each subset only saw ~1/k of the users), which shrugs off the
+few rows where the hash collided with something heavy or the subset
+drew unlucky noise.  The factor is computed once per state, and
+k * (float64(cell) * factor) is bit for bit what a matrix of float64
+debiased cells would give.  That map never decreases a cell (factor > 0,
+k >= 1, and rounding to nearest is monotone), so the median of the
+scaled cells is the scaled median cell: both queries median the int32
+cells and scale only their answer.
 
 Sizing comes from the accuracy analysis: k grows with log(1/beta') and m
 with eps * sqrt(n).  Two named constant profiles are shipped:
@@ -31,14 +32,17 @@ through `hrr.ingest`, the report path of every build, in chunks of
 consecutive users: per chunk one limb-kernel call `backend.hash_eval`
 with each user's coefficients (a_g, b_g) gathered by their subset g, one
 `randomize` and one scatter-add at g*m + row into the flattened matrix.
-Every query hashes through `backend.hash_eval`: a scalar query once,
-broadcast over the coefficient vectors (a_j), (b_j) the state keeps,
-plus one gather from the matrix.  A batch query takes its elements in
-chunks of 2^14 and hashes only a chunk's distinct elements, once per
-row, gathering their int32 cells into one chunk x k int32 scratch; it
-medians the cells there and debiases once per answer, at the end.  So
-it holds its output, that k * 2^14 * 4-byte scratch and a chunk's
-temporaries, however many elements it is asked about.
+Every query hashes through the kernel's block entry `backend.hash_block`.
+A scalar query costs its arithmetic and little else: the state keeps
+the 32-bit limbs of (a_j) and the flat row offsets j * m, read-only and
+computed once, so the query makes one kernel call on the element's limbs
+against the k rows and one `take` from the flattened matrix.  A batch
+query takes its elements in chunks of 2^14, splits the limbs of a
+chunk's distinct elements once and hashes them once per row, gathering
+their int32 cells into one chunk x k int32 scratch; it medians the cells
+there and debiases once per answer, at the end.  So it holds its output,
+that k * 2^14 * 4-byte scratch and a chunk's temporaries, however many
+elements it is asked about.
 `PairwiseHash.eval` stays the exact reference the tests compare the
 hash kernel with.
 
@@ -148,16 +152,25 @@ class OracleState:
     hashes: list
     matrix: np.ndarray                 # k x m int32, transformed sums
     # the hashes' coefficients as uint64 vectors: the build gathers them by
-    # each user's subset, a scalar query broadcasts them over the k rows,
-    # and a batch query takes one row's pair per limb-kernel call
+    # each user's subset, and a batch query takes one row's pair per
+    # kernel call
     a: np.ndarray = field(init=False, repr=False, compare=False)
     b: np.ndarray = field(init=False, repr=False, compare=False)
+    # what a scalar query reuses: a's 32-bit limbs, hashed against the
+    # element's, and each row's offset j * m into the flat matrix
+    a_hi: np.ndarray = field(init=False, repr=False, compare=False)
+    a_lo: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
     # what a read multiplies a cell by, before the scaling by k
     factor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.a = np.array([h.a for h in self.hashes], dtype=np.uint64)
         self.b = np.array([h.b for h in self.hashes], dtype=np.uint64)
+        self.a_hi, self.a_lo = backend.split_limbs(self.a)
+        self.offsets = np.arange(self.k, dtype=np.intp) * self.m
+        for v in (self.a_hi, self.a_lo, self.offsets):
+            v.flags.writeable = False
         self.factor = debias_factor(self.params.eps)
 
     @property
@@ -213,27 +226,49 @@ def construct(elements, d, params, seed, *, hashes=None, round_index=0):
     return state
 
 
-def row_estimates(state, v):
-    """The k per-row estimates k * (matrix[j, h_j(v)] * factor) a query
-    medians over."""
+def _cells(state, v):
+    """Element v's k int32 cells matrix[j, h_j(v)], in a fresh array.
+
+    One call of the block kernel hashes v's limbs against the k rows'
+    coefficients, in a 5 x k scratch and a column row of its own, so
+    concurrent queries on one state share nothing they write; one `take`
+    at offsets + columns gathers the cells from the flat matrix.
+    """
     v = element_index(v, state.d)
-    cols = backend.hash_eval(np.uint64(v), state.a, state.b, state.m)
-    return state.k * (state.matrix[np.arange(state.k), cols] * state.factor)
+    rows = np.empty((6, state.k), dtype=np.uint64)
+    cols = backend.hash_block((v >> 32, v & 0xFFFFFFFF),
+                              (state.a_hi, state.a_lo), state.b, state.m,
+                              rows[5], rows[:5])
+    cols = cols.view(np.intp)
+    cols += state.offsets
+    return state.matrix.reshape(-1).take(cols)
+
+
+def row_estimates(state, v):
+    """The k per-row estimates k * (matrix[j, h_j(v)] * factor)."""
+    return state.k * (_cells(state, v) * state.factor)
 
 
 def query(state, v):
-    """Median of the k scaled per-row estimates for element v."""
-    vals = row_estimates(state, v)
+    """The median of element v's k per-row estimates.
+
+    The int32 cells are partitioned in place and only the median cell is
+    scaled, float64(cell) * factor * k, which is bit for bit the median
+    of `row_estimates` (see the module docstring).
+    """
+    cells = _cells(state, v)
     mid = state.median_index
-    return float(np.partition(vals, mid)[mid])
+    cells.partition(mid)
+    return float(cells[mid]) * state.factor * state.k
 
 
 def query_many(state, vs):
     """Vectorized query; returns one estimate per element of vs.
 
     Elements are answered in chunks of 2^14.  Each chunk is reduced to
-    its distinct elements, and only those are hashed: per row j one
-    `backend.hash_eval` and a gather from matrix row j into column j of
+    its distinct elements, whose 32-bit limbs are split once; per row j
+    one `backend.hash_block` call, with row j's coefficients as scalars,
+    hashes them all, and a gather from matrix row j fills column j of
     one chunk x k int32 scratch.  An in-place partition along each
     scratch row picks the median cell, which is copied back out to
     every position of its element.  The output is scaled once at the
@@ -252,9 +287,13 @@ def query_many(state, vs):
         chunk = vs[lo:lo + _QUERY_CHUNK]
         distinct, where = np.unique(chunk, return_inverse=True)
         cells = scratch[:distinct.size]
+        hashed = np.empty((8, distinct.size), dtype=np.uint64)
+        limbs = backend.split_limbs(distinct, hashed[0], hashed[1])
+        cols, rows = hashed[2], hashed[3:]
         for j in range(state.k):
-            cells[:, j] = state.matrix[j].take(
-                backend.hash_eval(distinct, state.a[j], state.b[j], state.m))
+            backend.hash_block(limbs, (state.a_hi[j], state.a_lo[j]),
+                               state.b[j], state.m, cols, rows)
+            cells[:, j] = state.matrix[j].take(cols)
         cells.partition(mid, axis=1)
         out[lo:lo + chunk.size] = cells[:, mid][where]
     out *= state.factor

@@ -5,13 +5,12 @@ bits back in, 2^61 == 1 mod p) and leaves room for domains up to 2^61.
 `PairwiseHash.eval` goes through Python's arbitrary-precision ints, so it
 is exact by construction; it is the reference the kernel is tested
 against.  Everything on a hot path uses the 32-bit-limb uint64 kernel
-`backend.hash_eval`, whose coefficients broadcast against its inputs:
-the oracle build calls it once per chunk of users with each user's
-subset's (a, b), a scalar query once with the k rows' (a, b) vectors, and
-a batch query once per row with that row's scalars.  An operand of size
-1, the element of a scalar query or a row's (a, b) in a batch query, has
-its 32-bit limbs split once per call.  The two must agree everywhere,
-and tests hold them to that.
+`backend.hash_block`: the oracle build through its blocked entry
+`backend.hash_eval`, once per chunk of users with each user's subset's
+(a, b); a scalar query once, with the element's limbs against the k rows'
+(a, b) vectors; a batch query once per row, with that row's scalars
+against a chunk's distinct elements, whose limbs it splits once.  The
+two must agree everywhere, and tests hold them to that.
 """
 
 import operator

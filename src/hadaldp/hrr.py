@@ -113,18 +113,23 @@ def ingest(buf, elements, m, keep_prob, seed, round_index, family=None):
     rows_rng, coins_rng = round_streams(seed, round_index)
     for lo in range(0, n, CHUNK):
         hi = min(lo + CHUNK, n)
+        cols = elements[lo:hi]
+        if family is not None:
+            groups, a, b = family
+            # widened once: a gather indexes faster by intp, and g * m
+            # below overflows a narrow g
+            g = groups[lo:hi].astype(np.intp)
+            cols = backend.hash_eval(cols, a.take(g), b.take(g), m)
+        # drawn after the hash, so the hash does not run while they are held
         rows = draw_rows(rows_rng, hi - lo, m)
         coins = draw_coins(coins_rng, hi - lo)
-        x = elements[lo:hi]
         if family is None:
-            cols, at = x, rows
+            at = rows
         else:
-            groups, a, b = family
-            g = groups[lo:hi]
-            cols = backend.hash_eval(x, a[g], b[g], m)
-            # widened first: g * m overflows a narrow g; rows < m, so its
-            # int64 view holds the same values
-            at = g.astype(np.int64) * m + rows.view(np.int64)
+            # in place; rows < m, so its int64 view holds the same values
+            at = g
+            at *= m
+            at += rows.view(np.int64)
         backend.accumulate_reports(buf, at, randomize(rows, cols, coins,
                                                       keep_prob))
 

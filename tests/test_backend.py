@@ -56,7 +56,8 @@ def test_mulmod_limbs_match_big_integer_arithmetic():
         assert got.tolist() == [(a * int(x)) % P61 for x in xs]
 
 
-HASH_XS = [0, 1, (1 << 32) - 1, (1 << 32) + 1, 1 << 60, (1 << 61) - 2]
+HASH_XS = [0, 1, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, 1 << 60,
+           (1 << 61) - 2]
 
 
 def _exact_hash(x, a, b, m):
@@ -95,7 +96,7 @@ HASH_COEFFS = [(1, 0), (1, P61 - 1), (P61 - 1, 0), (P61 - 1, P61 - 1),
                ((1 << 32) + 1, (1 << 32) - 1)]
 
 
-@pytest.mark.parametrize("m", [1, 3, 4096, 1 << 61])
+@pytest.mark.parametrize("m", [1, 3, 4096, 1 << 61, 1 << 62])
 def test_hash_kernel_splits_a_size_one_operand_once(m):
     """A size-1 operand has its limbs split once, as numpy scalars.  Every
     form of it, a 1-element 1-D array, a numpy scalar or a Python int,
@@ -109,9 +110,9 @@ def test_hash_kernel_splits_a_size_one_operand_once(m):
                      (np.uint64(sa), np.array([sb], dtype=np.uint64))):
             got = backend.hash_eval(xs, a, b, m)
             assert got.shape == xs.shape and got.tolist() == want
-        got = backend.hash_eval(xs.reshape(2, 3), np.array([sa], np.uint64),
-                                sb, m)
-        assert got.shape == (2, 3) and got.ravel().tolist() == want
+        got = backend.hash_eval(xs[:6].reshape(2, 3),
+                                np.array([sa], np.uint64), sb, m)
+        assert got.shape == (2, 3) and got.ravel().tolist() == want[:6]
     a = np.array([c[0] for c in HASH_COEFFS], dtype=np.uint64)
     b = np.array([c[1] for c in HASH_COEFFS], dtype=np.uint64)
     for x in HASH_XS:
@@ -124,6 +125,47 @@ def test_hash_kernel_splits_a_size_one_operand_once(m):
         assert got.shape == (1,) and got.tolist() == want[:1]
         got = backend.hash_eval(x, *HASH_COEFFS[-1], m)
         assert got.shape == () and int(got) == want[-1]
+
+
+# the elements where x's high limb turns nonzero
+LIMB_EDGE = [(1 << 32) - 1, 1 << 32, (1 << 32) + 1]
+
+
+@pytest.mark.parametrize("high", LIMB_EDGE[1:])
+@pytest.mark.parametrize("m", [3, 4096, 1 << 61, 1 << 62])
+def test_hash_kernel_skips_a_zero_high_limb_exactly(m, high):
+    """Three blocks: the first and third hold elements below 2^32 only,
+    so the kernel skips their zero high-limb terms; the second ends with
+    one element at or above 2^32, so it runs them all.  Every form, per
+    element, one function and one element against many functions, must
+    hash like the big-integer formula, on both sides of the edge.  m = 3
+    takes the remainder, 4096 and 2^61 the mask m - 1, and 2^62, above
+    p + 1, the mask p."""
+    n = 3 * (1 << 13)
+    rng = np.random.default_rng(m % 1000 + high)
+    xs = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
+    xs[:2] = 1, (1 << 32) - 1      # with a = 1, b = p - 1, x = 1 folds to p
+    xs[2 * (1 << 13) - 1] = high
+    a = rng.integers(1, P61, size=n, dtype=np.uint64)
+    b = rng.integers(0, P61, size=n, dtype=np.uint64)
+    a[:2], b[:2] = P61 - 1, P61 - 1
+    x_l, a_l, b_l = xs.tolist(), a.tolist(), b.tolist()
+
+    got = backend.hash_eval(xs, a, b, m)
+    assert got.tolist() == [_exact_hash(*t, m) for t in zip(x_l, a_l, b_l)]
+    for sa, sb in HASH_COEFFS:
+        got = backend.hash_eval(xs, sa, sb, m)
+        assert got.tolist() == [_exact_hash(x, sa, sb, m) for x in x_l]
+    coeffs = a[:300], b[:300]
+    a_limbs = backend.split_limbs(coeffs[0])
+    for x in LIMB_EDGE:
+        want = [_exact_hash(x, *t, m) for t in zip(a_l[:300], b_l[:300])]
+        assert backend.hash_eval(np.uint64(x), *coeffs, m).tolist() == want
+        # the block entry, as a scalar query calls it: Python-int limbs
+        rows = np.empty((6, 300), dtype=np.uint64)
+        got = backend.hash_block((x >> 32, x & 0xFFFFFFFF), a_limbs,
+                                 coeffs[1], m, rows[5], rows[:5])
+        assert got.tolist() == want
 
 
 def test_hash_kernel_shapes():

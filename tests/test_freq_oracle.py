@@ -338,6 +338,59 @@ def test_row_estimates_match_exact_scalar_hashes():
                     _reference_rows(st, v)
 
 
+def _limb_states(k):
+    """Three states over d = 2^61 - 1 with k rows into m = 64: one built,
+    its from_bytes copy and one built by hand around a random matrix."""
+    d = fo.MAX_DOMAIN
+    rng = np.random.default_rng(k)
+    hashes = fo.sample_family(k, 64, seed=k)
+    elems = rng.integers(0, d, size=3000, dtype=np.uint64)
+    built = fo.construct(elems, d, params(), seed=k, hashes=hashes)
+    matrix = rng.integers(-500, 500, size=(k, 64)).astype(np.int32)
+    by_hand = fo.OracleState(params=params(), k=k, m=64, d=d, n_users=1,
+                             hashes=hashes, matrix=matrix)
+    return built, fo.from_bytes(fo.to_bytes(built)), by_hand
+
+
+@pytest.mark.parametrize("k", [1, 2, 141])
+def test_query_is_the_median_row_estimate_on_both_sides_of_2_32(k):
+    """query medians the int32 cells and scales once; that must be, bit
+    for bit, the lower-middle of row_estimates and query_many's answer,
+    for elements whose high 32-bit limb is zero and for ones where it
+    is not, and no query may write to the matrix."""
+    d = fo.MAX_DOMAIN
+    below = [0, 1, (1 << 32) - 1, 123_456_789]
+    above = [1 << 32, (1 << 32) + 1, d - 1, 987_654_321_987_654]
+    for st in _limb_states(k):
+        before = st.matrix.copy()
+        for v in below + above:
+            got = fo.query(st, v)
+            rows = fo.row_estimates(st, v)
+            assert rows.tolist() == _reference_rows(st, v)
+            want = np.partition(rows, st.median_index)[st.median_index]
+            assert got.hex() == float(want).hex()
+            assert got.hex() == float(fo.query_many(st, [v])[0]).hex()
+        assert np.array_equal(st.matrix, before)
+
+
+def test_query_coefficients_are_read_only_and_rebuilt_on_load():
+    """The a limbs and row offsets a scalar query reuses are computed by
+    every state, hand-built and deserialized alike, and cannot be
+    written through."""
+    for st in _limb_states(5):
+        assert st.a_hi.tolist() == [h.a >> 32 for h in st.hashes]
+        assert st.a_lo.tolist() == [h.a & 0xFFFFFFFF for h in st.hashes]
+        assert st.offsets.dtype == np.intp
+        assert st.offsets.tolist() == [j * st.m for j in range(st.k)]
+        for v in (st.a_hi, st.a_lo, st.offsets):
+            assert not v.flags.writeable
+            with pytest.raises(ValueError):
+                v[0] = 1
+    built, back, _ = _limb_states(5)
+    for name in ("a_hi", "a_lo", "offsets"):
+        assert getattr(back, name) is not getattr(built, name)
+
+
 def test_reproducible_and_round_sensitive():
     elems = np.arange(1000, dtype=np.uint64) % 64
     a = fo.construct(elems, 64, params(), seed=77)
