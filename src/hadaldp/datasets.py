@@ -8,6 +8,14 @@ Two independent exact-counting routes are kept on purpose: a single-pass
 dict accumulation and a sort-based run-length count.  They must agree on
 everything; the tests lean on that redundancy, and the estimators get
 judged against them.
+
+`gen_zipf` draws n uniforms, then the map's a and b, from the generator
+it is given, and inverts one float64 CDF table of min(d, 10^7) ranks: the
+table is built in blocks that each continue the running sum, so it holds
+the same bits as one cumsum and its 8*r_max bytes are the peak memory
+beside O(n).  The uniforms are searched in sorted order, which gives each
+the rank an unsorted search would and the distinct ranks without a
+second sort.
 """
 
 import math
@@ -23,6 +31,7 @@ VERSION = 1
 _HEADER = struct.Struct("<4sHHQQ")  # magic, version, reserved, d, n
 
 ZIPF_MAX_RANKS = 10_000_000
+_ZIPF_BLOCK = 1 << 14  # ranks per block of the zipf table
 
 
 @dataclass
@@ -42,36 +51,74 @@ def _as_elements(data):
     return np.ascontiguousarray(data, dtype=np.uint64)
 
 
+def _zipf_cdf(r_max, s):
+    """The running sums of k^-s for k = 1..r_max, normalised to end at 1: one
+    float64 array, built a block of _ZIPF_BLOCK entries at a time.  Each
+    block gets its powers, the previous blocks' total added into its first
+    entry, and an in-place cumsum.  Every entry is fl(previous + k^-s)
+    either way, so the table equals one cumsum of the whole power array bit
+    for bit, without that second r_max-long array."""
+    cdf = np.empty(r_max, dtype=np.float64)
+    total = 0.0
+    for lo in range(0, r_max, _ZIPF_BLOCK):
+        block = cdf[lo:lo + _ZIPF_BLOCK]
+        block[:] = np.arange(lo + 1, lo + 1 + block.size,
+                             dtype=np.float64) ** (-s)
+        block[0] += total
+        np.cumsum(block, out=block)
+        total = block[-1]
+    cdf /= cdf[-1]
+    return cdf
+
+
 def gen_zipf(n, d, s, rng):
     """n draws from a truncated zipf(s) law, scattered over [0, d).
 
-    Ranks are capped at min(d, 10^7) so the inverse-CDF table stays small;
-    beyond that the tail mass is negligible anyway.  Rank r is sent to
-    (a*r + b) mod d with gcd(a, d) = 1, a random bijection, so the heavy
-    elements are not just the small integers.
+    Ranks are capped at r_max = min(d, 10^7) so the inverse-CDF table stays
+    small; beyond that the tail mass is negligible anyway.  Rank r is sent
+    to (a*r + b) mod d with gcd(a, d) = 1, a random bijection, so the heavy
+    elements are not just the small integers.  s must be finite and
+    positive.
+
+    The draws come in a fixed order: n uniforms, then a (redrawn until it
+    is coprime to d), then b.  The inverse CDF is one float64 table of
+    running sums of k^-s, built in blocks (`_zipf_cdf`) to the same bits as
+    one cumsum; the peak memory is that 8*r_max-byte table plus O(n).  The
+    uniforms are looked up in ascending order, which keeps the binary
+    search's window moving forward; a uniform's rank does not depend on
+    its position, so the ranks are those of an unsorted search.  Sorted
+    ranks give the distinct ones as the entries that differ from their
+    left neighbour, ascending, and each user's index into them as a
+    running count, with no second sort.
     """
     if n < 0 or d < 1:
         raise ValueError(f"need n >= 0 and d >= 1, got n={n}, d={d}")
-    if s <= 0:
-        raise ValueError(f"zipf exponent must be positive, got {s}")
+    if not 0 < s < math.inf:
+        raise ValueError(f"zipf exponent must be finite and positive, got {s}")
+    s = float(s)
     r_max = min(int(d), ZIPF_MAX_RANKS)
-    weights = np.arange(1, r_max + 1, dtype=np.float64) ** (-float(s))
-    cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
-    ranks = np.searchsorted(cdf, rng.random(n), side="right")
+    cdf = _zipf_cdf(r_max, s)
+    u = rng.random(n)
 
     while True:
         a = int(rng.integers(1, d)) if d > 1 else 1
         if math.gcd(a, d) == 1:
             break
     b = int(rng.integers(0, d))
+    order = np.argsort(u)
+    ranks = np.searchsorted(cdf, u[order], side="right")
+    del cdf, u  # the table is most of the peak; free it before the rest
+    first = np.empty(n, dtype=bool)
+    first[:1] = True
+    np.not_equal(ranks[1:], ranks[:-1], out=first[1:])
+    uniq = ranks[first]
     # a*rank overflows uint64 for large d, so map the distinct ranks
     # through Python ints and gather
-    uniq, inv = np.unique(ranks, return_inverse=True)
-    mapped = np.fromiter(((a * int(r) + b) % d for r in uniq),
+    mapped = np.fromiter(((a * r + b) % d for r in uniq.tolist()),
                          dtype=np.uint64, count=uniq.size)
-    elements = mapped[inv]
-    meta = {"generator": "zipf", "n": int(n), "d": int(d), "s": float(s),
+    elements = np.empty(n, dtype=np.uint64)
+    elements[order] = mapped[np.cumsum(first) - 1]
+    meta = {"generator": "zipf", "n": int(n), "d": int(d), "s": s,
             "rank_cap": r_max, "map_a": a, "map_b": b}
     return Dataset(elements=elements, d=int(d), meta=meta)
 

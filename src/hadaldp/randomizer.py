@@ -69,8 +69,10 @@ def randomize(rows, cols, coins, keep_prob):
     and coins[u] alone.
     """
     signs = backend.hadamard_signs(rows, cols)
-    kept = np.asarray(coins, dtype=np.float64) < keep_prob
-    return np.where(kept, signs, -signs)
+    # multiply in place by +-1: a third the cost of np.where's select
+    flipped = np.asarray(coins, dtype=np.float64) >= keep_prob
+    signs *= 1 - 2 * flipped.view(np.int8)
+    return signs
 
 
 # --- per-round randomness --------------------------------------------------

@@ -393,17 +393,18 @@ def test_a12_server_cost_shape():
     rng = np.random.default_rng(1200)
     big = rng.integers(0, 1 << 20, size=400_000, dtype=np.uint64)
 
-    def best_build_ms(elements):
-        times = []
-        for rep in range(3):
-            t0 = time.perf_counter()
-            fo.construct(elements, 1 << 20, params, seed=rep)
-            times.append((time.perf_counter() - t0) * 1e3)
-        return min(times)
+    def build_ms(elements, rep):
+        t0 = time.perf_counter()
+        fo.construct(elements, 1 << 20, params, seed=rep)
+        return (time.perf_counter() - t0) * 1e3
 
+    # each repetition times one small and one large build back to back, so
+    # a change in machine speed between repetitions hits both sides alike
     t0 = time.perf_counter()
-    small_ms = best_build_ms(big[:100_000])
-    large_ms = best_build_ms(big)
+    pairs = [(build_ms(big[:100_000], rep), build_ms(big, rep))
+             for rep in range(3)]
+    small_ms = min(small for small, _ in pairs)
+    large_ms = min(large for _, large in pairs)
     factor = large_ms / small_ms
 
     n_users = 10_000

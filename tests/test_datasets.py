@@ -1,4 +1,6 @@
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,12 +94,112 @@ def test_zipf_reproducible_and_seeded():
 
 def test_zipf_validation():
     rng = np.random.default_rng(4)
-    with pytest.raises(ValueError):
-        dsets.gen_zipf(100, 16, 0.0, rng)
+    for s in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            dsets.gen_zipf(100, 16, s, rng)
     with pytest.raises(ValueError):
         dsets.gen_zipf(-5, 16, 1.1, rng)
     with pytest.raises(ValueError):
         dsets.gen_zipf(100, 0, 1.1, rng)
+
+
+def _reference_zipf_cdf(r_max, s):
+    """The reference below is gen_zipf as it was before the sorted lookup
+    and the blocked table, in three steps so the grid can share the slow
+    ones.  This is its table: one power array and one cumsum."""
+    weights = np.arange(1, r_max + 1, dtype=np.float64) ** (-float(s))
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _reference_ranks(n, rng, cdf):
+    """Its unsorted search of n uniforms in `cdf`, then np.unique: the
+    distinct ranks and each user's index into them."""
+    ranks = np.searchsorted(cdf, rng.random(n), side="right")
+    return np.unique(ranks, return_inverse=True)
+
+
+def _reference_map(ranked, n, d, s, rng, r_max):
+    """Then a and b, drawn after the uniforms, each distinct rank mapped
+    through Python ints, and the meta."""
+    uniq, inv = ranked
+    while True:
+        a = int(rng.integers(1, d)) if d > 1 else 1
+        if math.gcd(a, d) == 1:
+            break
+    b = int(rng.integers(0, d))
+    mapped = np.fromiter(((a * r + b) % d for r in uniq.tolist()),
+                         dtype=np.uint64, count=uniq.size)
+    elements = mapped[inv]
+    meta = {"generator": "zipf", "n": int(n), "d": int(d), "s": float(s),
+            "rank_cap": r_max, "map_a": a, "map_b": b}
+    return dsets.Dataset(elements=elements, d=int(d), meta=meta)
+
+
+def _reference_zipf(n, d, s, rng):
+    r_max = min(d, dsets.ZIPF_MAX_RANKS)
+    ranked = _reference_ranks(n, rng, _reference_zipf_cdf(r_max, s))
+    return _reference_map(ranked, n, d, s, rng, r_max)
+
+
+def _same_draw(got, want):
+    return (got.elements.dtype == want.elements.dtype
+            and np.array_equal(got.elements, want.elements)
+            and got.d == want.d and got.meta == want.meta)
+
+
+def test_zipf_matches_the_reference_draw(monkeypatch):
+    block = dsets._ZIPF_BLOCK
+    domains = [1, 2, 5, block - 1, block + 1, 10**7 - 1, 10**7, 10**7 + 3,
+               1 << 32, (1 << 61) - 1]
+    by_cap = {}
+    for d in domains:
+        by_cap.setdefault(min(d, dsets.ZIPF_MAX_RANKS), []).append(d)
+    for r_max, ds in by_cap.items():
+        for s in (0.5, 1.1, 2.0):
+            # the blocked table is checked once per (r_max, s); the grid
+            # below then reads it, as building it per draw would take
+            # minutes at r_max = 10^7
+            cdf = _reference_zipf_cdf(r_max, s)
+            assert np.array_equal(dsets._zipf_cdf(r_max, s), cdf), (r_max, s)
+
+            def built(r, t, want=(r_max, s), cdf=cdf):
+                assert (r, t) == want
+                return cdf
+
+            monkeypatch.setattr(dsets, "_zipf_cdf", built)
+            for n in (0, 1, 1000, (1 << 17) + 3):
+                for seed in (0, 1):
+                    # the uniforms, so their ranks, depend on seed and n
+                    # alone: one reference search serves every d of this cap
+                    ranked = _reference_ranks(n, np.random.default_rng(seed),
+                                              cdf)
+                    for d in ds:
+                        rng = np.random.default_rng(seed)
+                        rng.random(n)
+                        want = _reference_map(ranked, n, d, s, rng, r_max)
+                        got = dsets.gen_zipf(n, d, s,
+                                             np.random.default_rng(seed))
+                        assert _same_draw(got, want), (n, d, s, seed)
+            monkeypatch.undo()
+
+
+def test_zipf_memory_is_one_weight_table():
+    n, d, s = 1 << 17, 1 << 32, 1.1
+    tracemalloc.start()
+    try:
+        got = dsets.gen_zipf(n, d, s, np.random.default_rng(11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 8-byte float per rank for the table, and at most eight live
+    # n-long 8-byte arrays (uniforms, order, sorted uniforms, ranks, ...)
+    # beside it, plus 1 MiB of slack: 85.3 MiB here.  A second r_max-long
+    # array, such as a separate power array, would add 76 MiB.
+    r_max = min(d, dsets.ZIPF_MAX_RANKS)
+    assert peak <= 8 * r_max + 64 * n + (1 << 20), peak / 2**20
+    assert _same_draw(got, _reference_zipf(n, d, s, np.random.default_rng(11)))
 
 
 def test_zipf_tiny_domain():
