@@ -45,16 +45,23 @@ buffer of max(C, R) x 32 elements (1 MiB of float64 up to m = 2^24),
 taking as many rows of the array as fill the panel, runs the passes
 there and copies the panel back.  Every panel of a group but its last
 is full whatever the number and length of the rows, and the transform
-sweeps memory twice instead of log2(m) times.  Every element meets the
+sweeps memory twice instead of log2(m) times.  The slabs of a group are
+disjoint, so a group of eight or more runs on two workers when the
+process may use two CPUs: the caller and one helper thread started for
+the call, each on a contiguous half of the slabs, with a panel and
+half-panel per worker, at most two workers.  Every element meets the
 same partners, in the same pass order, through the same a + b and
 a - b as in the textbook pass-by-pass loop, so the output is
-bit-identical to that loop on any float64 or int32 input.
+bit-identical to that loop on any float64 or int32 input, whatever the
+number of workers.
 
 Callers reach the kernels as attributes of this module (`backend.<name>`),
 so a profiler can wrap them in place.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -82,6 +89,7 @@ def set_backend(name):
 
 _PANEL = 32    # a panel holds max(C, R) x 32 elements
 _BLOCK = 4096  # C: elements per block of a row
+_MIN_RUN = 4   # fewest slabs a worker of a split group runs
 _FWHT_DTYPES = (np.dtype(np.float64), np.dtype(np.int32))
 
 
@@ -90,16 +98,24 @@ def fwht_inplace(x):
 
     View each row as an R x C matrix, C = min(m, 4096).  The low passes
     (stride h < C) pair elements within a row of that matrix, the high
-    passes (h >= C) pair matrix rows C*h' apart.  `_panel_passes` runs
-    both groups: the low passes along the middle axis of the view
-    (blocks, C, 1), the high ones along that of (rows, R, C).  A pair
-    (i, i + h) always becomes (x_i + x_{i+h}, x_i - x_{i+h}), and low
-    passes precede high ones for every element, so the result equals
-    that of running the passes h = 1, 2, ..., m/2 over the whole array,
-    bit for bit.  The panel and one half-panel scratch, both of x's
-    dtype, are the only allocations.  x is float64, or int32 whose
-    absolute values along a row add up to less than 2^31 (then no
-    intermediate overflows).
+    passes (h >= C) pair matrix rows C*h' apart.  Each group is a list of
+    disjoint slabs, `_slabs` of the view (blocks, C, 1) for the low
+    passes and of (rows, R, C) for the high ones, and `_slab_passes` runs
+    every pass of the group on each slab.  A pair (i, i + h) always
+    becomes (x_i + x_{i+h}, x_i - x_{i+h}), and low passes precede high
+    ones for every element, so the result equals that of running the
+    passes h = 1, 2, ..., m/2 over the whole array, bit for bit.
+
+    When the low group has at least 2 * _MIN_RUN slabs and the process
+    may run on two CPUs, each group is split into contiguous halves, one
+    per worker: the calling thread runs the first half while one helper
+    thread, started for this call and joined before it returns, runs the
+    second.  The groups run one after the other.  The helper calls only
+    `_slab_passes`, which calls only `_column_passes` and numpy, whose
+    copies and arithmetic release the GIL.  A panel and half-panel per
+    worker, of x's dtype, at most two workers, are the only allocations.
+    x is float64, or int32 whose absolute values along a row add up to
+    less than 2^31 (then no intermediate overflows).
     """
     if x.dtype not in _FWHT_DTYPES or not x.flags.c_contiguous:
         raise ValueError("in-place transform needs a C-contiguous float64 "
@@ -109,31 +125,63 @@ def fwht_inplace(x):
         raise ValueError(f"length {m} is not a power of two")
     c = min(m, _BLOCK)
     r = m // c
-    panel = np.empty(max(c, r) * _PANEL, dtype=x.dtype)
-    half = np.empty(panel.size // 2, dtype=x.dtype)
-    _panel_passes(x.reshape(-1, c, 1), panel, half)
+    size = max(c, r) * _PANEL
+    groups = [_slabs(x.reshape(-1, c, 1), size)]
     if r > 1:
-        _panel_passes(x.reshape(-1, r, c), panel, half)
+        groups.append(_slabs(x.reshape(-1, r, c), size))
+    workers = max(1, min(_worker_count(), len(groups[0]) // _MIN_RUN))
+    scratch = [(np.empty(size, dtype=x.dtype),
+                np.empty(size // 2, dtype=x.dtype)) for _ in range(workers)]
+    # the pool starts a thread only at a submit, so one worker starts none
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        for slabs in groups:
+            n = len(slabs)
+            runs = [slabs[k * n // workers:(k + 1) * n // workers]
+                    for k in range(workers)]
+            helpers = [pool.submit(_slab_passes, run, *own)
+                       for run, own in zip(runs[1:], scratch[1:])]
+            _slab_passes(runs[0], *scratch[0])
+            for helper in helpers:
+                helper.result()
 
 
-def _panel_passes(v, panel, half):
-    """Every butterfly pass along axis 1 of the 3-D view v = (outer, P, inner).
+def _worker_count():
+    """The CPUs this process may run on, capped at two, so that the
+    transform's scratch stays two panels and half-panels."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(2, cpus)
 
-    Slabs of g x P x w elements, w = min(inner, panel.size // P) and
-    g = panel.size // (P * w), are copied, transposed to P x g x w, into
-    the panel, so every panel but a last partial one is full whatever
-    the shape.  The passes run there, and the panel is copied back.
+
+def _slabs(v, size):
+    """The slabs of the 3-D view v = (outer, P, inner), in order.
+
+    A slab is g x P x w elements, w = min(inner, size // P) and
+    g = size // (P * w), so it fills a panel of `size` elements, but for
+    a last partial one, whatever the shape.  The slabs are disjoint and
+    each holds whole columns along axis 1, the pass axis.
     """
     outer, p_len, inner = v.shape
-    w = min(inner, panel.size // p_len)
-    g = panel.size // (p_len * w)
-    for i in range(0, outer, g):
-        for j in range(0, inner, w):
-            slab = v[i:i + g, :, j:j + w]
-            p = panel[:slab.size].reshape(p_len, slab.shape[0], slab.shape[2])
-            np.copyto(p, slab.transpose(1, 0, 2))
-            _column_passes(p.reshape(p_len, -1), half)
-            slab[...] = p.transpose(1, 0, 2)
+    w = min(inner, size // p_len)
+    g = size // (p_len * w)
+    return [v[i:i + g, :, j:j + w]
+            for i in range(0, outer, g) for j in range(0, inner, w)]
+
+
+def _slab_passes(slabs, panel, half):
+    """Every butterfly pass along axis 1 of each slab, in turn.
+
+    A slab is copied, transposed to P x g x w, into the panel, the
+    passes run there, and the panel is copied back.
+    """
+    for slab in slabs:
+        p_len = slab.shape[1]
+        p = panel[:slab.size].reshape(p_len, slab.shape[0], slab.shape[2])
+        np.copyto(p, slab.transpose(1, 0, 2))
+        _column_passes(p.reshape(p_len, -1), half)
+        slab[...] = p.transpose(1, 0, 2)
 
 
 def _column_passes(p, half):

@@ -216,6 +216,8 @@ def construct(elements, d, params, seed, *, hashes=None, round_index=0):
     if not hashes or any(h.m != hashes[0].m for h in hashes):
         raise ValueError("need one or more hashes, all with the same range m")
     k, m = len(hashes), hashes[0].m
+    if m < 1 or m & (m - 1):
+        raise ValueError(f"hash range {m} is not a power of two")
 
     part = take_partition(n, k, params.scheme, setup_stream(seed, round_index, 0))
     state = OracleState(params=params, k=k, m=m, d=int(d), n_users=n,

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -241,6 +242,88 @@ def test_int32_fwht_equals_the_float64_loop(shape):
     _reference_fwht(want)
     backend.fwht_inplace(x)
     assert x.dtype == np.int32 and np.array_equal(x, want)
+
+
+MULTI_PANEL_SHAPES = [(1 << 20,), (3, 1 << 17), (24, 1 << 18), (7, 1 << 14),
+                      (0, 8192)]
+
+
+def _count_thread_starts(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float64, np.int32])
+@pytest.mark.parametrize("shape", MULTI_PANEL_SHAPES)
+def test_fwht_worker_count_does_not_change_the_output(monkeypatch, shape,
+                                                      dtype, workers):
+    """Every group of two or more slabs is split, so the uneven halves of
+    3 slabs run too; the output is the textbook loop's, bit for bit."""
+    monkeypatch.setattr(backend, "_worker_count", lambda: workers)
+    monkeypatch.setattr(backend, "_MIN_RUN", 1)
+    started = _count_thread_starts(monkeypatch)
+    rng = np.random.default_rng(sum(shape))
+    x = (rng.standard_normal(shape) if dtype is np.float64
+         else rng.integers(-3, 4, size=shape, dtype=np.int32))
+    want = x.astype(np.float64)
+    _reference_fwht(want)
+    backend.fwht_inplace(x)
+    assert x.dtype == dtype and np.array_equal(x, want)
+    # more than one full panel of 2^17 elements is more than one slab
+    assert len(started) == (workers == 2 and x.size > 1 << 17)
+
+
+@pytest.mark.parametrize("shape", [(24, 4096), (141, 2048)])
+def test_fwht_small_transforms_start_no_thread(monkeypatch, shape):
+    """The oracle's matrix is one panel and heavy's five slabs, too few to
+    split, even with two CPUs."""
+    def refuse(thread):
+        raise AssertionError("a small transform started a thread")
+
+    monkeypatch.setattr(backend, "_worker_count", lambda: 2)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    x = np.random.default_rng(7).integers(-3, 4, size=shape, dtype=np.int32)
+    want = x.astype(np.float64)
+    _reference_fwht(want)
+    backend.fwht_inplace(x)
+    assert np.array_equal(x, want)
+
+
+def test_fwht_concurrent_callers_share_no_scratch(monkeypatch):
+    """Two callers transform their own 2^20 arrays at once, each through
+    its own helper; each gets the serial result."""
+    monkeypatch.setattr(backend, "_worker_count", lambda: 2)
+    xs = [np.random.default_rng(s).integers(-3, 4, size=1 << 20,
+                                            dtype=np.int32) for s in (1, 2)]
+    wants = [x.astype(np.float64) for x in xs]
+    for want in wants:
+        _reference_fwht(want)
+    barrier = threading.Barrier(2)
+    errors = []
+
+    def call(x):
+        try:
+            barrier.wait()
+            backend.fwht_inplace(x)
+        except BaseException as e:  # reported below, in the test's thread
+            errors.append(e)
+
+    callers = [threading.Thread(target=call, args=(x,)) for x in xs]
+    for t in callers:
+        t.start()
+    for t in callers:
+        t.join()
+    assert not errors, errors
+    for x, want in zip(xs, wants):
+        assert np.array_equal(x, want)
 
 
 def test_fwht_fills_its_panels_at_short_matrix_rows(monkeypatch):

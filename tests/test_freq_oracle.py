@@ -138,6 +138,20 @@ def test_shared_hashes_fix_geometry():
         fo.construct(elems, 100, params(), seed=9, hashes=mixed)
 
 
+def test_construct_rejects_a_range_that_is_not_a_power_of_two(monkeypatch):
+    """The transform needs a power-of-two m, so a family of range 1000 is
+    refused before a single report is drawn."""
+    def no_ingest(*args, **kwargs):
+        raise AssertionError("ingest ran before the range was checked")
+
+    monkeypatch.setattr(fo, "ingest", no_ingest)
+    elems = np.random.default_rng(4).integers(0, 5000, size=2000,
+                                              dtype=np.uint64)
+    family = [PairwiseHash(a=1 + j, b=j, m=1000) for j in range(5)]
+    with pytest.raises(ValueError, match="hash range 1000"):
+        fo.construct(elems, 5000, params(), seed=9, hashes=family)
+
+
 def test_query_is_always_a_row_estimate():
     rng = np.random.default_rng(3)
     elems = rng.integers(0, 512, size=2000, dtype=np.uint64)
