@@ -147,7 +147,9 @@ def fwht_inplace(x):
 
 def _worker_count():
     """The CPUs this process may run on, capped at two, so that the
-    transform's scratch stays two panels and half-panels."""
+    transform's scratch stays two panels and half-panels.  `hrr.ingest`
+    reads it too: at two, a build of more than one chunk draws ahead on
+    one helper thread."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform

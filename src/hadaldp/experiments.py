@@ -123,6 +123,18 @@ def _error_stats(estimates, truths):
             float(np.percentile(errs, 99)))
 
 
+def _contract_check(row, state_bytes, params, n):
+    """Add to a trial's row the bytes of its int32 server state, the
+    analysis's error bound at the run's eps, beta' and n, and its max_err
+    over that bound; summary.json carries them, trials.csv does not."""
+    bound = fo.theoretical_error_bound(params, n)
+    ratio = (row["max_err"] / bound
+             if row["max_err"] is not None and bound > 0 else None)
+    row.update(state_bytes=state_bytes, error_bound=bound,
+               max_err_over_bound=ratio)
+    return row
+
+
 def _lookup_counts(values, counts, queries):
     """Exact count of each query (0 if absent) from exact_counts' arrays."""
     pos = np.minimum(np.searchsorted(values, queries), values.size - 1)
@@ -170,10 +182,13 @@ def _run_hrr_trial(config, ds, trial, failures, out_dir):
 
     truths = _lookup_counts(*exact_counts(ds), queries)
     max_err, p95, p99 = _error_stats(estimates, truths)
-    return {"trial": trial, "protocol": "hrr", "n": ds.n, "d": ds.d,
-            "eps": config.eps, "m": state.m, "max_err": max_err,
-            "p95_err": p95, "p99_err": p99,
-            "build_ms": build_ms, "query_ms": query_ms}
+    row = {"trial": trial, "protocol": "hrr", "n": ds.n, "d": ds.d,
+           "eps": config.eps, "m": state.m, "max_err": max_err,
+           "p95_err": p95, "p99_err": p99,
+           "build_ms": build_ms, "query_ms": query_ms}
+    # the bound reads only eps and beta_prime of the params
+    params = fo.OracleParams(eps=config.eps, beta_prime=config.beta_prime)
+    return _contract_check(row, state.buffer.nbytes, params, ds.n)
 
 
 def _run_oracle_trial(config, ds, trial, failures, out_dir):
@@ -200,10 +215,11 @@ def _run_oracle_trial(config, ds, trial, failures, out_dir):
 
     truths = _lookup_counts(*exact_counts(ds), queries)
     max_err, p95, p99 = _error_stats(estimates, truths)
-    return {"trial": trial, "protocol": "hada-oracle", "n": ds.n, "d": ds.d,
-            "eps": config.eps, "k": state.k, "m": state.m,
-            "max_err": max_err, "p95_err": p95, "p99_err": p99,
-            "build_ms": build_ms, "query_ms": query_ms}
+    row = {"trial": trial, "protocol": "hada-oracle", "n": ds.n, "d": ds.d,
+           "eps": config.eps, "k": state.k, "m": state.m,
+           "max_err": max_err, "p95_err": p95, "p99_err": p99,
+           "build_ms": build_ms, "query_ms": query_ms}
+    return _contract_check(row, state.matrix.nbytes, params, ds.n)
 
 
 def _run_heavy_trial(config, ds, trial, failures, out_dir):
@@ -281,7 +297,10 @@ def run_experiment(config):
     summary["assertion_failures"] is empty iff every internal consistency
     check passed; the CLI turns that into the exit status.
     summary["dataset"] holds the n and d of the data the trials ran on,
-    a file's where the config names one, not the config's n and d.
+    a file's where the config names one, not the config's n and d.  Each
+    hada-oracle and hrr entry of summary["trials"] also holds
+    `state_bytes`, `error_bound` and `max_err_over_bound` (see
+    _contract_check), which trials.csv leaves out.
     """
     out_dir = None
     if config.out is not None:

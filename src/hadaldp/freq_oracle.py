@@ -32,6 +32,8 @@ through `hrr.ingest`, the report path of every build, in chunks of
 consecutive users: per chunk one limb-kernel call `backend.hash_eval`
 with each user's coefficients (a_g, b_g) gathered by their subset g, one
 `randomize` and one scatter-add at g*m + row into the flattened matrix.
+With more than one chunk and two CPUs, a helper thread draws the next
+chunk's rows and coins meanwhile; the matrix is the same either way.
 Every query hashes through the kernel's block entry `backend.hash_block`.
 A scalar query costs its arithmetic and little else: the state keeps
 the 32-bit limbs of (a_j) and the flat row offsets j * m, read-only and

@@ -12,7 +12,11 @@ chunks of CHUNK, drawing each chunk's rows and coins as the next slice of
 the round's streams, randomizing them in one call and adding them with
 one scatter-add.  `build` calls it with the element as the column;
 `freq_oracle.construct` with each user's hashed element and a row offset
-per subset.
+per subset.  A build of more than one chunk, when the process may run on
+two CPUs, draws its rows and coins on one helper thread, a chunk ahead
+of the caller's hashing, randomizing and adding; the streams are read
+in the same order either way, so the output is bit-identical to that of
+inline draws.
 
 The server state is the accumulator's transform, kept as int32.  With
 fewer than 2^31 users, which `ingest` enforces, the sums and every
@@ -26,6 +30,7 @@ equal.
 """
 
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,33 +110,53 @@ def ingest(buf, elements, m, keep_prob, seed, round_index, family=None):
     randomize and one scatter-add, each over chunk-sized arrays.  More
     than MAX_USERS users could overflow the int32 sums, so they raise
     ValueError before anything is drawn.
+
+    A build of more than one chunk, in a process that may run on two
+    CPUs, draws ahead: one helper thread, started for the call and joined
+    before it returns, draws chunk c + 1's rows and coins while the
+    caller randomizes and adds chunk c and hashes chunk c + 1.  The
+    helper then reads both streams alone, in chunk order, and the caller
+    collects a chunk's draws before it asks for the next, so the
+    transcript is the same and at most one chunk's draws are in flight.
+    Otherwise the same loop draws each chunk inline, after its hash.
     """
     n = elements.size
     if n > MAX_USERS:
         raise ValueError(f"{n} users exceed the int32 sums' bound of "
                          f"2^31 - 1 = {MAX_USERS} users per build")
     rows_rng, coins_rng = round_streams(seed, round_index)
-    for lo in range(0, n, CHUNK):
-        hi = min(lo + CHUNK, n)
-        cols = elements[lo:hi]
-        if family is not None:
-            groups, a, b = family
-            # widened once: a gather indexes faster by intp, and g * m
-            # below overflows a narrow g
-            g = groups[lo:hi].astype(np.intp)
-            cols = backend.hash_eval(cols, a.take(g), b.take(g), m)
-        # drawn after the hash, so the hash does not run while they are held
-        rows = draw_rows(rows_rng, hi - lo, m)
-        coins = draw_coins(coins_rng, hi - lo)
-        if family is None:
-            at = rows
-        else:
-            # in place; rows < m, so its int64 view holds the same values
-            at = g
-            at *= m
-            at += rows.view(np.int64)
-        backend.accumulate_reports(buf, at, randomize(rows, cols, coins,
-                                                      keep_prob))
+
+    def draw(lo):
+        count = min(CHUNK, n - lo)
+        return draw_rows(rows_rng, count, m), draw_coins(coins_rng, count)
+
+    ahead = n > CHUNK and backend._worker_count() == 2
+    # the pool starts its thread at the first submit, so inline draws start none
+    with ThreadPoolExecutor(1) as pool:
+        pending = pool.submit(draw, 0) if ahead else None
+        for lo in range(0, n, CHUNK):
+            hi = min(lo + CHUNK, n)
+            cols = elements[lo:hi]
+            if family is not None:
+                groups, a, b = family
+                # each user's subset g, widened once: a gather indexes
+                # faster by intp, and g * m below overflows a narrow g
+                at = groups[lo:hi].astype(np.intp)
+                cols = backend.hash_eval(cols, a.take(at), b.take(at), m)
+            rows, coins = pending.result() if ahead else draw(lo)
+            if ahead and hi < n:
+                pending = pool.submit(draw, hi)
+            if family is None:
+                at = rows
+            else:
+                # g * m + row, in place; rows < m, so its int64 view holds
+                # the same values
+                at *= m
+                at += rows.view(np.int64)
+            backend.accumulate_reports(buf, at, randomize(rows, cols, coins,
+                                                          keep_prob))
+            # freed before the next chunk's hash, which the next draws overlap
+            del cols, at, rows, coins
 
 
 def query(state, v):

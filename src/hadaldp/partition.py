@@ -8,8 +8,10 @@ Two schemes, chosen by name everywhere a partition is taken:
   blocks.  Sizes are fixed: when k does not divide n, the first (n mod k)
   blocks take the extra user (ceil(n/k)), the rest get floor(n/k).
 
-The builds read only `assignment`, a subset per user in the narrowest
-type that holds k - 1.  Neither scheme makes an n-long int64 array.
+A partition holds `assignment`, a subset per user in the narrowest type
+that holds k - 1, and k.  The builds read only `assignment`; the subset
+sizes are counted from it when asked for, so taking a partition costs
+its draw and nothing else.  Neither scheme makes an n-long int64 array.
 """
 
 from dataclasses import dataclass
@@ -23,12 +25,15 @@ SCHEMES = ("independent", "permutation")
 class Partition:
     # assignment[u] = subset of user u, in the narrowest type that holds k - 1
     assignment: np.ndarray
-    sizes: np.ndarray       # int64, len k, sizes[j] = |subset j|
+    k: int
     scheme: str
 
+    # read by members() and the tests; no build reads it
     @property
-    def k(self):
-        return int(self.sizes.shape[0])
+    def sizes(self):
+        """int64, len k: sizes[j] = |subset j|, counted on each read."""
+        return np.bincount(self.assignment, minlength=self.k).astype(
+            np.int64, copy=False)
 
     # no caller in the package, whose builds read `assignment`:
     # perfbench/tracer.py wraps it, and the tests group users with it
@@ -56,14 +61,12 @@ def _check(n, k):
 def independent_partition(n, k, rng):
     """Subsets uniform in [0, k): the values of one n-long int64 draw from
     rng, drawn _CHUNK at a time and stored narrow, so that no n-long
-    int64 array (nor, for the sizes, an n-long intp copy) is made."""
+    int64 array is made."""
     assignment = np.empty(n, dtype=_check(n, k))
-    sizes = np.zeros(k, dtype=np.int64)
     for lo in range(0, n, _CHUNK):
-        part = rng.integers(0, k, size=min(_CHUNK, n - lo), dtype=np.int64)
-        assignment[lo:lo + part.size] = part
-        sizes += np.bincount(part, minlength=k)
-    return Partition(assignment=assignment, sizes=sizes, scheme="independent")
+        assignment[lo:lo + _CHUNK] = rng.integers(
+            0, k, size=min(_CHUNK, n - lo), dtype=np.int64)
+    return Partition(assignment=assignment, k=k, scheme="independent")
 
 
 def permutation_partition(n, k, rng):
@@ -76,7 +79,7 @@ def permutation_partition(n, k, rng):
     rng.shuffle(perm)
     assignment = np.empty(n, dtype=narrow)
     assignment[perm] = np.repeat(np.arange(k, dtype=narrow), sizes)
-    return Partition(assignment=assignment, sizes=sizes, scheme="permutation")
+    return Partition(assignment=assignment, k=k, scheme="permutation")
 
 
 def take_partition(n, k, scheme, rng):

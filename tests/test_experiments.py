@@ -98,6 +98,30 @@ def test_oracle_experiment_summary(tmp_path):
     assert loaded["config"]["protocol"] == "hada-oracle"
 
 
+def test_fo_and_hrr_trials_carry_the_contract_check(tmp_path):
+    """summary.json gives each oracle and hrr trial its int32 state's
+    bytes, the error bound (1/eps) sqrt(n ln(1/beta')) at the run's eps,
+    beta' and n, and max_err over it; trials.csv keeps its columns."""
+    for protocol in ("hada-oracle", "hrr"):
+        cfg = ex.ExperimentConfig(protocol=protocol, n=2000, d=1024,
+                                  trials=2, n_queries=50, seed=4, eps=0.5,
+                                  beta_prime=0.1, out=str(tmp_path / protocol))
+        summary = ex.run_experiment(cfg)
+        assert summary["assertion_failures"] == []
+        bound = (1 / 0.5) * math.sqrt(2000 * math.log(1 / 0.1))
+        loaded = json.loads((tmp_path / protocol / "summary.json").read_text())
+        for row in loaded["trials"]:
+            cells = row["k"] * row["m"] if protocol == "hada-oracle" else 1024
+            assert row["state_bytes"] == 4 * cells
+            assert row["error_bound"] == pytest.approx(bound, rel=1e-12)
+            assert row["error_bound"] == fo.theoretical_error_bound(
+                fo.OracleParams(eps=0.5, beta_prime=0.1), 2000)
+            assert row["max_err_over_bound"] == \
+                row["max_err"] / row["error_bound"] > 0
+        header = (tmp_path / protocol / "trials.csv").read_text().splitlines()[0]
+        assert header.split(",") == ex.CSV_COLUMNS and len(ex.CSV_COLUMNS) == 17
+
+
 def test_heavy_experiment_artifacts(tmp_path):
     cfg = ex.ExperimentConfig(protocol="hada-heavy", n=20_000, d=1 << 16,
                               trials=1, seed=6, c_lambda=6.0,
@@ -114,6 +138,8 @@ def test_heavy_experiment_artifacts(tmp_path):
     assert any(line.startswith("321,") for line in hist_lines[1:])
     meta = json.loads((tmp_path / "hist_trial0.meta.json").read_text())
     assert meta["status"] == "ok"
+    # the contract check covers the oracle and hrr trials only
+    assert "error_bound" not in row and "state_bytes" not in row
 
 
 # --- command line ---

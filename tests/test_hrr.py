@@ -1,11 +1,14 @@
 import math
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hadaldp import hrr
+from hadaldp import backend, hrr
+from hadaldp import freq_oracle as fo
+from hadaldp.partition import SCHEMES
 from hadaldp.randomizer import (PrivacyBudget, debias_factor, draw_coins, draw_rows,
                                 round_streams)
 
@@ -233,6 +236,23 @@ def test_build_memory_is_its_int32_table():
     assert peak <= 4 * m + (4 << 20)
 
 
+def test_multi_chunk_build_memory_is_its_int32_table():
+    """Past one chunk, with the next chunk's draws in flight when two
+    CPUs are free, the build still holds its table and a few chunks'
+    temporaries."""
+    m = 1 << 22
+    n = 3 * hrr.CHUNK + 5
+    elems = np.random.default_rng(8).integers(0, m, size=n, dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        state = hrr.build(elems, m, BUDGET, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.n_users == n and state.buffer.nbytes == 4 * m
+    assert peak <= 4 * m + (4 << 20)
+
+
 def test_buffer_is_int32_before_and_after_finalize():
     raw = hrr.build(np.array([1, 2, 3], dtype=np.uint64), 8, BUDGET, seed=0,
                     finalize=False)
@@ -259,3 +279,127 @@ def test_query_many_equals_query_bit_for_bit():
     for bad in ([-1], [1.5], [state.m], np.array([[1]])):
         with pytest.raises(ValueError):
             hrr.query_many(state, bad)
+
+
+# --- drawing ahead on a helper thread ---------------------------------------
+
+SMALL_CHUNK = 256
+N_AHEAD = 5 * SMALL_CHUNK + 7   # six chunks, the last a partial one
+
+
+def _count_thread_starts(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+def _ahead_elements(n=N_AHEAD):
+    return np.random.default_rng(21).integers(0, 1000, size=n, dtype=np.uint64)
+
+
+def _oracle_params(scheme="independent"):
+    return fo.OracleParams(eps=0.8, beta_prime=0.05, scheme=scheme)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_draw_ahead_is_bit_identical_to_inline_draws(monkeypatch, scheme):
+    """Six small chunks, on two workers and on one: the same oracle
+    matrix and raw hrr buffer, and both those of a one-chunk build."""
+    elems = _ahead_elements()
+    whole = fo.construct(elems, 1000, _oracle_params(scheme), 4).matrix
+    whole_raw = hrr.build(elems, 1000, BUDGET, 4, finalize=False).buffer
+    monkeypatch.setattr(hrr, "CHUNK", SMALL_CHUNK)
+    for workers in (1, 2):
+        monkeypatch.setattr(backend, "_worker_count", lambda: workers)
+        st = fo.construct(elems, 1000, _oracle_params(scheme), 4)
+        raw = hrr.build(elems, 1000, BUDGET, 4, finalize=False)
+        assert np.array_equal(st.matrix, whole)
+        assert np.array_equal(raw.buffer, whole_raw)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [0, 1, SMALL_CHUNK, SMALL_CHUNK + 1, N_AHEAD])
+def test_draw_ahead_starts_one_thread_past_one_chunk(monkeypatch, n, workers):
+    monkeypatch.setattr(hrr, "CHUNK", SMALL_CHUNK)
+    monkeypatch.setattr(backend, "_worker_count", lambda: workers)
+    started = _count_thread_starts(monkeypatch)
+    buf = np.zeros(1024, dtype=np.int32)
+    hrr.ingest(buf, _ahead_elements(n), 1024, BUDGET.keep_prob, 3, 0)
+    assert len(started) == (workers == 2 and n > SMALL_CHUNK)
+    assert not any(t.is_alive() for t in started)
+    assert int(np.abs(buf).sum()) <= n and buf.sum() % 2 == n % 2
+
+
+def test_one_chunk_build_runs_while_threads_are_refused(monkeypatch):
+    def refuse(thread):
+        raise AssertionError("a one-chunk build started a thread")
+
+    monkeypatch.setattr(hrr, "CHUNK", SMALL_CHUNK)
+    monkeypatch.setattr(backend, "_worker_count", lambda: 2)
+    elems = _ahead_elements(SMALL_CHUNK)
+    want = hrr.build(elems, 1000, BUDGET, 4, finalize=False).buffer
+    want_matrix = fo.construct(elems, 1000, _oracle_params(), 4).matrix
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    raw = hrr.build(elems, 1000, BUDGET, 4, finalize=False)
+    assert np.array_equal(raw.buffer, want)
+    st = fo.construct(elems, 1000, _oracle_params(), 4)
+    assert np.array_equal(st.matrix, want_matrix)
+
+
+def test_draw_ahead_error_propagates_and_joins_the_helper(monkeypatch):
+    """A hash that fails on the second chunk, while the third chunk's
+    draws are in flight, raises out of the build, which leaves no thread
+    behind."""
+    monkeypatch.setattr(hrr, "CHUNK", SMALL_CHUNK)
+    monkeypatch.setattr(backend, "_worker_count", lambda: 2)
+    hash_eval = backend.hash_eval
+    calls = []
+
+    def fail_second(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("hash failed on chunk 2")
+        return hash_eval(*args)
+
+    monkeypatch.setattr(backend, "hash_eval", fail_second)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="chunk 2"):
+        fo.construct(_ahead_elements(), 1000, _oracle_params(), 4)
+    assert len(calls) == 2
+    assert threading.active_count() == before
+
+
+def test_draw_ahead_concurrent_callers_get_the_serial_result(monkeypatch):
+    """Two builds at once, each drawing ahead through its own helper."""
+    monkeypatch.setattr(hrr, "CHUNK", SMALL_CHUNK)
+    elems = _ahead_elements()
+    seeds = (1, 2)
+    monkeypatch.setattr(backend, "_worker_count", lambda: 1)
+    wants = [fo.construct(elems, 1000, _oracle_params(), s).matrix
+             for s in seeds]
+    monkeypatch.setattr(backend, "_worker_count", lambda: 2)
+    barrier = threading.Barrier(2)
+    got, errors = {}, []
+
+    def call(seed):
+        try:
+            barrier.wait()
+            got[seed] = fo.construct(elems, 1000, _oracle_params(), seed).matrix
+        except BaseException as e:  # reported below, in the test's thread
+            errors.append(e)
+
+    callers = [threading.Thread(target=call, args=(s,)) for s in seeds]
+    for t in callers:
+        t.start()
+    for t in callers:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert not errors, errors
+    for seed, want in zip(seeds, wants):
+        assert np.array_equal(got[seed], want)
