@@ -17,12 +17,13 @@ through one preallocated scratch, so a call allocates its output and
 320 KiB, whatever its size; its coefficients broadcast, per user in a
 build.  An operand of size 1 is a numpy scalar whose limbs are split
 once per call, so its multiplies run array x scalar and no row of the
-scratch is filled with copies of it.  The queries enter at the block
-with limbs they already hold and skip that set-up: a scalar query, k
-elements far under one block, once; a batch query once per row.  When
-the element's high limb is zero, three of the kernel's limb terms are
-zero, and it skips them; every element and prefix of the benchmark
-workloads is below 2^32 (d <= 2^32), so they all take that path.  For a
+scratch is filled with copies of it.  The oracle's reads enter at the
+block with limbs they already hold and skip that set-up, once per read:
+a scalar query's element, or a batch query's block of elements as a
+column, against the k rows' coefficients.  When the high limb of every
+element of a call is zero, three of the kernel's limb terms are zero,
+and it skips them; every element and prefix of the benchmark workloads
+is below 2^32 (d <= 2^32), so they all take that path.  For a
 power-of-two range m the last two reductions, mod p and mod m, are one
 mask.
 
@@ -259,22 +260,24 @@ def split_limbs(v, hi=None, lo=None):
 def hash_block(x, a, b, m, s, rows):
     """The hash kernel on one block, written into s.
 
-    x and a come as their 32-bit limbs (hi, lo), each a pair of block rows
-    or of scalars (numpy or Python ints); b is a block row or a scalar,
-    and m a Python int.  `hash_eval` calls this once per block; a scalar
-    query calls it once, with the element's limbs against the k rows'
-    coefficients.  The 64 x 64-bit product goes through the limbs,
-    a*x = t2*2^64 + t1*2^32 + t0, and every term is folded with
+    x and a come as their 32-bit limbs (hi, lo), each a pair of arrays
+    that broadcast to s's shape or of scalars (numpy or Python ints); b
+    is such an array or a scalar, and m a Python int.  `hash_eval` calls
+    this once per block; an oracle read calls it once, with one
+    element's limbs, or the D x 1 columns of a block's, against the k
+    rows' coefficients, into k or D x k cells.  The 64 x 64-bit product
+    goes through the limbs, a*x = t2*2^64 + t1*2^32 + t0, and every term is folded with
     2^61 == 1 (mod p): t2*2^64 == 8*t2,
     t1*2^32 == (t1 >> 29) + ((t1 & (2^29 - 1)) << 32) and
     t0 == (t0 >> 61) + (t0 & p).  With b added the sum stays below 2^64;
     one fold brings it below 2p, and one conditional subtraction of p,
     done with shifts and masks, below p.
 
-    When x's high limb is zero (a scalar element below 2^32, or a block
-    of them) a_lo*x_hi and t2 = a_hi*x_hi are zero, so those two products,
-    their adds and the shift of t2 are skipped; every element and prefix
-    of the benchmark workloads (d <= 2^32) takes that path.  For a
+    When x's high limb is zero (an element below 2^32, or a block whose
+    elements all are) a_lo*x_hi and t2 = a_hi*x_hi are zero, so those
+    two products, their adds and the shift of t2 are skipped; every
+    element and prefix of the benchmark workloads (d <= 2^32) takes
+    that path.  For a
     power-of-two m the final reductions mod p and mod m are one mask,
     (m - 1) & p: m - 1 up to m = 2^61, and p above it, where s < p < m
     already.

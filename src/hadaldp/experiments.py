@@ -65,6 +65,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}; have {PROTOCOLS}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.n_queries < 0:
+            raise ValueError(f"n_queries must be non-negative, got {self.n_queries}")
         if self.dataset_path and self.planted:
             raise ValueError("give a dataset file or planted elements, not both")
 

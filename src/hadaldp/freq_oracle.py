@@ -34,16 +34,18 @@ with each user's coefficients (a_g, b_g) gathered by their subset g, one
 `randomize` and one scatter-add at g*m + row into the flattened matrix.
 With more than one chunk and two CPUs, a helper thread draws the next
 chunk's rows and coins meanwhile; the matrix is the same either way.
-Every query hashes through the kernel's block entry `backend.hash_block`.
-A scalar query costs its arithmetic and little else: the state keeps
-the 32-bit limbs of (a_j) and the flat row offsets j * m, read-only and
-computed once, so the query makes one kernel call on the element's limbs
-against the k rows and one `take` from the flattened matrix.  A batch
-query takes its elements in chunks of 2^14, splits the limbs of a
-chunk's distinct elements once and hashes them once per row, gathering
-their int32 cells into one chunk x k int32 scratch; it medians the cells
-there and debiases once per answer, at the end.  So it holds its output,
-that k * 2^14 * 4-byte scratch and a chunk's temporaries, however many
+Every read, a scalar query's or a batch query's, goes through one step,
+`_cells`: one call of the kernel's block entry `backend.hash_block` on
+elements' 32-bit limbs against the k rows' (a_j) limbs and b_j, which
+the state keeps read-only beside the flat row offsets j * m, and one
+`take` from the flattened matrix at offsets + columns.  A scalar query
+hands it one element's limbs and gets its k cells.  A batch query takes
+its elements in chunks of 2^14, reduces a chunk to its distinct
+elements, and hands their limbs over as columns in blocks of
+2^14 // k elements (at least one), so that a call hashes at most
+max(k, 2^14) cells; it medians each block's int32 cells and debiases
+once per answer, at the end.  So it holds its output, one block's
+6 x 2^14 uint64 scratch and a chunk's temporaries, however many
 elements it is asked about.
 `PairwiseHash.eval` stays the exact reference the tests compare the
 hash kernel with.
@@ -84,7 +86,7 @@ _HEADER = struct.Struct("<4sHBBIQQddddQ")
 # magic, version, scheme, reserved, k, m, d, eps, beta_prime, c_k, c_m, n_users
 
 MAX_DOMAIN = (1 << 61) - 1  # hash inputs must stay below the hash prime
-_QUERY_CHUNK = 1 << 14      # elements per chunk of query_many
+_QUERY_CHUNK = 1 << 14      # query_many: elements per chunk, cells per block
 
 
 @dataclass(frozen=True)
@@ -154,12 +156,10 @@ class OracleState:
     hashes: list
     matrix: np.ndarray                 # k x m int32, transformed sums
     # the hashes' coefficients as uint64 vectors: the build gathers them by
-    # each user's subset, and a batch query takes one row's pair per
-    # kernel call
+    # each user's subset, and every read hashes against b and a's 32-bit
+    # limbs, then adds each row's offset j * m into the flat matrix
     a: np.ndarray = field(init=False, repr=False, compare=False)
     b: np.ndarray = field(init=False, repr=False, compare=False)
-    # what a scalar query reuses: a's 32-bit limbs, hashed against the
-    # element's, and each row's offset j * m into the flat matrix
     a_hi: np.ndarray = field(init=False, repr=False, compare=False)
     a_lo: np.ndarray = field(init=False, repr=False, compare=False)
     offsets: np.ndarray = field(init=False, repr=False, compare=False)
@@ -231,15 +231,16 @@ def construct(elements, d, params, seed, *, hashes=None, round_index=0):
 
 
 def _cells(state, v):
-    """Element v's k int32 cells matrix[j, h_j(v)], in a fresh array.
+    """The int32 cells matrix[j, h_j(v)] of elements v, in a fresh array.
 
-    One call of the block kernel hashes v's limbs against the k rows'
-    coefficients, in a 5 x k scratch and a column row of its own, so
-    concurrent queries on one state share nothing they write; one `take`
-    at offsets + columns gathers the cells from the flat matrix.
+    v is one element as a Python int, which gets its k cells, or a block
+    of D elements as a D x 1 uint64 column, which gets D x k.  One call
+    of the block kernel hashes v's 32-bit limbs against the k rows'
+    coefficients, broadcast, in a scratch of its own, so concurrent
+    reads of one state share nothing they write; one `take` at
+    offsets + columns gathers the cells from the flat matrix.
     """
-    v = element_index(v, state.d)
-    rows = np.empty((6, state.k), dtype=np.uint64)
+    rows = np.empty((6, *np.shape(v)[:1], state.k), dtype=np.uint64)
     cols = backend.hash_block((v >> 32, v & 0xFFFFFFFF),
                               (state.a_hi, state.a_lo), state.b, state.m,
                               rows[5], rows[:5])
@@ -250,7 +251,7 @@ def _cells(state, v):
 
 def row_estimates(state, v):
     """The k per-row estimates k * (matrix[j, h_j(v)] * factor)."""
-    return state.k * (_cells(state, v) * state.factor)
+    return state.k * (_cells(state, element_index(v, state.d)) * state.factor)
 
 
 def query(state, v):
@@ -260,7 +261,7 @@ def query(state, v):
     scaled, float64(cell) * factor * k, which is bit for bit the median
     of `row_estimates` (see the module docstring).
     """
-    cells = _cells(state, v)
+    cells = _cells(state, element_index(v, state.d))
     mid = state.median_index
     cells.partition(mid)
     return float(cells[mid]) * state.factor * state.k
@@ -270,36 +271,30 @@ def query_many(state, vs):
     """Vectorized query; returns one estimate per element of vs.
 
     Elements are answered in chunks of 2^14.  Each chunk is reduced to
-    its distinct elements, whose 32-bit limbs are split once; per row j
-    one `backend.hash_block` call, with row j's coefficients as scalars,
-    hashes them all, and a gather from matrix row j fills column j of
-    one chunk x k int32 scratch.  An in-place partition along each
-    scratch row picks the median cell, which is copied back out to
-    every position of its element.  The output is scaled once at the
-    end, by the debias factor and then by k, as `row_estimates` scales
-    each cell: x -> k * (float64(x) * factor) never decreases, so the
-    median of the scaled cells is the scaled median cell, bit for bit.
-    A call so holds its output, that scratch (1.5 MiB at k = 24) and a
-    chunk's temporaries, whatever the number of elements, and what it
-    returns owns its data.
+    its distinct elements, which `_cells` hashes and gathers in
+    blocks of 2^14 // k elements (at least one); an in-place partition
+    along each block's rows picks the median cell, which is copied back
+    out to every position of its element.  The output is scaled once at
+    the end, by the debias factor and then by k, as `row_estimates`
+    scales each cell: x -> k * (float64(x) * factor) never decreases, so
+    the median of the scaled cells is the scaled median cell, bit for
+    bit.  A call so holds its output, one block's scratch and a chunk's
+    temporaries, whatever the number of elements, and what it returns
+    owns its data.
     """
     vs = element_array(vs, state.d)
     out = np.empty(vs.size, dtype=np.float64)
-    scratch = np.empty((min(vs.size, _QUERY_CHUNK), state.k), np.int32)
+    block = max(1, _QUERY_CHUNK // state.k)
     mid = state.median_index
-    for lo in range(0, vs.size, _QUERY_CHUNK):
-        chunk = vs[lo:lo + _QUERY_CHUNK]
+    for start in range(0, vs.size, _QUERY_CHUNK):
+        chunk = vs[start:start + _QUERY_CHUNK]
         distinct, where = np.unique(chunk, return_inverse=True)
-        cells = scratch[:distinct.size]
-        hashed = np.empty((8, distinct.size), dtype=np.uint64)
-        limbs = backend.split_limbs(distinct, hashed[0], hashed[1])
-        cols, rows = hashed[2], hashed[3:]
-        for j in range(state.k):
-            backend.hash_block(limbs, (state.a_hi[j], state.a_lo[j]),
-                               state.b[j], state.m, cols, rows)
-            cells[:, j] = state.matrix[j].take(cols)
-        cells.partition(mid, axis=1)
-        out[lo:lo + chunk.size] = cells[:, mid][where]
+        medians = np.empty(distinct.size, dtype=np.int32)
+        for i in range(0, distinct.size, block):
+            cells = _cells(state, distinct[i:i + block, None])
+            cells.partition(mid, axis=1)
+            medians[i:i + block] = cells[:, mid]
+        out[start:start + chunk.size] = medians[where]
     out *= state.factor
     out *= state.k
     return out

@@ -7,10 +7,9 @@ is exact by construction; it is the reference the kernel is tested
 against.  Everything on a hot path uses the 32-bit-limb uint64 kernel
 `backend.hash_block`: the oracle build through its blocked entry
 `backend.hash_eval`, once per chunk of users with each user's subset's
-(a, b); a scalar query once, with the element's limbs against the k rows'
-(a, b) vectors; a batch query once per row, with that row's scalars
-against a chunk's distinct elements, whose limbs it splits once.  The
-two must agree everywhere, and tests hold them to that.
+(a, b); every oracle read once per element or block of elements, their
+limbs against the k rows' (a, b) vectors, broadcast.  The two must agree
+everywhere, and tests hold them to that.
 """
 
 import operator

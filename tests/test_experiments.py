@@ -31,6 +31,9 @@ def test_config_from_dict():
             ex.ExperimentConfig.from_dict(dropped)
     with pytest.raises(ValueError):
         ex.ExperimentConfig(trials=0)
+    with pytest.raises(ValueError, match="n_queries"):
+        ex.ExperimentConfig.from_dict({"n_queries": -1})
+    assert ex.ExperimentConfig(n_queries=0).n_queries == 0
 
 
 def test_one_default_for_c_k_and_c_m():

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hadaldp import backend
 from hadaldp import freq_oracle as fo
 from hadaldp import hrr
 from hadaldp.datasets import exact_frequency, gen_planted, gen_zipf
@@ -367,28 +368,62 @@ def _limb_states(k):
 
 
 @pytest.mark.parametrize("k", [1, 2, 141])
-def test_query_is_the_median_row_estimate_on_both_sides_of_2_32(k):
+def test_query_is_the_median_row_estimate_on_both_sides_of_2_32(monkeypatch,
+                                                                 k):
     """query medians the int32 cells and scales once; that must be, bit
-    for bit, the lower-middle of row_estimates and query_many's answer,
-    for elements whose high 32-bit limb is zero and for ones where it
-    is not, and no query may write to the matrix."""
+    for bit, the lower-middle of row_estimates, for elements whose high
+    32-bit limb is zero and for ones where it is not.  query_many must
+    answer all of them in one batch, so that a block's kernel call
+    decides the zero-high-limb branch for elements on both sides: at the
+    default chunk they share one block, and at chunks of 3k + 1 the 43
+    elements fill blocks of 3 (4 at k = 1) and leave the last block
+    partial.  No query may write to the matrix."""
     d = fo.MAX_DOMAIN
-    below = [0, 1, (1 << 32) - 1, 123_456_789]
-    above = [1 << 32, (1 << 32) + 1, d - 1, 987_654_321_987_654]
+    rng = np.random.default_rng(60 + k)
+    vs = [0, 1, (1 << 32) - 1, 123_456_789,
+          1 << 32, (1 << 32) + 1, d - 1, 987_654_321_987_654]
+    vs += rng.integers(0, 1 << 32, size=17, dtype=np.uint64).tolist()
+    vs += rng.integers(1 << 32, d, size=18, dtype=np.uint64).tolist()
+    vs = [vs[i] for i in rng.permutation(len(vs))]
+    chunks = (fo._QUERY_CHUNK, 3 * k + 1)
     for st in _limb_states(k):
         before = st.matrix.copy()
-        for v in below + above:
+        want = []
+        for v in vs:
             got = fo.query(st, v)
             rows = fo.row_estimates(st, v)
             assert rows.tolist() == _reference_rows(st, v)
-            want = np.partition(rows, st.median_index)[st.median_index]
-            assert got.hex() == float(want).hex()
-            assert got.hex() == float(fo.query_many(st, [v])[0]).hex()
+            median = np.partition(rows, st.median_index)[st.median_index]
+            assert got.hex() == float(median).hex()
+            want.append(got.hex())
+        for chunk in chunks:
+            monkeypatch.setattr(fo, "_QUERY_CHUNK", chunk)
+            assert [x.hex() for x in fo.query_many(st, vs).tolist()] == want
         assert np.array_equal(st.matrix, before)
 
 
+@pytest.mark.parametrize("k, blocks", [(1, 1), (24, 2), (141, 9)])
+def test_every_read_hashes_in_one_kernel_call_per_block(monkeypatch, k,
+                                                        blocks):
+    """A scalar query makes one `backend.hash_block` call; a batch of
+    1000 distinct elements within one chunk makes one per block of
+    max(1, 2^14 // k) elements, not one per row."""
+    st = _limb_states(k)[2]
+    calls = []
+    kernel = backend.hash_block
+    monkeypatch.setattr(backend, "hash_block",
+                        lambda *args: calls.append(1) or kernel(*args))
+    fo.query(st, 12345)
+    assert len(calls) == 1
+    vs = np.random.default_rng(k).choice(fo.MAX_DOMAIN, size=1000,
+                                         replace=False)
+    calls.clear()
+    fo.query_many(st, vs)
+    assert len(calls) == blocks
+
+
 def test_query_coefficients_are_read_only_and_rebuilt_on_load():
-    """The a limbs and row offsets a scalar query reuses are computed by
+    """The a limbs and row offsets every read reuses are computed by
     every state, hand-built and deserialized alike, and cannot be
     written through."""
     for st in _limb_states(5):
