@@ -11,8 +11,9 @@ optional JSON config of ExperimentConfig fields (--config); any flag
 given on the command line overrides the file.  The dataset follows from
 those inputs: --dataset FILE reads that file, --planted plants its
 elements over a uniform background, and otherwise the elements are drawn
-zipf.  Exit status is 0 only if the run's internal consistency checks all
-passed; a tripped --max-frontier guard exits 1 with one line on stderr.
+zipf.  Exit status is 0 only if the checks on the run's output all
+passed (finite estimates, no heavy-hitter element named twice); a
+tripped --max-frontier guard exits 1 with one line on stderr.
 The acceptance checks run under pytest (`pytest tests/test_acceptance.py
 -s` in a checkout), and timing is measured by `python3 perfbench/run.py`
 there.

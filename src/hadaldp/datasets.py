@@ -1,13 +1,13 @@
-"""Synthetic datasets, exact counting oracles, and the on-disk format.
+"""Synthetic datasets, exact counts, and the on-disk format.
 
 Elements are uint64 in [0, d).  The file layout is a small fixed header
 (magic, version, d, n) followed by n little-endian uint64 values, so a
 dataset can be memory-mapped or streamed without parsing anything.
 
-Two independent exact-counting routes are kept on purpose: a single-pass
-dict accumulation and a sort-based run-length count.  They must agree on
-everything; the tests lean on that redundancy, and the estimators get
-judged against them.
+`exact_counts` is the package's exact count, by sort and run-length; the
+experiments judge their estimates against it.  The tests keep an
+independent single-pass dict count (`tests/exact_reference.py`) and hold
+the two to each other.
 
 `gen_zipf` draws n uniforms, then the map's a and b, from the generator
 it is given, and inverts one float64 CDF table of min(d, 10^7) ranks: the
@@ -43,12 +43,6 @@ class Dataset:
     @property
     def n(self):
         return int(self.elements.size)
-
-
-def _as_elements(data):
-    if isinstance(data, Dataset):
-        return data.elements
-    return np.ascontiguousarray(data, dtype=np.uint64)
 
 
 def _zipf_cdf(r_max, s):
@@ -154,29 +148,15 @@ def gen_planted(n, d, heavy, rng):
     return Dataset(elements=elements, d=int(d), meta=meta)
 
 
-def exact_frequency(data):
-    """Exact counts as {element: count}, one streaming pass with a dict.
-
-    The brute-force reference the tests check estimates and `exact_counts`
-    against; the package itself counts with `exact_counts`.
-    """
-    counts = {}
-    for v in _as_elements(data).tolist():
-        counts[v] = counts.get(v, 0) + 1
-    return counts
-
-
 def exact_counts(data):
-    """Exact counts the other way: sort and run-length.  Returns
-    (values, counts) as parallel arrays, values ascending."""
-    values, counts = np.unique(_as_elements(data), return_counts=True)
+    """Exact counts of a Dataset's or an array's elements, by sort and
+    run-length.  Returns (values, counts) as parallel arrays, values
+    ascending."""
+    if isinstance(data, Dataset):
+        data = data.elements
+    values, counts = np.unique(np.ascontiguousarray(data, dtype=np.uint64),
+                               return_counts=True)
     return values, counts.astype(np.int64)
-
-
-def exact_heavy_hitters(data, threshold):
-    """Set of elements with exact count >= threshold."""
-    values, counts = exact_counts(data)
-    return {int(v) for v in values[counts >= threshold]}
 
 
 def save_dataset(ds, path):

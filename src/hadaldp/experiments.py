@@ -6,12 +6,13 @@ dataset file is read once per run and shared by every trial; otherwise
 each trial regenerates its dataset.  Each trial builds its protocol
 state, and draws any generated dataset, from seeds derived off
 (config.seed, trial), so the same config file gives the same CSV
-byte-for-byte.  Alongside the metrics, every run re-checks a few
-internal consistency properties (transform path against the direct dot
-product, medians being actual row estimates, serialization round-trips);
-any violation is reported and flips the exit status, on the theory that
-a benchmark that silently measures a broken estimator is worse than no
-benchmark.
+byte-for-byte.  Alongside the metrics, every run checks what it
+produced: that every estimate is finite, and that a heavy-hitter output
+names no element twice.  A violation is reported and flips the exit
+status, on the theory that a benchmark that silently measures a broken
+estimator is worse than no benchmark.  The protocols' own invariants
+(the transform against a direct dot product, medians being row
+estimates, serialization round trips) are pinned by the unit tests.
 """
 
 import itertools
@@ -162,25 +163,9 @@ def _run_hrr_trial(config, ds, trial, failures, out_dir):
     budget = PrivacyBudget(config.eps)
     seed = _trial_seed(config, trial, 0x48)
     queries = _sample_queries(ds, config, trial)
-    # trial 0 probes the raw sums of its one build before finalizing it;
-    # build_ms times the build and the finalize, not the probes
-    probe = [int(v) for v in queries[:3]] if trial == 0 else []
-    state, build_ms = _timed(lambda: hrr.build(ds.elements, ds.d, budget,
-                                               seed, finalize=False))
-    direct = [hrr.query_direct(state, v) for v in probe]
-    _, finalize_ms = _timed(state.finalize)
-    build_ms += finalize_ms
-
+    state, build_ms = _timed(lambda: hrr.build(ds.elements, ds.d, budget, seed))
     estimates, query_ms = _timed(lambda: hrr.query_many(state, queries))
     _check(failures, np.isfinite(estimates).all(), "hrr estimates not finite")
-
-    if probe:
-        _check(failures, np.array_equal(hrr.query_many(state, probe), direct),
-               "hrr transform path disagrees with the direct dot product")
-        back = hrr.from_bytes(hrr.to_bytes(state))
-        _check(failures, np.array_equal(hrr.query_many(back, probe),
-                                        hrr.query_many(state, probe)),
-               "hrr serialization round-trip changed estimates")
 
     truths = _lookup_counts(*exact_counts(ds), queries)
     max_err, p95, p99 = _error_stats(estimates, truths)
@@ -203,17 +188,6 @@ def _run_oracle_trial(config, ds, trial, failures, out_dir):
     estimates, query_ms = _timed(lambda: fo.query_many(state, queries))
     _check(failures, np.isfinite(estimates).all(),
            "oracle estimates not finite")
-
-    if trial == 0 and queries.size:
-        for v in queries[:3]:
-            got = fo.query(state, int(v))
-            rows = fo.row_estimates(state, int(v))
-            _check(failures, any(got == r for r in rows),
-                   "median is not one of the row estimates")
-        back = fo.from_bytes(fo.to_bytes(state))
-        _check(failures,
-               np.array_equal(fo.query_many(back, queries), estimates),
-               "oracle serialization round-trip changed estimates")
 
     truths = _lookup_counts(*exact_counts(ds), queries)
     max_err, p95, p99 = _error_stats(estimates, truths)
@@ -296,8 +270,8 @@ def _aggregate(rows):
 def run_experiment(config):
     """Run config.trials trials; returns the summary dict.
 
-    summary["assertion_failures"] is empty iff every internal consistency
-    check passed; the CLI turns that into the exit status.
+    summary["assertion_failures"] is empty iff every check on the trials'
+    output passed; the CLI turns that into the exit status.
     summary["dataset"] holds the n and d of the data the trials ran on,
     a file's where the config names one, not the config's n and d.  Each
     hada-oracle and hrr entry of summary["trials"] also holds

@@ -47,8 +47,6 @@ max(k, 2^14) cells; it medians each block's int32 cells and debiases
 once per answer, at the end.  So it holds its output, one block's
 6 x 2^14 uint64 scratch and a chunk's temporaries, however many
 elements it is asked about.
-`PairwiseHash.eval` stays the exact reference the tests compare the
-hash kernel with.
 
 The median of an even-length list is the lower-middle order statistic
 (1-based index ceil(k/2)), so a query always returns one of the actual
@@ -240,7 +238,8 @@ def _cells(state, v):
     reads of one state share nothing they write; one `take` at
     offsets + columns gathers the cells from the flat matrix.
     """
-    rows = np.empty((6, *np.shape(v)[:1], state.k), dtype=np.uint64)
+    shape = (6, state.k) if isinstance(v, int) else (6, len(v), state.k)
+    rows = np.empty(shape, dtype=np.uint64)
     cols = backend.hash_block((v >> 32, v & 0xFFFFFFFF),
                               (state.a_hi, state.a_lo), state.b, state.m,
                               rows[5], rows[:5])

@@ -2,14 +2,12 @@
 
 The Mersenne prime keeps the modular reduction branch-free (fold the high
 bits back in, 2^61 == 1 mod p) and leaves room for domains up to 2^61.
-`PairwiseHash.eval` goes through Python's arbitrary-precision ints, so it
-is exact by construction; it is the reference the kernel is tested
-against.  Everything on a hot path uses the 32-bit-limb uint64 kernel
+Every hash is evaluated by the 32-bit-limb uint64 kernel
 `backend.hash_block`: the oracle build through its blocked entry
 `backend.hash_eval`, once per chunk of users with each user's subset's
 (a, b); every oracle read once per element or block of elements, their
-limbs against the k rows' (a, b) vectors, broadcast.  The two must agree
-everywhere, and tests hold them to that.
+limbs against the k rows' (a, b) vectors, broadcast.  The tests hold the
+kernel to an exact Python-int reference everywhere.
 """
 
 import operator
@@ -72,13 +70,6 @@ class PairwiseHash:
             raise ValueError(f"b must lie in [0, p), got {self.b}")
         if self.m < 1:
             raise ValueError(f"range m must be positive, got {self.m}")
-
-    def eval(self, x):
-        """Exact scalar evaluation through Python ints."""
-        x = int(x)
-        if not 0 <= x < P61:
-            raise ValueError(f"input {x} outside [0, 2^61 - 1)")
-        return ((self.a * x + self.b) % P61) % self.m
 
     # no caller in the package: perfbench/tracer.py wraps it, and the
     # tests use it to hash a batch with one function

@@ -16,7 +16,7 @@ import numpy as np
 from hadaldp import hrr
 from hadaldp import freq_oracle as fo
 from hadaldp import heavy_hitters as hh
-from hadaldp.datasets import exact_frequency, exact_heavy_hitters, gen_planted, gen_zipf
+from hadaldp.datasets import gen_planted, gen_zipf
 from hadaldp.hashing import sample_hash
 from hadaldp.partition import take_partition
 from hadaldp.prefixes import encode_prefix_batch, make_code
@@ -24,6 +24,7 @@ from hadaldp.randomizer import (PrivacyBudget, debias_factor, keep_probability,
                                 randomize)
 
 import hadamard_reference as hadamard
+from exact_reference import exact_frequency, exact_heavy_hitters
 
 
 def _verdict(num, ok, what, detail):

@@ -240,17 +240,15 @@ def test_cli_fo_smoke(tmp_path):
 
 
 def test_a_failed_check_flips_the_exit_status(tmp_path, monkeypatch, capsys):
-    direct = hrr.query_direct
-    monkeypatch.setattr(hrr, "query_direct",
-                        lambda state, v: direct(state, v) + 1.0)
+    monkeypatch.setattr(hrr, "query_many",
+                        lambda state, vs: np.full(len(vs), np.nan))
     summary = ex.run_experiment(_hrr_config(tmp_path / "lib"))
-    assert summary["assertion_failures"] == [
-        "hrr transform path disagrees with the direct dot product"]
+    assert summary["assertion_failures"] == ["hrr estimates not finite"] * 2
     rc = cli.main(["fo", "--protocol", "hrr", "--n", "200", "--d", "16",
                    "--trials", "1", "--seed", "1",
                    "--out", str(tmp_path / "cli")])
     assert rc == 1
-    assert "CONSISTENCY FAILURE: hrr transform path disagrees" \
+    assert "CONSISTENCY FAILURE: hrr estimates not finite" \
         in capsys.readouterr().out
 
 

@@ -8,13 +8,14 @@ import pytest
 from hadaldp import backend
 from hadaldp import freq_oracle as fo
 from hadaldp import hrr
-from hadaldp.datasets import exact_frequency, gen_planted, gen_zipf
+from hadaldp.datasets import gen_planted, gen_zipf
 from hadaldp.hashing import P61, PairwiseHash, sample_hash
 from hadaldp.partition import take_partition
 from hadaldp.randomizer import (PrivacyBudget, debias_factor, draw_coins,
                                 draw_rows, keep_probability, round_streams,
                                 setup_stream)
 
+from exact_reference import exact_frequency, pairwise_hash
 from hadamard_reference import entry, naive_multiply
 
 E2 = math.exp(-2.0)
@@ -212,7 +213,7 @@ def test_query_many_answers_distinct_elements(monkeypatch, k):
 def _scale_then_partition(state, vs):
     """The batch median as first written: every gathered cell scaled by
     the debias factor and then by k, and the scaled cells partitioned."""
-    vals = np.array([[float(state.matrix[j, h.eval(v)])
+    vals = np.array([[float(state.matrix[j, pairwise_hash(h.a, h.b, h.m, v)])
                       for j, h in enumerate(state.hashes)] for v in vs])
     vals *= state.factor
     vals *= state.k
@@ -326,7 +327,8 @@ def test_query_rejects_negative_and_non_integer_input():
 
 def _reference_rows(state, v):
     factor = debias_factor(state.params.eps)
-    return [state.k * (float(state.matrix[j, h.eval(v)]) * factor)
+    return [state.k * (float(state.matrix[j, pairwise_hash(h.a, h.b, h.m, v)])
+                       * factor)
             for j, h in enumerate(state.hashes)]
 
 
@@ -539,7 +541,8 @@ def test_construct_equals_per_group_sum(scheme):
     keep = keep_probability(p.eps)
     raw = np.zeros((k, m))
     for u, j in enumerate(part.assignment.tolist()):
-        sign = entry(m, rows[u], hashes[j].eval(int(elems[u])))
+        sign = entry(m, rows[u], pairwise_hash(
+            hashes[j].a, hashes[j].b, m, elems[u]))
         raw[j, rows[u]] += sign if coins[u] < keep else -sign
     want = np.array([naive_multiply(m, r) for r in raw])
 

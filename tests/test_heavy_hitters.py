@@ -8,8 +8,10 @@ import pytest
 
 from hadaldp import freq_oracle as fo
 from hadaldp import heavy_hitters as hh
-from hadaldp.datasets import exact_frequency, gen_planted
+from hadaldp.datasets import gen_planted
 from hadaldp.prefixes import encode_prefix, make_code
+
+from exact_reference import exact_frequency
 
 
 def params(**kw):
