@@ -47,22 +47,39 @@ taking as many rows of the array as fill the panel, runs the passes
 there and copies the panel back.  Every panel of a group but its last
 is full whatever the number and length of the rows, and the transform
 sweeps memory twice instead of log2(m) times.  The slabs of a group are
-disjoint, so a group of eight or more runs on two workers when the
-process may use two CPUs: the caller and one helper thread started for
-the call, each on a contiguous half of the slabs, with a panel and
-half-panel per worker, at most two workers.  Every element meets the
-same partners, in the same pass order, through the same a + b and
-a - b as in the textbook pass-by-pass loop, so the output is
-bit-identical to that loop on any float64 or int32 input, whatever the
-number of workers.
+disjoint, so a group of eight or more is split in contiguous halves,
+the first run by the caller and the second by a helper thread when
+`second_worker` gives one, each with its own panel and half-panel.
+Every element meets the same partners, in the same pass order, through
+the same a + b and a - b as in the textbook pass-by-pass loop, so the
+output is bit-identical to that loop on any float64 or int32 input,
+whether or not the group is split.
+
+The package starts threads in one place, `second_worker`, and decides
+whether to in one function, `_worker_count`: the CPUs the process may
+run on (its affinity, so `taskset -c 0` keeps a run on one), capped at
+two.  A caller names the work it would split; it gets a one-thread
+executor only when it wants one and two CPUs are free, and otherwise
+None, and then runs everything itself.  The executor starts its thread
+at the first submit and joins it when the block exits, an exception
+included, so a call starts at most one thread and leaves none behind.
+Two callers use it, each above its own threshold: `fwht_inplace` runs
+half of every group on the helper once the first group has
+2 * _MIN_RUN slabs, and `hrr.ingest`, in a build of more than one
+chunk, draws each next chunk's rows and coins there while the caller
+works on the current one.  On a 2-CPU VM, pinning the benchmark to one
+CPU took the oracle build, whose one-panel transform is not split and
+so has only the draw-ahead, from 3.3e7 to 2.7e7 users/s, and the 2^24
+table's build, which has both, from 5.2e6 to 3.3e6.
 
 Callers reach the kernels as attributes of this module (`backend.<name>`),
 so a profiler can wrap them in place.
 """
 
+import contextlib
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 
 import numpy as np
 
@@ -107,16 +124,15 @@ def fwht_inplace(x):
     ones for every element, so the result equals that of running the
     passes h = 1, 2, ..., m/2 over the whole array, bit for bit.
 
-    When the low group has at least 2 * _MIN_RUN slabs and the process
-    may run on two CPUs, each group is split into contiguous halves, one
-    per worker: the calling thread runs the first half while one helper
-    thread, started for this call and joined before it returns, runs the
-    second.  The groups run one after the other.  The helper calls only
+    When the low group has at least 2 * _MIN_RUN slabs and
+    `second_worker` gives a helper, each group is split in contiguous
+    halves: the caller runs the first while the helper runs the second.
+    The groups run one after the other.  The helper calls only
     `_slab_passes`, which calls only `_column_passes` and numpy, whose
-    copies and arithmetic release the GIL.  A panel and half-panel per
-    worker, of x's dtype, at most two workers, are the only allocations.
-    x is float64, or int32 whose absolute values along a row add up to
-    less than 2^31 (then no intermediate overflows).
+    copies and arithmetic release the GIL.  A panel and half-panel of x's
+    dtype per worker are the only allocations.  x is float64, or int32
+    whose absolute values along a row add up to less than 2^31 (then no
+    intermediate overflows).
     """
     if x.dtype not in _FWHT_DTYPES or not x.flags.c_contiguous:
         raise ValueError("in-place transform needs a C-contiguous float64 "
@@ -130,27 +146,37 @@ def fwht_inplace(x):
     groups = [_slabs(x.reshape(-1, c, 1), size)]
     if r > 1:
         groups.append(_slabs(x.reshape(-1, r, c), size))
-    workers = max(1, min(_worker_count(), len(groups[0]) // _MIN_RUN))
-    scratch = [(np.empty(size, dtype=x.dtype),
-                np.empty(size // 2, dtype=x.dtype)) for _ in range(workers)]
-    # the pool starts a thread only at a submit, so one worker starts none
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+    mine = np.empty(size, x.dtype), np.empty(size // 2, x.dtype)
+    with second_worker(len(groups[0]) >= 2 * _MIN_RUN) as helper:
+        if helper is None:
+            for slabs in groups:
+                _slab_passes(slabs, *mine)
+            return
+        theirs = np.empty(size, x.dtype), np.empty(size // 2, x.dtype)
         for slabs in groups:
-            n = len(slabs)
-            runs = [slabs[k * n // workers:(k + 1) * n // workers]
-                    for k in range(workers)]
-            helpers = [pool.submit(_slab_passes, run, *own)
-                       for run, own in zip(runs[1:], scratch[1:])]
-            _slab_passes(runs[0], *scratch[0])
-            for helper in helpers:
-                helper.result()
+            half = len(slabs) // 2
+            pending = helper.submit(_slab_passes, slabs[half:], *theirs)
+            _slab_passes(slabs[:half], *mine)
+            pending.result()
+
+
+def second_worker(wanted):
+    """A context whose block gets a one-thread executor when `wanted` and
+    `_worker_count()` is 2, else None; the one place the package starts
+    a thread.
+
+    The thread starts at the executor's first submit and is joined when
+    the block exits, also by an exception; an exception in the helper
+    re-raises from its future's result().
+    """
+    if wanted and _worker_count() == 2:
+        return futures.ThreadPoolExecutor(1)
+    return contextlib.nullcontext()
 
 
 def _worker_count():
-    """The CPUs this process may run on, capped at two, so that the
-    transform's scratch stays two panels and half-panels.  `hrr.ingest`
-    reads it too: at two, a build of more than one chunk draws ahead on
-    one helper thread."""
+    """The CPUs this process may run on, capped at two: the one policy
+    of `second_worker`."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform

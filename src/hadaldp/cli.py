@@ -13,7 +13,10 @@ those inputs: --dataset FILE reads that file, --planted plants its
 elements over a uniform background, and otherwise the elements are drawn
 zipf.  Exit status is 0 only if the checks on the run's output all
 passed (finite estimates, no heavy-hitter element named twice); a
-tripped --max-frontier guard exits 1 with one line on stderr.
+tripped --max-frontier guard exits 1 with one line on stderr.  A bad
+parameter (eps outside (0, 1], an unknown config key, `fo` asked for
+hada-heavy, ...) exits 2 with one line on stderr, before any data is
+drawn or read.
 The acceptance checks run under pytest (`pytest tests/test_acceptance.py
 -s` in a checkout), and timing is measured by `python3 perfbench/run.py`
 there.
@@ -100,25 +103,32 @@ def build_parser():
     hh.add_argument("--clambda", dest="c_lambda", type=float, default=None)
     hh.add_argument("--max-frontier", dest="max_frontier", type=int,
                     default=None)
+    hh.set_defaults(protocol="hada-heavy")   # overrides a config file's
     return p
 
 
-def _assemble_config(args, defaults=None, **forced):
-    """Defaults -> file config (if given) -> flag overrides -> forced fields.
+def _assemble_config(args):
+    """Defaults -> file config (if given) -> flag overrides.
 
-    Every flag whose dest names an ExperimentConfig field overrides it."""
-    raw = dict(defaults or {})
+    Every parsed value whose dest names an ExperimentConfig field
+    overrides it; `hh` sets protocol to hada-heavy that way, and defaults
+    d to 2^32, since heavy hitters are only interesting when the domain
+    is huge.  `fo` runs only hrr or hada-oracle.  Raises ValueError on a
+    bad parameter."""
+    raw = {"d": 1 << 32} if args.cmd == "hh" else {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw.update(json.load(fh))
     raw.update((key, val) for key, val in vars(args).items()
                if key in _CONFIG_FIELDS and val is not None)
-    raw.update(forced)
-    return ExperimentConfig.from_dict(raw)
+    config = ExperimentConfig.from_dict(raw)
+    if args.cmd == "fo" and config.protocol not in ("hrr", "hada-oracle"):
+        raise ValueError(
+            f"fo runs hrr or hada-oracle, not {config.protocol!r}")
+    return config
 
 
-def _cmd_gen(args):
-    config = _assemble_config(args)
+def _cmd_gen(config):
     ds = dataset_for(config, 0)   # trial 0's dataset of the same config
     out_dir = Path(config.out) if config.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -165,28 +175,21 @@ def _run_and_report(config):
     return 1 if summary["assertion_failures"] else 0
 
 
-def _cmd_fo(args):
-    config = _assemble_config(args)
-    if config.protocol not in ("hrr", "hada-oracle"):
-        raise SystemExit(f"fo runs hrr or hada-oracle, not {config.protocol!r}")
-    return _run_and_report(config)
-
-
-def _cmd_hh(args):
-    # heavy hitters are only interesting when the domain is huge
-    config = _assemble_config(args, {"d": 1 << 32}, protocol="hada-heavy")
-    return _run_and_report(config)
-
-
-_COMMANDS = {"gen": _cmd_gen, "fo": _cmd_fo, "hh": _cmd_hh}
+_COMMANDS = {"gen": _cmd_gen, "fo": _run_and_report, "hh": _run_and_report}
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s")
-    return _COMMANDS[args.cmd](args)
+    try:
+        config = _assemble_config(args)
+    except ValueError as exc:
+        # argparse's error line, without its usage block
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    return _COMMANDS[args.cmd](config)
 
 
 if __name__ == "__main__":

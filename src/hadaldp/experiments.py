@@ -2,11 +2,13 @@
 
 A run is fully described by an ExperimentConfig (JSON file, overridden by
 CLI flags), whose inputs also name the dataset (see dataset_for).  A
-dataset file is read once per run and shared by every trial; otherwise
-each trial regenerates its dataset.  Each trial builds its protocol
-state, and draws any generated dataset, from seeds derived off
-(config.seed, trial), so the same config file gives the same CSV
-byte-for-byte.  Alongside the metrics, every run checks what it
+config builds its protocol's parameters when it is made, so an
+out-of-range one raises ValueError before any data is drawn, and a run
+builds them once for all its trials.  A dataset file is read once per
+run and shared by every trial; otherwise each trial regenerates its
+dataset.  Each trial builds its protocol state, and draws any generated
+dataset, from seeds derived off (config.seed, trial), so the same
+config file gives the same CSV byte-for-byte.  Alongside the metrics, every run checks what it
 produced: that every estimate is finite, and that a heavy-hitter output
 names no element twice.  A violation is reported and flips the exit
 status, on the theory that a benchmark that silently measures a broken
@@ -70,6 +72,18 @@ class ExperimentConfig:
             raise ValueError(f"n_queries must be non-negative, got {self.n_queries}")
         if self.dataset_path and self.planted:
             raise ValueError("give a dataset file or planted elements, not both")
+        self.params()   # range-checks eps and the rest before any work
+
+    def params(self):
+        """The protocol's parameters: HeavyParams for hada-heavy, else
+        OracleParams (of which hrr reads eps, and its error bound eps and
+        beta_prime)."""
+        shared = dict(eps=self.eps, c_k=self.c_k, c_m=self.c_m,
+                      scheme=self.scheme)
+        if self.protocol == "hada-heavy":
+            return hh.HeavyParams(beta=self.beta, c_lambda=self.c_lambda,
+                                  **shared)
+        return fo.OracleParams(beta_prime=self.beta_prime, **shared)
 
     @classmethod
     def from_dict(cls, raw):
@@ -159,49 +173,33 @@ def _check(failures, cond, what):
         logger.error("consistency check failed: %s", what)
 
 
-def _run_hrr_trial(config, ds, trial, failures, out_dir):
-    budget = PrivacyBudget(config.eps)
-    seed = _trial_seed(config, trial, 0x48)
+def _run_oracle_trial(config, params, ds, trial, failures, out_dir):
+    """One hrr or hada-oracle trial: build, query a sample, score."""
+    if config.protocol == "hrr":
+        name, module, seed = "hrr", hrr, _trial_seed(config, trial, 0x48)
+        state, build_ms = _timed(lambda: hrr.build(
+            ds.elements, ds.d, PrivacyBudget(params.eps), seed))
+        k, cells = None, state.buffer
+    else:
+        name, module, seed = "oracle", fo, _trial_seed(config, trial, 0xF0)
+        state, build_ms = _timed(lambda: fo.construct(
+            ds.elements, ds.d, params, seed))
+        k, cells = state.k, state.matrix
     queries = _sample_queries(ds, config, trial)
-    state, build_ms = _timed(lambda: hrr.build(ds.elements, ds.d, budget, seed))
-    estimates, query_ms = _timed(lambda: hrr.query_many(state, queries))
-    _check(failures, np.isfinite(estimates).all(), "hrr estimates not finite")
+    estimates, query_ms = _timed(lambda: module.query_many(state, queries))
+    _check(failures, np.isfinite(estimates).all(),
+           f"{name} estimates not finite")
 
     truths = _lookup_counts(*exact_counts(ds), queries)
     max_err, p95, p99 = _error_stats(estimates, truths)
-    row = {"trial": trial, "protocol": "hrr", "n": ds.n, "d": ds.d,
-           "eps": config.eps, "m": state.m, "max_err": max_err,
+    row = {"trial": trial, "protocol": config.protocol, "n": ds.n, "d": ds.d,
+           "eps": config.eps, "k": k, "m": state.m, "max_err": max_err,
            "p95_err": p95, "p99_err": p99,
            "build_ms": build_ms, "query_ms": query_ms}
-    # the bound reads only eps and beta_prime of the params
-    params = fo.OracleParams(eps=config.eps, beta_prime=config.beta_prime)
-    return _contract_check(row, state.buffer.nbytes, params, ds.n)
+    return _contract_check(row, cells.nbytes, params, ds.n)
 
 
-def _run_oracle_trial(config, ds, trial, failures, out_dir):
-    params = fo.OracleParams(eps=config.eps, beta_prime=config.beta_prime,
-                             c_k=config.c_k, c_m=config.c_m,
-                             scheme=config.scheme)
-    seed = _trial_seed(config, trial, 0xF0)
-    state, build_ms = _timed(lambda: fo.construct(ds.elements, ds.d, params, seed))
-    queries = _sample_queries(ds, config, trial)
-    estimates, query_ms = _timed(lambda: fo.query_many(state, queries))
-    _check(failures, np.isfinite(estimates).all(),
-           "oracle estimates not finite")
-
-    truths = _lookup_counts(*exact_counts(ds), queries)
-    max_err, p95, p99 = _error_stats(estimates, truths)
-    row = {"trial": trial, "protocol": "hada-oracle", "n": ds.n, "d": ds.d,
-           "eps": config.eps, "k": state.k, "m": state.m,
-           "max_err": max_err, "p95_err": p95, "p99_err": p99,
-           "build_ms": build_ms, "query_ms": query_ms}
-    return _contract_check(row, state.matrix.nbytes, params, ds.n)
-
-
-def _run_heavy_trial(config, ds, trial, failures, out_dir):
-    params = hh.HeavyParams(eps=config.eps, beta=config.beta,
-                            c_k=config.c_k, c_m=config.c_m,
-                            c_lambda=config.c_lambda, scheme=config.scheme)
+def _run_heavy_trial(config, params, ds, trial, failures, out_dir):
     seed = _trial_seed(config, trial, 0x4448)
     hist, build_ms = _timed(lambda: hh.run(
         ds.elements, ds.d, params, seed, max_frontier=config.max_frontier))
@@ -234,7 +232,7 @@ def _run_heavy_trial(config, ds, trial, failures, out_dir):
             "build_ms": build_ms, "query_ms": None}
 
 
-_TRIAL_RUNNERS = {"hrr": _run_hrr_trial, "hada-oracle": _run_oracle_trial,
+_TRIAL_RUNNERS = {"hrr": _run_oracle_trial, "hada-oracle": _run_oracle_trial,
                   "hada-heavy": _run_heavy_trial}
 
 
@@ -285,9 +283,10 @@ def run_experiment(config):
 
     rows = []
     failures = []
+    params = config.params()
     for trial, ds in enumerate(_trial_datasets(config)):
-        row = _TRIAL_RUNNERS[config.protocol](config, ds, trial, failures,
-                                              out_dir)
+        row = _TRIAL_RUNNERS[config.protocol](config, params, ds, trial,
+                                              failures, out_dir)
         for col in CSV_COLUMNS:
             row.setdefault(col, None)
         rows.append(row)

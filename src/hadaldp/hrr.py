@@ -12,11 +12,11 @@ chunks of CHUNK, drawing each chunk's rows and coins as the next slice of
 the round's streams, randomizing them in one call and adding them with
 one scatter-add.  `build` calls it with the element as the column;
 `freq_oracle.construct` with each user's hashed element and a row offset
-per subset.  A build of more than one chunk, when the process may run on
-two CPUs, draws its rows and coins on one helper thread, a chunk ahead
-of the caller's hashing, randomizing and adding; the streams are read
-in the same order either way, so the output is bit-identical to that of
-inline draws.
+per subset.  A build of more than one chunk may draw its rows and coins
+on a helper thread, a chunk ahead of the caller's hashing, randomizing
+and adding (`backend` describes when a helper runs); the streams are
+read in the same order either way, so the output is bit-identical to
+that of inline draws.
 
 The server state is the accumulator's transform, kept as int32.  With
 fewer than 2^31 users, which `ingest` enforces, the sums and every
@@ -30,7 +30,6 @@ equal.
 """
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,14 +110,14 @@ def ingest(buf, elements, m, keep_prob, seed, round_index, family=None):
     than MAX_USERS users could overflow the int32 sums, so they raise
     ValueError before anything is drawn.
 
-    A build of more than one chunk, in a process that may run on two
-    CPUs, draws ahead: one helper thread, started for the call and joined
-    before it returns, draws chunk c + 1's rows and coins while the
+    A build of more than one chunk asks `backend.second_worker` for a
+    helper (the thread policy is the `backend` module's).  With one it
+    draws ahead: the helper draws chunk c + 1's rows and coins while the
     caller randomizes and adds chunk c and hashes chunk c + 1.  The
     helper then reads both streams alone, in chunk order, and the caller
     collects a chunk's draws before it asks for the next, so the
     transcript is the same and at most one chunk's draws are in flight.
-    Otherwise the same loop draws each chunk inline, after its hash.
+    Without one the same loop draws each chunk inline, after its hash.
     """
     n = elements.size
     if n > MAX_USERS:
@@ -130,10 +129,8 @@ def ingest(buf, elements, m, keep_prob, seed, round_index, family=None):
         count = min(CHUNK, n - lo)
         return draw_rows(rows_rng, count, m), draw_coins(coins_rng, count)
 
-    ahead = n > CHUNK and backend._worker_count() == 2
-    # the pool starts its thread at the first submit, so inline draws start none
-    with ThreadPoolExecutor(1) as pool:
-        pending = pool.submit(draw, 0) if ahead else None
+    with backend.second_worker(n > CHUNK) as helper:
+        pending = helper.submit(draw, 0) if helper else None
         for lo in range(0, n, CHUNK):
             hi = min(lo + CHUNK, n)
             cols = elements[lo:hi]
@@ -143,9 +140,9 @@ def ingest(buf, elements, m, keep_prob, seed, round_index, family=None):
                 # faster by intp, and g * m below overflows a narrow g
                 at = groups[lo:hi].astype(np.intp)
                 cols = backend.hash_eval(cols, a.take(at), b.take(at), m)
-            rows, coins = pending.result() if ahead else draw(lo)
-            if ahead and hi < n:
-                pending = pool.submit(draw, hi)
+            rows, coins = pending.result() if helper else draw(lo)
+            if helper and hi < n:
+                pending = helper.submit(draw, hi)
             if family is None:
                 at = rows
             else:

@@ -1,4 +1,5 @@
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -248,28 +249,16 @@ MULTI_PANEL_SHAPES = [(1 << 20,), (3, 1 << 17), (24, 1 << 18), (7, 1 << 14),
                       (0, 8192)]
 
 
-def _count_thread_starts(monkeypatch):
-    started = []
-    start = threading.Thread.start
-
-    def counted(thread):
-        started.append(thread)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", counted)
-    return started
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("dtype", [np.float64, np.int32])
 @pytest.mark.parametrize("shape", MULTI_PANEL_SHAPES)
-def test_fwht_worker_count_does_not_change_the_output(monkeypatch, shape,
-                                                      dtype, workers):
+def test_fwht_worker_count_does_not_change_the_output(
+        monkeypatch, thread_starts, shape, dtype, workers):
     """Every group of two or more slabs is split, so the uneven halves of
     3 slabs run too; the output is the textbook loop's, bit for bit."""
     monkeypatch.setattr(backend, "_worker_count", lambda: workers)
     monkeypatch.setattr(backend, "_MIN_RUN", 1)
-    started = _count_thread_starts(monkeypatch)
+    started = thread_starts
     rng = np.random.default_rng(sum(shape))
     x = (rng.standard_normal(shape) if dtype is np.float64
          else rng.integers(-3, 4, size=shape, dtype=np.int32))
@@ -324,6 +313,58 @@ def test_fwht_concurrent_callers_share_no_scratch(monkeypatch):
     assert not errors, errors
     for x, want in zip(xs, wants):
         assert np.array_equal(x, want)
+
+
+# --- the one helper thread --------------------------------------------------
+
+def test_second_worker_unwanted_starts_no_thread(monkeypatch, thread_starts):
+    monkeypatch.setattr(backend, "_worker_count", lambda: 2)
+    with backend.second_worker(False) as helper:
+        assert helper is None
+    assert thread_starts == []
+
+
+def test_second_worker_on_one_cpu_starts_no_thread(monkeypatch, thread_starts):
+    """The policy reads the process's affinity: one CPU, no helper."""
+    monkeypatch.setattr(backend.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    with backend.second_worker(True) as helper:
+        assert helper is None
+    assert thread_starts == []
+
+
+def test_second_worker_starts_one_thread_and_joins_it(monkeypatch,
+                                                       thread_starts):
+    monkeypatch.setattr(backend.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2}, raising=False)
+    with backend.second_worker(True) as helper:
+        assert [helper.submit(pow, 2, k).result() for k in range(3)] \
+            == [1, 2, 4]
+    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+
+
+def test_second_worker_joins_the_helper_after_an_error_in_the_block(
+        monkeypatch):
+    monkeypatch.setattr(backend, "_worker_count", lambda: 2)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="caller failed"):
+        with backend.second_worker(True) as helper:
+            busy = helper.submit(time.sleep, 0.05)
+            raise RuntimeError("caller failed")
+    assert busy.done()
+    assert threading.active_count() == before
+
+
+def test_second_worker_helper_error_reraises_from_result(monkeypatch):
+    monkeypatch.setattr(backend, "_worker_count", lambda: 2)
+
+    def fail():
+        raise ValueError("helper failed")
+
+    with backend.second_worker(True) as helper:
+        pending = helper.submit(fail)
+        with pytest.raises(ValueError, match="helper failed"):
+            pending.result()
 
 
 def test_fwht_fills_its_panels_at_short_matrix_rows(monkeypatch):

@@ -188,7 +188,7 @@ def test_cli_gen(tmp_path):
     assert sidecar["seed"] == 3
 
 
-def test_cli_runs_on_the_dataset_file_it_is_given(tmp_path):
+def test_cli_runs_on_the_dataset_file_it_is_given(tmp_path, capsys):
     """gen, then fo on that file, named by --dataset or by a config file's
     dataset_path: every row takes n and d from the file."""
     assert cli.main(["gen", "--n", "300", "--d", "64", "--seed", "4",
@@ -205,8 +205,9 @@ def test_cli_runs_on_the_dataset_file_it_is_given(tmp_path):
         summary = json.loads((tmp_path / run / "summary.json").read_text())
         assert [(row["n"], row["d"]) for row in summary["trials"]] \
             == [(300, 64)] * summary["config"]["trials"]
-    with pytest.raises(ValueError, match="not both"):
+    with pytest.raises(SystemExit) as exc:
         cli.main(["fo", "--dataset", data, "--planted", "3:10"])
+    assert exc.value.code == 2 and "not both" in capsys.readouterr().err
 
 
 def test_a_run_reads_its_dataset_file_once_and_records_its_size(
@@ -250,6 +251,26 @@ def test_a_failed_check_flips_the_exit_status(tmp_path, monkeypatch, capsys):
     assert rc == 1
     assert "CONSISTENCY FAILURE: hrr estimates not finite" \
         in capsys.readouterr().out
+
+
+def test_a_bad_parameter_exits_2_in_one_line_before_any_work(monkeypatch,
+                                                              capsys):
+    def refuse(*args):
+        raise AssertionError("a bad config drew its dataset")
+
+    monkeypatch.setattr(ex, "gen_zipf", refuse)
+    with pytest.raises(ValueError, match="eps"):
+        ex.ExperimentConfig(eps=2)
+    for argv, what in ((["fo", "--eps", "2"], "eps"),
+                       (["fo", "--protocol", "hrr", "--eps", "2"], "eps"),
+                       (["hh", "--beta", "1.5"], "beta"),
+                       (["fo", "--beta-prime", "0"], "beta_prime")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("hadaldp: error: ")
+        assert what in err[0]
 
 
 def test_cli_fo_refuses_the_tree_protocol(tmp_path):

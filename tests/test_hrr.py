@@ -287,18 +287,6 @@ SMALL_CHUNK = 256
 N_AHEAD = 5 * SMALL_CHUNK + 7   # six chunks, the last a partial one
 
 
-def _count_thread_starts(monkeypatch):
-    started = []
-    start = threading.Thread.start
-
-    def counted(thread):
-        started.append(thread)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", counted)
-    return started
-
-
 def _ahead_elements(n=N_AHEAD):
     return np.random.default_rng(21).integers(0, 1000, size=n, dtype=np.uint64)
 
@@ -325,10 +313,12 @@ def test_draw_ahead_is_bit_identical_to_inline_draws(monkeypatch, scheme):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n", [0, 1, SMALL_CHUNK, SMALL_CHUNK + 1, N_AHEAD])
-def test_draw_ahead_starts_one_thread_past_one_chunk(monkeypatch, n, workers):
+def test_draw_ahead_starts_one_thread_past_one_chunk(monkeypatch,
+                                                     thread_starts, n,
+                                                     workers):
     monkeypatch.setattr(hrr, "CHUNK", SMALL_CHUNK)
     monkeypatch.setattr(backend, "_worker_count", lambda: workers)
-    started = _count_thread_starts(monkeypatch)
+    started = thread_starts
     buf = np.zeros(1024, dtype=np.int32)
     hrr.ingest(buf, _ahead_elements(n), 1024, BUDGET.keep_prob, 3, 0)
     assert len(started) == (workers == 2 and n > SMALL_CHUNK)

@@ -24,14 +24,25 @@ ONLY_PERFBENCH = {
 PUBLIC_API = {"to_bytes", "from_bytes"}
 
 
+# names that can start a thread or decide whether to; only backend's
+# `second_worker` and the definition of `_worker_count` may use them
+THREAD_NAMES = {"ThreadPoolExecutor", "threading", "_thread", "Thread",
+                "_worker_count"}
+THREAD_HOMES = {("backend", "second_worker"), ("backend", "_worker_count")}
+
+
+def _package_trees():
+    """(module name, parsed source) of every module of the package."""
+    return [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(Path(hadaldp.__file__).parent.glob("*.py"))]
+
+
 def _unreferenced_defs():
     """Names of the package's functions and methods (dunders aside) that
     no code in the package names outside their own definition."""
-    trees = [ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(Path(hadaldp.__file__).parent.glob("*.py"))]
     uses = defaultdict(list)    # name -> the nodes that name it
     defs = []
-    for tree in trees:
+    for _, tree in _package_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 uses[node.id].append(node)
@@ -58,3 +69,31 @@ def test_every_function_in_the_package_has_a_caller_there():
         "no caller in src/hadaldp; move references to tests/"
     assert allowed - unused == set(), \
         "called in src/hadaldp now, or gone: drop from the allowlists"
+
+
+def _names(node):
+    """The identifiers a node spells out: a name, an attribute, or the
+    dotted parts of an import."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.alias):
+        return set(node.name.split(".")) | {node.asname}
+    if isinstance(node, ast.ImportFrom):
+        return set((node.module or "").split("."))
+    return set()
+
+
+def test_one_place_starts_a_thread():
+    stray = []
+    for module, tree in _package_trees():
+        home = {id(node) for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef)
+                and (module, fn.name) in THREAD_HOMES
+                for node in ast.walk(fn)}
+        stray += [f"{module}.py:{node.lineno}: {name}"
+                  for node in ast.walk(tree) if id(node) not in home
+                  for name in _names(node) & THREAD_NAMES]
+    assert stray == [], \
+        "threads start only in backend.second_worker; ask it for a helper"
