@@ -14,9 +14,10 @@ elements over a uniform background, and otherwise the elements are drawn
 zipf.  Exit status is 0 only if the checks on the run's output all
 passed (finite estimates, no heavy-hitter element named twice); a
 tripped --max-frontier guard exits 1 with one line on stderr.  A bad
-parameter (eps outside (0, 1], an unknown config key, `fo` asked for
-hada-heavy, ...) exits 2 with one line on stderr, before any data is
-drawn or read.
+parameter (eps outside (0, 1], an unknown config key or a value of the
+wrong type, a config file that cannot be read, n or d or planted counts
+that the dataset generator cannot draw, `fo` asked for hada-heavy, ...)
+exits 2 with one line on stderr, before any data is drawn or read.
 The acceptance checks run under pytest (`pytest tests/test_acceptance.py
 -s` in a checkout), and timing is measured by `python3 perfbench/run.py`
 there.
@@ -33,7 +34,6 @@ from .datasets import save_dataset
 from .experiments import (CSV_COLUMNS, ExperimentConfig, dataset_for,
                           run_experiment)
 from .heavy_hitters import FrontierOverflow
-from .partition import SCHEMES
 
 _CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
 
@@ -71,7 +71,6 @@ def _experiment_flags(p):
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--ck", dest="c_k", type=float, default=None)
     p.add_argument("--cm", dest="c_m", type=float, default=None)
-    p.add_argument("--scheme", choices=SCHEMES, default=None)
 
 
 def build_parser():
@@ -114,11 +113,14 @@ def _assemble_config(args):
     overrides it; `hh` sets protocol to hada-heavy that way, and defaults
     d to 2^32, since heavy hitters are only interesting when the domain
     is huge.  `fo` runs only hrr or hada-oracle.  Raises ValueError on a
-    bad parameter."""
+    bad parameter, and OSError on a config file that cannot be read."""
     raw = {"d": 1 << 32} if args.cmd == "hh" else {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            raw.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {args.config} holds no JSON object")
+        raw.update(loaded)
     raw.update((key, val) for key, val in vars(args).items()
                if key in _CONFIG_FIELDS and val is not None)
     config = ExperimentConfig.from_dict(raw)
@@ -186,7 +188,7 @@ def main(argv=None):
         format="%(levelname)s %(name)s: %(message)s")
     try:
         config = _assemble_config(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         # argparse's error line, without its usage block
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     return _COMMANDS[args.cmd](config)

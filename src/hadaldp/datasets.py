@@ -65,6 +65,34 @@ def _zipf_cdf(r_max, s):
     return cdf
 
 
+def check_generator_inputs(n, d, *, s=None, heavy=()):
+    """Raise ValueError unless `gen_zipf(n, d, s, rng)` (s given) or
+    `gen_planted(n, d, heavy, rng)` can draw: n >= 0 and d >= 1, s finite
+    and positive, and `heavy` distinct (element, count) pairs with every
+    element in [0, d), every count non-negative and the counts summing to
+    at most n.  Returns `heavy` as a list of (int, int) pairs."""
+    if n < 0 or d < 1:
+        raise ValueError(f"need n >= 0 and d >= 1, got n={n}, d={d}")
+    if s is not None and not 0 < s < math.inf:
+        raise ValueError(f"zipf exponent must be finite and positive, got {s}")
+    try:
+        heavy = [(int(e), int(c)) for e, c in heavy]
+    except (TypeError, ValueError):
+        raise ValueError("planted elements must be (element, count) pairs "
+                         f"of integers, got {heavy!r}") from None
+    if len({e for e, _ in heavy}) != len(heavy):
+        raise ValueError("planted elements must be distinct")
+    for e, c in heavy:
+        if not 0 <= e < d:
+            raise ValueError(f"planted element {e} outside [0, {d})")
+        if c < 0:
+            raise ValueError(f"planted count must be non-negative, got {c}")
+    total = sum(c for _, c in heavy)
+    if total > n:
+        raise ValueError(f"planted counts sum to {total} > n = {n}")
+    return heavy
+
+
 def gen_zipf(n, d, s, rng):
     """n draws from a truncated zipf(s) law, scattered over [0, d).
 
@@ -85,10 +113,7 @@ def gen_zipf(n, d, s, rng):
     left neighbour, ascending, and each user's index into them as a
     running count, with no second sort.
     """
-    if n < 0 or d < 1:
-        raise ValueError(f"need n >= 0 and d >= 1, got n={n}, d={d}")
-    if not 0 < s < math.inf:
-        raise ValueError(f"zipf exponent must be finite and positive, got {s}")
+    check_generator_inputs(n, d, s=s)
     s = float(s)
     r_max = min(int(d), ZIPF_MAX_RANKS)
     cdf = _zipf_cdf(r_max, s)
@@ -124,21 +149,9 @@ def gen_planted(n, d, heavy, rng):
     and the counts must fit inside n.  Positions are shuffled so nothing
     about a user's index leaks what they hold.
     """
-    if n < 0 or d < 1:
-        raise ValueError(f"need n >= 0 and d >= 1, got n={n}, d={d}")
-    heavy = [(int(e), int(c)) for e, c in heavy]
-    if len({e for e, _ in heavy}) != len(heavy):
-        raise ValueError("planted elements must be distinct")
-    for e, c in heavy:
-        if not 0 <= e < d:
-            raise ValueError(f"planted element {e} outside [0, {d})")
-        if c < 0:
-            raise ValueError(f"planted count must be non-negative, got {c}")
-    total = sum(c for _, c in heavy)
-    if total > n:
-        raise ValueError(f"planted counts sum to {total} > n = {n}")
-
-    background = rng.integers(0, d, size=n - total, dtype=np.uint64)
+    heavy = check_generator_inputs(n, d, heavy=heavy)
+    background = rng.integers(0, d, size=n - sum(c for _, c in heavy),
+                              dtype=np.uint64)
     planted = [np.full(c, e, dtype=np.uint64) for e, c in heavy]
     elements = np.concatenate(planted + [background]) if n else \
         np.empty(0, dtype=np.uint64)

@@ -30,7 +30,8 @@ import numpy as np
 from . import freq_oracle as fo
 from . import heavy_hitters as hh
 from . import hrr
-from .datasets import exact_counts, gen_planted, gen_zipf, load_dataset
+from .datasets import (check_generator_inputs, exact_counts, gen_planted,
+                       gen_zipf, load_dataset)
 from .randomizer import PrivacyBudget
 
 logger = logging.getLogger(__name__)
@@ -53,7 +54,6 @@ class ExperimentConfig:
     c_k: float = fo.DEFAULT_CK
     c_m: float = fo.DEFAULT_CM
     c_lambda: float = 1.0
-    scheme: str = "independent"
     trials: int = 3
     seed: int = 0
     n_queries: int = 200
@@ -72,14 +72,17 @@ class ExperimentConfig:
             raise ValueError(f"n_queries must be non-negative, got {self.n_queries}")
         if self.dataset_path and self.planted:
             raise ValueError("give a dataset file or planted elements, not both")
+        if self.planted:    # the generator inputs dataset_for would draw from
+            check_generator_inputs(self.n, self.d, heavy=self.planted)
+        elif not self.dataset_path:
+            check_generator_inputs(self.n, self.d, s=self.zipf_s)
         self.params()   # range-checks eps and the rest before any work
 
     def params(self):
         """The protocol's parameters: HeavyParams for hada-heavy, else
         OracleParams (of which hrr reads eps, and its error bound eps and
         beta_prime)."""
-        shared = dict(eps=self.eps, c_k=self.c_k, c_m=self.c_m,
-                      scheme=self.scheme)
+        shared = dict(eps=self.eps, c_k=self.c_k, c_m=self.c_m)
         if self.protocol == "hada-heavy":
             return hh.HeavyParams(beta=self.beta, c_lambda=self.c_lambda,
                                   **shared)
@@ -87,10 +90,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        """The config of a mapping from field names to values, such as a
+        JSON file holds.  Raises ValueError on an unknown key, or on a
+        value that is not of its field's type: a bool is no int, an int
+        passes as a float, and None passes only where the default is None.
+        """
+        known = {f.name: f for f in fields(cls)}
+        unknown = set(raw) - set(known)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, val in raw.items():
+            want = known[key].type
+            if val is None and known[key].default is None:
+                continue
+            if isinstance(val, bool) or not isinstance(
+                    val, (int, float) if want is float else want):
+                raise ValueError(f"config key {key!r} must be of type "
+                                 f"{want.__name__}, got {val!r}")
         return cls(**raw)
 
 

@@ -1,6 +1,7 @@
 """Hashed, partitioned frequency oracle: median of k repetitions.
 
-Users are split into k subsets.  Subset j shares one pairwise-independent
+Each user joins one of k subsets, uniformly and independently
+(`partition.take_partition`).  Subset j shares one pairwise-independent
 hash h_j mapping the domain into [m], and runs the Hadamard randomizer on
 the hashed value, so the server keeps a k x m matrix instead of a
 length-2^ceil(log2 d) vector.  One row-wise transform finalizes all k
@@ -63,7 +64,7 @@ from . import backend, codec
 from .hashing import (PairwiseHash, element_array, element_index,
                       sample_hash)
 from .hrr import ingest
-from .partition import SCHEMES, take_partition
+from .partition import take_partition
 from .randomizer import PrivacyBudget, debias_factor, setup_stream
 # module attributes that perfbench/tracer.py wraps; the builds draw through
 # hrr's names
@@ -79,9 +80,9 @@ DEFAULT_CK = PROFILES["practical"]["c_k"]
 DEFAULT_CM = PROFILES["practical"]["c_m"]
 
 MAGIC = b"HDFO"
-VERSION = 4
-_HEADER = struct.Struct("<4sHBBIQQddddQ")
-# magic, version, scheme, reserved, k, m, d, eps, beta_prime, c_k, c_m, n_users
+VERSION = 5
+_HEADER = struct.Struct("<4sHIQQddddQ")
+# magic, version, k, m, d, eps, beta_prime, c_k, c_m, n_users
 
 MAX_DOMAIN = (1 << 61) - 1  # hash inputs must stay below the hash prime
 _QUERY_CHUNK = 1 << 14      # query_many: elements per chunk, cells per block
@@ -95,7 +96,6 @@ class OracleParams:
     beta_prime: float
     c_k: float = DEFAULT_CK
     c_m: float = DEFAULT_CM
-    scheme: str = "independent"
 
     def __post_init__(self):
         PrivacyBudget(self.eps)  # range check, (0, 1]
@@ -105,8 +105,6 @@ class OracleParams:
             raise ValueError(f"c_k must be finite and at least 1, got {self.c_k}")
         if not 0 < self.c_m < math.inf:
             raise ValueError(f"c_m must be finite and positive, got {self.c_m}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; have {SCHEMES}")
 
 
 def check_domain(d):
@@ -219,7 +217,7 @@ def construct(elements, d, params, seed, *, hashes=None, round_index=0):
     if m < 1 or m & (m - 1):
         raise ValueError(f"hash range {m} is not a power of two")
 
-    part = take_partition(n, k, params.scheme, setup_stream(seed, round_index, 0))
+    part = take_partition(n, k, setup_stream(seed, round_index, 0))
     state = OracleState(params=params, k=k, m=m, d=int(d), n_users=n,
                         hashes=hashes, matrix=np.zeros((k, m), np.int32))
     ingest(state.matrix.reshape(-1), elements, m, budget.keep_prob, seed,
@@ -300,11 +298,11 @@ def query_many(state, vs):
 
 
 def to_bytes(state):
-    """Format v4: the header, then the k hash coefficients a_j and the k
+    """Format v5: the header, then the k hash coefficients a_j and the k
     b_j as uint64, then the k x m matrix as int32, all little-endian."""
     p = state.params
-    head = (SCHEMES.index(p.scheme), 0, state.k, state.m, state.d, p.eps,
-            p.beta_prime, p.c_k, p.c_m, state.n_users)
+    head = (state.k, state.m, state.d, p.eps, p.beta_prime, p.c_k, p.c_m,
+            state.n_users)
     return codec.encode(_HEADER, MAGIC, VERSION, head,
                         [("<u8", state.a), ("<u8", state.b),
                          ("<i4", state.matrix)])
@@ -315,17 +313,14 @@ def from_bytes(blob):
     coefficients outside the hash family's ranges included."""
     fields, (a, b, matrix) = codec.decode(
         blob, _HEADER, MAGIC, VERSION,
-        lambda f: [("<u8", f[2]), ("<u8", f[2]), ("<i4", f[2] * f[3])])
-    scheme_code, _, k, m, d, eps, beta_prime, c_k, c_m, n_users = fields
-    if scheme_code >= len(SCHEMES):
-        raise ValueError(f"unknown scheme code {scheme_code}")
+        lambda f: [("<u8", f[0]), ("<u8", f[0]), ("<i4", f[0] * f[1])])
+    k, m, d, eps, beta_prime, c_k, c_m, n_users = fields
     if k < 1:
         raise ValueError("need at least one repetition, got k = 0")
     if m < 1 or m & (m - 1):
         raise ValueError(f"hash range {m} is not a power of two")
     check_domain(d)
-    params = OracleParams(eps=eps, beta_prime=beta_prime, c_k=c_k, c_m=c_m,
-                          scheme=SCHEMES[scheme_code])
+    params = OracleParams(eps=eps, beta_prime=beta_prime, c_k=c_k, c_m=c_m)
     hashes = [PairwiseHash(a_j, b_j, m)
               for a_j, b_j in zip(a.tolist(), b.tolist())]
     return OracleState(params=params, k=k, m=m, d=d, n_users=n_users,

@@ -52,7 +52,6 @@ class HeavyParams:
     c_k: float = fo.DEFAULT_CK
     c_m: float = fo.DEFAULT_CM
     c_lambda: float = 1.0
-    scheme: str = "independent"
 
     def __post_init__(self):
         PrivacyBudget(self.eps)  # range check, (0, 1]
@@ -61,13 +60,13 @@ class HeavyParams:
         if not 0 < self.c_lambda < math.inf:
             raise ValueError(
                 f"c_lambda must be finite and positive, got {self.c_lambda}")
-        # c_k, c_m and scheme go to the constituent oracles, which check them
+        # c_k and c_m go to the constituent oracles, which check them
         self.oracle_params(self.beta)
 
     def oracle_params(self, beta_prime):
         """The parameters of every constituent oracle: budget eps/2."""
         return fo.OracleParams(eps=self.eps / 2.0, beta_prime=beta_prime,
-                               c_k=self.c_k, c_m=self.c_m, scheme=self.scheme)
+                               c_k=self.c_k, c_m=self.c_m)
 
 
 def lambda_threshold(params, n, d):
@@ -180,8 +179,7 @@ def run(elements, d, params, seed, *, max_frontier=None):
     n = int(elements.size)
     meta = {"protocol": "hada-heavy", "n": n, "d": int(d),
             "eps": params.eps, "beta": params.beta, "c_k": params.c_k,
-            "c_m": params.c_m, "c_lambda": params.c_lambda,
-            "scheme": params.scheme, "seed": int(seed),
+            "c_m": params.c_m, "c_lambda": params.c_lambda, "seed": int(seed),
             "reports_per_user": 2, "budget_per_report": params.eps / 2.0}
     if n == 0:
         logger.warning("no users; returning an empty histogram")
@@ -209,8 +207,7 @@ def run(elements, d, params, seed, *, max_frontier=None):
     hashes = fo.family_for(oracle_params, n, seed)
     meta.update({"k": len(hashes), "m": hashes[0].m, "beta_prime": beta_prime})
 
-    level = take_partition(n, levels, params.scheme,
-                           setup_stream(seed, 0, 0)).assignment
+    level = take_partition(n, levels, setup_stream(seed, 0, 0)).assignment
     warn_at = 2.0 * n / lam
 
     def level_oracle(tau, prefixes):

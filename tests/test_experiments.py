@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import math
 
@@ -26,9 +28,20 @@ def test_config_from_dict():
         ex.ExperimentConfig.from_dict({"nn": 50})
     with pytest.raises(ValueError):
         ex.ExperimentConfig(protocol="rappor")
-    for dropped in ({"profile": "theory"}, {"dataset_kind": "zipf"}):
+    for dropped in ({"profile": "theory"}, {"dataset_kind": "zipf"},
+                    {"scheme": "independent"}):
         with pytest.raises(ValueError, match="unknown config keys"):
             ex.ExperimentConfig.from_dict(dropped)
+    # a value must have its field's type: a bool is no int, an int passes
+    # as a float, and None passes only where the default is None
+    for bad in ({"trials": "3"}, {"trials": True}, {"eps": True},
+                {"n": 5.0}, {"trials": None}, {"planted": None},
+                {"protocol": None}):
+        with pytest.raises(ValueError, match="must be of type"):
+            ex.ExperimentConfig.from_dict(bad)
+    cfg = ex.ExperimentConfig.from_dict({"eps": 1, "zipf_s": 2, "out": None,
+                                         "max_frontier": None})
+    assert (cfg.eps, cfg.zipf_s, cfg.out, cfg.max_frontier) == (1, 2, None, None)
     with pytest.raises(ValueError):
         ex.ExperimentConfig(trials=0)
     with pytest.raises(ValueError, match="n_queries"):
@@ -157,21 +170,35 @@ def test_parser_accepts_all_subcommands():
     p.parse_args(["gen", "--n", "10", "--d", "4"])
     p.parse_args(["fo", "--protocol", "hrr"])
     p.parse_args(["hh", "--max-frontier", "1000"])
-    p.parse_args(["fo", "--scheme", "permutation", "--cm", "167.2"])
+    p.parse_args(["fo", "--ck", "8", "--cm", "167.2"])
     # each subcommand takes only the flags its run reads
     dropped = {"gen": ["--trials 2", "--eps 1", "--beta .1",
                        "--beta-prime .1", "--ck 8", "--cm 4", "--clambda 2",
-                       "--scheme independent", "--dataset x.bin"],
+                       "--dataset x.bin"],
                "fo": ["--beta .1", "--clambda 2"],
                "hh": ["--beta-prime .1", "--protocol hrr", "--queries 5"]}
     for cmd, flags in dropped.items():
-        for flag in flags + ["--profile theory", "--dist zipf"]:
+        for flag in flags + ["--profile theory", "--dist zipf",
+                             "--scheme independent"]:
             with pytest.raises(SystemExit):
                 p.parse_args([cmd] + flag.split())
-    for argv in (["fo", "--protocol", "hada-heavy"], ["fo", "--scheme", "x"],
-                 ["verify"]):
+    for argv in (["fo", "--protocol", "hada-heavy"], ["verify"]):
         with pytest.raises(SystemExit):
             p.parse_args(argv)
+
+
+def test_every_flag_names_a_config_field():
+    """_assemble_config keeps only the dests that name an ExperimentConfig
+    field, so a misspelt dest would be dropped without a word."""
+    p = cli.build_parser()
+    sub = next(a for a in p._actions
+               if isinstance(a, argparse._SubParsersAction))
+    config_fields = {f.name for f in dataclasses.fields(ex.ExperimentConfig)}
+    for name, parser in sub.choices.items():
+        dests = {a.dest for a in p._actions + parser._actions
+                 if not isinstance(a, argparse._HelpAction)}
+        dests |= set(parser._defaults)
+        assert dests - config_fields == {"cmd", "verbose", "config"}, name
 
 
 def test_cli_gen(tmp_path):
@@ -253,18 +280,40 @@ def test_a_failed_check_flips_the_exit_status(tmp_path, monkeypatch, capsys):
         in capsys.readouterr().out
 
 
-def test_a_bad_parameter_exits_2_in_one_line_before_any_work(monkeypatch,
+def test_a_bad_parameter_exits_2_in_one_line_before_any_work(tmp_path,
+                                                              monkeypatch,
                                                               capsys):
     def refuse(*args):
         raise AssertionError("a bad config drew its dataset")
 
     monkeypatch.setattr(ex, "gen_zipf", refuse)
+    monkeypatch.setattr(ex, "gen_planted", refuse)
     with pytest.raises(ValueError, match="eps"):
         ex.ExperimentConfig(eps=2)
+    configs = {"typed": {"trials": "3"}, "list": [1, 2],
+               "scheme": {"scheme": "independent"}, "pairs": {"planted": [5]}}
+    for name, body in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(body))
+
+    def from_file(name):
+        return ["fo", "--config", str(tmp_path / f"{name}.json")]
+
     for argv, what in ((["fo", "--eps", "2"], "eps"),
                        (["fo", "--protocol", "hrr", "--eps", "2"], "eps"),
                        (["hh", "--beta", "1.5"], "beta"),
-                       (["fo", "--beta-prime", "0"], "beta_prime")):
+                       (["fo", "--beta-prime", "0"], "beta_prime"),
+                       (["fo", "--n", "-5"], "n=-5"),
+                       (["fo", "--d", "0"], "d=0"),
+                       (["fo", "--zipf-s", "0"], "zipf exponent"),
+                       (["hh", "--n", "100", "--planted", "5:1000"],
+                        "sum to 1000 > n = 100"),
+                       (["hh", "--d", "100", "--planted", "500:10"],
+                        "outside [0, 100)"),
+                       (from_file("typed"), "'trials' must be of type int"),
+                       (from_file("list"), "holds no JSON object"),
+                       (from_file("scheme"), "unknown config keys"),
+                       (from_file("pairs"), "(element, count) pairs"),
+                       (from_file("missing"), "No such file")):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2

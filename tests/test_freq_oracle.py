@@ -65,8 +65,6 @@ def test_params_validation():
         params(c_k=0.5)
     with pytest.raises(ValueError):
         params(c_m=-1.0)
-    with pytest.raises(ValueError):
-        fo.OracleParams(eps=1.0, beta_prime=0.1, scheme="sorted")
 
 
 def _state_with_matrix(k, m, cells):
@@ -261,16 +259,15 @@ def test_query_many_memory_is_its_output_and_one_chunk_scratch():
     assert est[some].tolist() == [fo.query(st, int(v)) for v in vs[some]]
 
 
-@pytest.mark.parametrize("scheme", ["independent", "permutation"])
-def test_construct_memory_is_its_int32_matrix_and_one_chunk(scheme):
+def test_construct_memory_is_its_int32_matrix_and_one_chunk():
     """The build holds the k x m int32 matrix, a one-byte subset per user
     and one chunk's temporaries (2^16 users at under 96 bytes each): no
-    float64 matrix and no n-long int64 array, the permutation included."""
+    float64 matrix and no n-long int64 array."""
     n, d = 1 << 20, 1 << 32
     elems = np.random.default_rng(9).integers(0, d, size=n, dtype=np.uint64)
     tracemalloc.start()
     try:
-        st = fo.construct(elems, d, params(scheme=scheme), seed=5)
+        st = fo.construct(elems, d, params(), seed=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -455,10 +452,12 @@ def test_reproducible_and_round_sensitive():
 def test_serialization_round_trip():
     rng = np.random.default_rng(6)
     elems = rng.integers(0, 10_000, size=5000, dtype=np.uint64)
-    st = fo.construct(elems, 10_000, params(scheme="permutation"), seed=8)
+    st = fo.construct(elems, 10_000, params(), seed=8)
     blob = fo.to_bytes(st)
-    # format v4: header, k uint64 a, k uint64 b, k x m int32
+    # format v5: a 66-byte header, k uint64 a, k uint64 b, k x m int32
     k, m, head = st.k, st.m, fo._HEADER.size
+    assert (fo.VERSION, head) == (5, 66)
+    assert fo._HEADER.unpack_from(blob, 0)[:5] == (b"HDFO", 5, k, m, st.d)
     assert len(blob) == head + 16 * k + 4 * k * m
     assert blob[head:] == st.a.astype("<u8").tobytes() \
         + st.b.astype("<u8").tobytes() + st.matrix.astype("<i4").tobytes()
@@ -467,7 +466,7 @@ def test_serialization_round_trip():
     back = fo.from_bytes(blob)
     assert (back.k, back.m, back.d, back.n_users) == (st.k, st.m, st.d, st.n_users)
     assert back.params == st.params
-    assert back.params.scheme == "permutation" and back.params.c_m == 4.0
+    assert back.params.c_m == 4.0
     assert fo.hash_range_for(back.params, back.n_users) == back.m
     assert back.hashes == st.hashes
     assert back.matrix.dtype == np.int32
@@ -486,7 +485,7 @@ def test_from_bytes_rejects_garbage():
             fo.from_bytes(blob[:size])
     # eps = 1e-17 passes the (0, 1] range but e^eps - 1 is 0 in float64
     head = list(fo._HEADER.unpack_from(blob, 0))
-    head[7] = 1e-17
+    head[5] = 1e-17
     with pytest.raises(ValueError):
         fo.from_bytes(fo._HEADER.pack(*head) + blob[fo._HEADER.size:])
     # a version-2 blob whose first JSON hash record nests 100000 deep
@@ -501,6 +500,11 @@ def test_from_bytes_rejects_garbage():
         fo.from_bytes(fo._HEADER.pack(*head)
                       + blob[fo._HEADER.size:fo._HEADER.size + 16 * st.k]
                       + (st.matrix * st.factor).astype("<f8").tobytes())
+    # a version-4 blob: scheme and reserved bytes after the version
+    v4 = struct.Struct("<4sHBBIQQddddQ")
+    fields = fo._HEADER.unpack_from(blob, 0)[2:]
+    with pytest.raises(ValueError, match="unsupported version 4"):
+        fo.from_bytes(v4.pack(b"HDFO", 4, 0, 0, *fields) + blob[fo._HEADER.size:])
     # coefficients outside the family: a = 0, a = p, b = p
     a_at, b_at = fo._HEADER.size, fo._HEADER.size + 8 * st.k
     for at, value in ((a_at, 0), (a_at, P61), (b_at, P61)):
@@ -508,33 +512,31 @@ def test_from_bytes_rejects_garbage():
         with pytest.raises(ValueError):
             fo.from_bytes(bad)
     # header fields out of range, each with arrays of the length it implies:
-    # a scheme code past the table, k = 0, and m = 3
+    # k = 0 and m = 3
     coeffs = blob[a_at:b_at + 8 * st.k]
     for at, value, arrays, match in (
-            (2, len(fo.SCHEMES), blob[fo._HEADER.size:], "scheme code"),
-            (4, 0, b"", "k = 0"),
-            (5, 3, coeffs + bytes(4 * 3 * st.k), "not a power of two")):
+            (2, 0, b"", "k = 0"),
+            (3, 3, coeffs + bytes(4 * 3 * st.k), "not a power of two")):
         head = list(fo._HEADER.unpack_from(blob, 0))
         head[at] = value
         with pytest.raises(ValueError, match=match):
             fo.from_bytes(fo._HEADER.pack(*head) + arrays)
 
 
-@pytest.mark.parametrize("scheme", ["independent", "permutation"])
-def test_construct_equals_per_group_sum(scheme):
+def test_construct_equals_per_group_sum():
     """Each row of the matrix is, exactly, the transform of its group's
     raw sums: user u adds the sign of H[row_u, h_j(x_u)], flipped
     when coin_u >= keep_prob, at row_u.  The groups, hashes, rows and coins
     are re-drawn here from the streams the build is specified to use."""
     n, d, seed, rnd = 400, 1000, 17, 3
-    p = params(c_m=1.0, beta_prime=0.3, scheme=scheme)
+    p = params(c_m=1.0, beta_prime=0.3)
     elems = np.random.default_rng(6).integers(0, d, size=n, dtype=np.uint64)
     st = fo.construct(elems, d, p, seed, round_index=rnd)
 
     k, m = fo.repetitions_for(p), fo.hash_range_for(p, n)
     hash_rng = setup_stream(seed, rnd, 1)
     hashes = [sample_hash(m, hash_rng) for _ in range(k)]
-    part = take_partition(n, k, scheme, setup_stream(seed, rnd, 0))
+    part = take_partition(n, k, setup_stream(seed, rnd, 0))
     rows_rng, coins_rng = round_streams(seed, rnd)
     rows = draw_rows(rows_rng, n, m).tolist()
     coins = draw_coins(coins_rng, n).tolist()
@@ -591,15 +593,13 @@ CHUNK_CASES = [
 ]
 
 
-@pytest.mark.parametrize("scheme", ["independent", "permutation"])
 @pytest.mark.parametrize("n,chunks", CHUNK_CASES)
-def test_builds_do_not_depend_on_the_chunk_size(monkeypatch, scheme, n, chunks):
+def test_builds_do_not_depend_on_the_chunk_size(monkeypatch, n, chunks):
     """Both builds ingest CHUNK users at a time; the matrix and the raw hrr
     buffer must be bit-identical to the default chunking at any size, since
-    each chunk draws the next slice of the round's streams.  (The hrr
-    build has no partition, so the scheme only varies the oracle.)"""
+    each chunk draws the next slice of the round's streams."""
     d = 1000
-    p = params(c_m=1.0, beta_prime=0.3, scheme=scheme)
+    p = params(c_m=1.0, beta_prime=0.3)
     elems = np.random.default_rng(n).integers(0, d, size=n, dtype=np.uint64)
     budget = PrivacyBudget(1.0)
 

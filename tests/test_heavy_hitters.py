@@ -66,8 +66,7 @@ def test_params_validation():
                 {"c_lambda": 0.0}, {"c_lambda": math.nan},
                 {"c_lambda": math.inf}, {"c_k": math.nan}, {"c_k": math.inf},
                 {"c_k": 0.5},
-                {"c_m": math.nan}, {"c_m": math.inf},
-                {"scheme": "best"}):
+                {"c_m": math.nan}, {"c_m": math.inf}):
         with pytest.raises(ValueError):
             params(**bad)
 

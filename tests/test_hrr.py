@@ -8,7 +8,6 @@ import pytest
 
 from hadaldp import backend, hrr
 from hadaldp import freq_oracle as fo
-from hadaldp.partition import SCHEMES
 from hadaldp.randomizer import (PrivacyBudget, debias_factor, draw_coins, draw_rows,
                                 round_streams)
 
@@ -291,21 +290,20 @@ def _ahead_elements(n=N_AHEAD):
     return np.random.default_rng(21).integers(0, 1000, size=n, dtype=np.uint64)
 
 
-def _oracle_params(scheme="independent"):
-    return fo.OracleParams(eps=0.8, beta_prime=0.05, scheme=scheme)
+def _oracle_params():
+    return fo.OracleParams(eps=0.8, beta_prime=0.05)
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_draw_ahead_is_bit_identical_to_inline_draws(monkeypatch, scheme):
+def test_draw_ahead_is_bit_identical_to_inline_draws(monkeypatch):
     """Six small chunks, on two workers and on one: the same oracle
     matrix and raw hrr buffer, and both those of a one-chunk build."""
     elems = _ahead_elements()
-    whole = fo.construct(elems, 1000, _oracle_params(scheme), 4).matrix
+    whole = fo.construct(elems, 1000, _oracle_params(), 4).matrix
     whole_raw = hrr.build(elems, 1000, BUDGET, 4, finalize=False).buffer
     monkeypatch.setattr(hrr, "CHUNK", SMALL_CHUNK)
     for workers in (1, 2):
         monkeypatch.setattr(backend, "_worker_count", lambda: workers)
-        st = fo.construct(elems, 1000, _oracle_params(scheme), 4)
+        st = fo.construct(elems, 1000, _oracle_params(), 4)
         raw = hrr.build(elems, 1000, BUDGET, 4, finalize=False)
         assert np.array_equal(st.matrix, whole)
         assert np.array_equal(raw.buffer, whole_raw)

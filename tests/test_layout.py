@@ -20,7 +20,7 @@ ONLY_PERFBENCH = {
     "row_estimates",  # item 9: moves once item 3 drops the tracer's wrapper
 }
 # public API the package never calls itself: the server states'
-# serialization, hrr's format v2 and freq_oracle's format v4
+# serialization, hrr's format v2 and freq_oracle's format v5
 PUBLIC_API = {"to_bytes", "from_bytes"}
 
 
