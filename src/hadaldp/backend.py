@@ -37,23 +37,40 @@ factor, which is bit for bit what a float64 sum, transform and scaling
 would give.
 
 The transform is cache-blocked in the manner of the FFHT library (Andoni,
-Indyk, Laarhoven, Razenshteyn and Schmidt, NeurIPS 2015).  A length-m row
-is an R x C matrix with C = min(m, 4096), and H_m = H_R (x) H_C: the
-passes of stride below C run inside each length-C block, the rest across
-blocks.  One slab-panel routine runs both groups: it copies slabs of
-the array, transposed so that the pass axis comes first, into a panel
-buffer of max(C, R) x 32 elements (1 MiB of float64 up to m = 2^24),
-taking as many rows of the array as fill the panel, runs the passes
-there and copies the panel back.  Every panel of a group but its last
-is full whatever the number and length of the rows, and the transform
-sweeps memory twice instead of log2(m) times.  The slabs of a group are
-disjoint, so a group of eight or more is split in contiguous halves,
-the first run by the caller and the second by a helper thread when
-`second_worker` gives one, each with its own panel and half-panel.
-Every element meets the same partners, in the same pass order, through
-the same a + b and a - b as in the textbook pass-by-pass loop, so the
-output is bit-identical to that loop on any float64 or int32 input,
-whether or not the group is split.
+Indyk, Laarhoven, Razenshteyn and Schmidt, NeurIPS 2015).  The log2(m)
+bits of a row index are split into digits of at most six bits, as even
+as possible (2^24 is 6+6+6+6, 2^20 is 5+5+5+5, 2^11 is 6+5), and the
+passes of one digit are one group.  A digit of w bits starting at bit s
+views the array as (outer, 2^w, 2^s), and its passes pair elements
+down axis 1.  One slab-panel routine runs every group: it copies slabs
+of that view, transposed so that the pass axis comes first, into a
+panel of 1 MiB of the array's dtype (never more than the array), taking
+as many rows of the array as fill it, runs the passes there and copies
+the panel back.  Every panel of a group but its last is full whatever
+the number and length of the rows, and the transform sweeps memory
+ceil(log2(m) / 6) times, four at m = 2^24, where the pass-by-pass loop
+sweeps it log2(m) times.
+
+A panel has at most 64 rows, so an int32 one is 64 x 4096 and its passes
+run on contiguous runs of at least 4096 elements.  That is the point of
+the digits: numpy 2.4 buffers a two-operand ufunc on 2-D operands whose
+contiguous runs are at most a third of its 8192-element buffer, and a
+radix-2 pass over an int32 panel of 2^17 elements took 75-141 us at
+runs of 32 to 2048 elements but 30-34 us at runs of 4096 or more (2-CPU
+Xeon VM, numpy 2.4.6).  A float64 panel is 64 x 2048, so its first step
+runs at 2048.  Inside a panel two passes are one radix-4 step, which
+writes (a+b)+(c+d), (a-b)+(c-d), (a+b)-(c+d) and (a-b)-(c-d), the very
+sums of the two radix-2 passes in the same order, and needs no copy
+back; a group of an odd number of passes ends in one radix-2 pass.
+
+The slabs of a group are disjoint, so once the first group has eight or
+more, every group is split in contiguous halves, the first run by the
+caller and the second by a helper thread when `second_worker` gives
+one, each with its own panel and half-panel.  Every element meets the
+same partners, in the same pass order, through the same a + b and
+a - b as in the textbook pass-by-pass loop, so the output is
+bit-identical to that loop on any float64 or int32 input, whether or
+not the group is split.
 
 The package starts threads in one place, `second_worker`, and decides
 whether to in one function, `_worker_count`: the CPUs the process may
@@ -105,34 +122,36 @@ def set_backend(name):
         raise ValueError(f"unknown backend {name!r}; the only one is 'numpy'")
 
 
-_PANEL = 32    # a panel holds max(C, R) x 32 elements
-_BLOCK = 4096  # C: elements per block of a row
-_MIN_RUN = 4   # fewest slabs a worker of a split group runs
+_PANEL_BYTES = 1 << 20  # a worker's panel: 1 MiB of the array's dtype
+_DIGIT = 6              # most passes in one group: bits of a digit
+_MIN_RUN = 4            # fewest slabs a worker of a split group runs
 _FWHT_DTYPES = (np.dtype(np.float64), np.dtype(np.int32))
 
 
 def fwht_inplace(x):
     """In-place Walsh-Hadamard transform of the last axis (rows for 2-D).
 
-    View each row as an R x C matrix, C = min(m, 4096).  The low passes
-    (stride h < C) pair elements within a row of that matrix, the high
-    passes (h >= C) pair matrix rows C*h' apart.  Each group is a list of
-    disjoint slabs, `_slabs` of the view (blocks, C, 1) for the low
-    passes and of (rows, R, C) for the high ones, and `_slab_passes` runs
-    every pass of the group on each slab.  A pair (i, i + h) always
-    becomes (x_i + x_{i+h}, x_i - x_{i+h}), and low passes precede high
-    ones for every element, so the result equals that of running the
-    passes h = 1, 2, ..., m/2 over the whole array, bit for bit.
+    The log2(m) bits of a row index are split, low to high, into
+    ceil(log2(m) / 6) digits of as even a width as possible (24 bits are
+    6+6+6+6, 20 are 5+5+5+5, 11 are 6+5).  The passes of digit k, whose
+    bits are s .. s+w-1, pair elements within each column of the view
+    (outer, 2^w, 2^s); that view's `_slabs` are one group, and
+    `_slab_passes` runs every pass of the group on each slab.  A pair
+    (i, i + h) always becomes (x_i + x_{i+h}, x_i - x_{i+h}), and the
+    digits run low to high, so every element goes through the passes
+    h = 1, 2, ..., m/2 in the textbook order, and the result equals that
+    of running them over the whole array, bit for bit.
 
-    When the low group has at least 2 * _MIN_RUN slabs and
+    When the first group has at least 2 * _MIN_RUN slabs and
     `second_worker` gives a helper, each group is split in contiguous
     halves: the caller runs the first while the helper runs the second.
     The groups run one after the other.  The helper calls only
     `_slab_passes`, which calls only `_column_passes` and numpy, whose
-    copies and arithmetic release the GIL.  A panel and half-panel of x's
-    dtype per worker are the only allocations.  x is float64, or int32
-    whose absolute values along a row add up to less than 2^31 (then no
-    intermediate overflows).
+    copies and arithmetic release the GIL.  A panel of 1 MiB of x's
+    dtype, or of x's size if that is smaller, and a half-panel per worker
+    are the only allocations.  x is float64, or int32 whose absolute
+    values along a row add up to less than 2^31 (then no intermediate
+    overflows).
     """
     if x.dtype not in _FWHT_DTYPES or not x.flags.c_contiguous:
         raise ValueError("in-place transform needs a C-contiguous float64 "
@@ -140,12 +159,17 @@ def fwht_inplace(x):
     m = x.shape[-1]
     if m < 1 or (m & (m - 1)) != 0:
         raise ValueError(f"length {m} is not a power of two")
-    c = min(m, _BLOCK)
-    r = m // c
-    size = max(c, r) * _PANEL
-    groups = [_slabs(x.reshape(-1, c, 1), size)]
-    if r > 1:
-        groups.append(_slabs(x.reshape(-1, r, c), size))
+    bits = m.bit_length() - 1
+    if bits == 0 or x.size == 0:
+        return
+    n_digits = -(-bits // _DIGIT)
+    size = min(x.size, _PANEL_BYTES // x.itemsize)
+    groups = []
+    inner = 1
+    for k in range(n_digits):
+        width = bits // n_digits + (k < bits % n_digits)
+        groups.append(_slabs(x.reshape(-1, 1 << width, inner), size))
+        inner <<= width
     mine = np.empty(size, x.dtype), np.empty(size // 2, x.dtype)
     with second_worker(len(groups[0]) >= 2 * _MIN_RUN) as helper:
         if helper is None:
@@ -190,7 +214,10 @@ def _slabs(v, size):
     A slab is g x P x w elements, w = min(inner, size // P) and
     g = size // (P * w), so it fills a panel of `size` elements, but for
     a last partial one, whatever the shape.  The slabs are disjoint and
-    each holds whole columns along axis 1, the pass axis.
+    each holds whole columns along axis 1, the pass axis.  With P at
+    most 2^6, a panel of 2^18 int32 elements (1 MiB) holds at least
+    4096 of those columns, so `_column_passes` runs on runs of 4096 or
+    more.
     """
     outer, p_len, inner = v.shape
     w = min(inner, size // p_len)
@@ -217,19 +244,33 @@ def _column_passes(p, half):
     """Every butterfly pass down the columns of the contiguous 2-D panel p.
 
     Pass h' pairs panel rows h' apart, which in the flat buffer are the
-    runs of h = h' * width elements; `half` holds each pass's differences.
+    runs of h = h' * width elements.  Two passes at a time are one radix-4
+    step on the quarters a, b, c, d of each block of 4h: it writes
+    (a+b)+(c+d), (a-b)+(c-d), (a+b)-(c+d) and (a-b)-(c-d), the same
+    sums in the same order as the passes h and 2h, with (a-b) and (c-d)
+    in the two quarters of `half`, so no step copies back.  A group with
+    an odd number of passes ends in one radix-2 pass.
     """
     v = p.reshape(-1)
     h = p.shape[1]
-    while h < v.size:
-        pairs = v.reshape(-1, 2, h)
-        a = pairs[:, 0]
-        b = pairs[:, 1]
-        t = half[:v.size // 2].reshape(a.shape)
+    while 4 * h <= v.size:
+        a, b, c, d = v.reshape(-1, 4, h).swapaxes(0, 1)
+        t, u = half[:v.size // 2].reshape(2, *a.shape)
+        np.subtract(a, b, out=t)    # t = a-b
+        a += b                      # a = a+b
+        np.subtract(c, d, out=u)    # u = c-d
+        np.add(c, d, out=b)         # b = c+d
+        np.subtract(a, b, out=c)    # c = (a+b)-(c+d)
+        a += b                      # a = (a+b)+(c+d)
+        np.add(t, u, out=b)         # b = (a-b)+(c-d)
+        np.subtract(t, u, out=d)    # d = (a-b)-(c-d)
+        h *= 4
+    if h < v.size:                  # one pass left: h = v.size / 2
+        a, b = v.reshape(2, h)
+        t = half[:h]
         np.subtract(a, b, out=t)
         a += b
         b[...] = t
-        h *= 2
 
 
 def hadamard_signs(rows, cols):

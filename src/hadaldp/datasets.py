@@ -70,16 +70,23 @@ def check_generator_inputs(n, d, *, s=None, heavy=()):
     `gen_planted(n, d, heavy, rng)` can draw: n >= 0 and d >= 1, s finite
     and positive, and `heavy` distinct (element, count) pairs with every
     element in [0, d), every count non-negative and the counts summing to
-    at most n.  Returns `heavy` as a list of (int, int) pairs."""
+    at most n.  An element or count must be an int or a numpy integer;
+    a bool, a float or a string is rejected, not coerced.  Returns
+    `heavy` as a list of (int, int) pairs."""
     if n < 0 or d < 1:
         raise ValueError(f"need n >= 0 and d >= 1, got n={n}, d={d}")
     if s is not None and not 0 < s < math.inf:
         raise ValueError(f"zipf exponent must be finite and positive, got {s}")
     try:
-        heavy = [(int(e), int(c)) for e, c in heavy]
+        pairs = [(e, c) for e, c in heavy]
     except (TypeError, ValueError):
+        pairs = None
+    if pairs is None or not all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+            for pair in pairs for v in pair):
         raise ValueError("planted elements must be (element, count) pairs "
-                         f"of integers, got {heavy!r}") from None
+                         f"of integers, got {heavy!r}")
+    heavy = [(int(e), int(c)) for e, c in pairs]
     if len({e for e, _ in heavy}) != len(heavy):
         raise ValueError("planted elements must be distinct")
     for e, c in heavy:
@@ -131,10 +138,17 @@ def gen_zipf(n, d, s, rng):
     first[:1] = True
     np.not_equal(ranks[1:], ranks[:-1], out=first[1:])
     uniq = ranks[first]
-    # a*rank overflows uint64 for large d, so map the distinct ranks
-    # through Python ints and gather
-    mapped = np.fromiter(((a * r + b) % d for r in uniq.tolist()),
-                         dtype=np.uint64, count=uniq.size)
+    # map the distinct ranks, then gather: in uint64 while a*rank + b
+    # cannot overflow it (every d up to about 1.8e12, 2^32 included),
+    # through Python ints above that
+    if (d - 1) * r_max + (d - 1) < 1 << 64:
+        mapped = uniq.astype(np.uint64)
+        mapped *= np.uint64(a)
+        mapped += np.uint64(b)
+        mapped %= np.uint64(d)
+    else:
+        mapped = np.fromiter(((a * r + b) % d for r in uniq.tolist()),
+                             dtype=np.uint64, count=uniq.size)
     elements = np.empty(n, dtype=np.uint64)
     elements[order] = mapped[np.cumsum(first) - 1]
     meta = {"generator": "zipf", "n": int(n), "d": int(d), "s": s,

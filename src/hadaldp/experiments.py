@@ -2,9 +2,10 @@
 
 A run is fully described by an ExperimentConfig (JSON file, overridden by
 CLI flags), whose inputs also name the dataset (see dataset_for).  A
-config builds its protocol's parameters when it is made, so an
-out-of-range one raises ValueError before any data is drawn, and a run
-builds them once for all its trials.  A dataset file is read once per
+config builds its protocol's parameters and checks its protocol's
+domain cap when it is made, so an out-of-range one raises ValueError
+before any data is drawn, and a run builds them once for all its
+trials.  A dataset file is read once per
 run and shared by every trial; otherwise each trial regenerates its
 dataset.  Each trial builds its protocol state, and draws any generated
 dataset, from seeds derived off (config.seed, trial), so the same
@@ -72,10 +73,15 @@ class ExperimentConfig:
             raise ValueError(f"n_queries must be non-negative, got {self.n_queries}")
         if self.dataset_path and self.planted:
             raise ValueError("give a dataset file or planted elements, not both")
-        if self.planted:    # the generator inputs dataset_for would draw from
-            check_generator_inputs(self.n, self.d, heavy=self.planted)
-        elif not self.dataset_path:
-            check_generator_inputs(self.n, self.d, s=self.zipf_s)
+        if not self.dataset_path:   # what dataset_for would draw, and its d
+            if self.planted:
+                check_generator_inputs(self.n, self.d, heavy=self.planted)
+            else:
+                check_generator_inputs(self.n, self.d, s=self.zipf_s)
+            if self.protocol == "hrr":
+                hrr.dim_for(self.d)
+            else:
+                fo.check_domain(self.d)
         self.params()   # range-checks eps and the rest before any work
 
     def params(self):

@@ -12,14 +12,14 @@ vectors.  Both views are implemented here and tested against each other.
 The fast transform, `backend.fwht_inplace`, runs the butterfly passes in
 place along the last axis in O(m log m), cache-blocked so that its only
 auxiliary space is a panel and half-panel per worker, at most two
-workers: a panel of max(2^17, m/128) elements of the input's dtype and
-half that again as scratch; `fht` applies it to a float64 copy.  It
-runs on float64 or int32.  No intermediate
-exceeds the sum of the input's absolute values, so on integer-valued
-float64 input it is exact while that sum stays below 2^53, and fht() of
-integer vectors is exact: H(H(x)) == m*x holds with == rather than
-allclose.  The builds transform their int32 report sums in place, exact
-because fewer than 2^31 users put that sum below 2^31.
+workers: a panel of 1 MiB of the input's dtype, or of the input's size
+if that is smaller, and half that again as scratch; `fht` applies it to
+a float64 copy.  It runs on float64 or int32.  No intermediate exceeds
+the sum of the input's absolute values, so on integer-valued float64
+input it is exact while that sum stays below 2^53, and fht() of integer
+vectors is exact: H(H(x)) == m*x holds with == rather than allclose.
+The builds transform their int32 report sums in place, exact because
+fewer than 2^31 users put that sum below 2^31.
 """
 
 import numpy as np

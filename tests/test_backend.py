@@ -221,8 +221,13 @@ FWHT_SHAPES = ([(r, m) for m in (1, 2, 2048, 4096, 8192)
                 for r in (1, 31, 32, 33, 141)]
                + [(1 << 17,), (3, 1 << 17), (1 << 20,), (2, 3, 256),
                   (2, 3, 8192), (0, 8192),
-                  # two slabs per row in the high passes; one partial panel
-                  (24, 1 << 18), (7, 1 << 14)])
+                  # several slabs per row in the last group; a partial panel
+                  (24, 1 << 18), (7, 1 << 14)]
+               # single rows of every other length up to 2^20: every split
+               # of the bits into digits, and every odd last digit
+               + [(1 << k,) for k in range(1, 21) if k not in (17, 20)])
+# the builds' shapes: the oracle's and table's (heavy's (141, 2048) is above)
+BUILD_SHAPES = [(24, 4096), (1 << 24,)]
 
 
 @pytest.mark.parametrize("shape", FWHT_SHAPES)
@@ -235,7 +240,7 @@ def test_fwht_is_bit_identical_to_the_pass_by_pass_loop(shape):
     assert np.array_equal(x, want)
 
 
-@pytest.mark.parametrize("shape", FWHT_SHAPES)
+@pytest.mark.parametrize("shape", FWHT_SHAPES + BUILD_SHAPES)
 def test_int32_fwht_equals_the_float64_loop(shape):
     x = np.random.default_rng(sum(shape)).integers(-3, 4, size=shape,
                                                    dtype=np.int32)
@@ -266,13 +271,14 @@ def test_fwht_worker_count_does_not_change_the_output(
     _reference_fwht(want)
     backend.fwht_inplace(x)
     assert x.dtype == dtype and np.array_equal(x, want)
-    # more than one full panel of 2^17 elements is more than one slab
-    assert len(started) == (workers == 2 and x.size > 1 << 17)
+    # more than one full panel, 1 MiB (2^17 float64 or 2^18 int32
+    # elements), is more than one slab
+    assert len(started) == (workers == 2 and x.nbytes > 1 << 20)
 
 
 @pytest.mark.parametrize("shape", [(24, 4096), (141, 2048)])
 def test_fwht_small_transforms_start_no_thread(monkeypatch, shape):
-    """The oracle's matrix is one panel and heavy's five slabs, too few to
+    """The oracle's matrix is one panel and heavy's two slabs, too few to
     split, even with two CPUs."""
     def refuse(thread):
         raise AssertionError("a small transform started a thread")
@@ -368,8 +374,8 @@ def test_second_worker_helper_error_reraises_from_result(monkeypatch):
 
 
 def test_fwht_fills_its_panels_at_short_matrix_rows(monkeypatch):
-    """At (24, 8192) each row is a 2 x 4096 matrix: the 48 blocks fill two
-    panels of low passes and the 24 rows two panels of high passes."""
+    """At (24, 8192) the 13 bits are three digits, 5+4+4, and the 24 rows
+    (768 KiB) fill one panel: one panel per digit, not one per row."""
     calls = []
     column_passes = backend._column_passes
 
@@ -381,7 +387,7 @@ def test_fwht_fills_its_panels_at_short_matrix_rows(monkeypatch):
     x = np.ones((24, 8192), dtype=np.int32)
     backend.fwht_inplace(x)
     assert (x[:, 0] == 8192).all() and not x[:, 1:].any()
-    assert len(calls) <= 4, calls
+    assert len(calls) == 3, calls
 
 
 def test_int32_fwht_is_exact_at_the_largest_sum():
@@ -425,6 +431,22 @@ def test_fwht_memory_is_a_panel_not_a_half_array():
     assert x[0] == 1 << 22 and not x[1:].any()
     # a pass over the whole array would need a 16 MiB half-size temporary
     assert peak < 4 << 20
+
+
+def test_fwht_panel_is_no_larger_than_the_oracle_matrix():
+    """The oracle's (24, 4096) matrix is one panel of its own size, so the
+    transform allocates that panel and a half-panel: 1.5x its bytes, and
+    numpy's ufunc buffers for three operands, since its 64 x 1536 panel
+    has runs shorter than the buffer."""
+    x = np.ones((24, 4096), dtype=np.int32)
+    tracemalloc.start()
+    try:
+        backend.fwht_inplace(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (x[:, 0] == 4096).all() and not x[:, 1:].any()
+    assert peak <= 1.5 * x.nbytes + 3 * np.getbufsize() * x.itemsize
 
 
 def test_int32_fwht_memory_is_a_panel_not_a_half_array():

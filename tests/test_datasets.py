@@ -73,6 +73,21 @@ def test_planted_validation():
         dsets.gen_planted(-1, 10, [], rng)
 
 
+@pytest.mark.parametrize("pair", [(1.5, 10), ("7", 5), (3, 2.0), (True, 5),
+                                  (3, False), (np.float64(3), 5)])
+def test_planted_entries_must_be_integers(pair):
+    """No entry is coerced: 1.5 would plant element 1, "7" element 7."""
+    with pytest.raises(ValueError, match="pairs of integers"):
+        dsets.gen_planted(100, 1000, [pair], np.random.default_rng(2))
+
+
+def test_planted_accepts_numpy_integers():
+    heavy = [(np.uint64(7), np.int64(30)), (np.int32(9), 20)]
+    ds = dsets.gen_planted(100, 1000, heavy, np.random.default_rng(2))
+    assert ds.meta["heavy"] == [[7, 30], [9, 20]]
+    assert all(type(v) is int for pair in ds.meta["heavy"] for v in pair)
+
+
 def test_zipf_shape():
     rng = np.random.default_rng(3)
     ds = dsets.gen_zipf(50_000, 1 << 32, 1.1, rng)
@@ -185,6 +200,18 @@ def test_zipf_matches_the_reference_draw(monkeypatch):
                                              np.random.default_rng(seed))
                         assert _same_draw(got, want), (n, d, s, seed)
             monkeypatch.undo()
+
+
+@pytest.mark.parametrize("d", [1 << 32, (1 << 61) - 1])
+def test_zipf_rank_map_matches_python_ints(d):
+    """a*rank + b fits uint64 at d = 2^32, so the ranks are mapped in
+    uint64; at 2^61 - 1 it does not, and they go through Python ints.
+    Both give the Python-int reference's elements and meta."""
+    r_max = min(d, dsets.ZIPF_MAX_RANKS)
+    assert ((d - 1) * r_max + (d - 1) < 1 << 64) == (d == 1 << 32)
+    got = dsets.gen_zipf(200_000, d, 1.1, np.random.default_rng(6))
+    want = _reference_zipf(200_000, d, 1.1, np.random.default_rng(6))
+    assert _same_draw(got, want)
 
 
 def test_zipf_memory_is_one_weight_table():

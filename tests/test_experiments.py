@@ -309,6 +309,10 @@ def test_a_bad_parameter_exits_2_in_one_line_before_any_work(tmp_path,
                         "sum to 1000 > n = 100"),
                        (["hh", "--d", "100", "--planted", "500:10"],
                         "outside [0, 100)"),
+                       (["fo", "--protocol", "hrr", "--d", str(1 << 30),
+                         "--n", "100"], "above the cap"),
+                       (["fo", "--d", str(1 << 62), "--n", "100"],
+                        "domain size must lie in"),
                        (from_file("typed"), "'trials' must be of type int"),
                        (from_file("list"), "holds no JSON object"),
                        (from_file("scheme"), "unknown config keys"),
