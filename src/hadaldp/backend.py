@@ -12,20 +12,17 @@ flat buffer of int32 sums of +-1.
 The hash has one formula, in one kernel, `hash_block`, which takes its
 element and coefficient operands already split into 32-bit limbs and
 runs every limb step in place in a five-row scratch.  `hash_eval` is its
-blocked entry for arrays: it runs the kernel on blocks of 2^13 elements
-through one preallocated scratch, so a call allocates its output and
-320 KiB, whatever its size; its coefficients broadcast, per user in a
-build.  An operand of size 1 is a numpy scalar whose limbs are split
-once per call, so its multiplies run array x scalar and no row of the
-scratch is filled with copies of it.  The oracle's reads enter at the
-block with limbs they already hold and skip that set-up, once per read:
-a scalar query's element, or a batch query's block of elements as a
-column, against the k rows' coefficients.  When the high limb of every
-element of a call is zero, three of the kernel's limb terms are zero,
-and it skips them; every element and prefix of the benchmark workloads
-is below 2^32 (d <= 2^32), so they all take that path.  For a
-power-of-two range m the last two reductions, mod p and mod m, are one
-mask.
+blocked entry for a build: elements and per-user coefficients as 1-D
+uint64 arrays of one length, run through the kernel in blocks of 2^13
+elements with one preallocated scratch, so a call allocates its output
+and 320 KiB, whatever its size.  The oracle's reads enter at the block
+with limbs they already hold, once per read: a scalar query's element,
+or a batch query's block of elements as a column, against the k rows'
+coefficients.  When the high limb of every element of a call is zero,
+three of the kernel's limb terms are zero, and it skips them; every
+element and prefix of the benchmark workloads is below 2^32
+(d <= 2^32), so they all take that path.  Every range m is a power of
+two, so the last two reductions, mod p and mod m, are one mask.
 
 The server state of both builds is the transform of those int32 sums.
 A Hadamard transform of integers whose absolute values add up to at most
@@ -94,7 +91,6 @@ so a profiler can wrap them in place.
 """
 
 import contextlib
-import math
 import os
 from concurrent import futures
 
@@ -285,37 +281,24 @@ _HASH_BLOCK = 1 << 13  # elements per block of the hash kernel
 
 
 def hash_eval(xs, a, b, m):
-    """((a*x + b) mod (2^61 - 1)) mod m, elementwise on uint64 inputs.
+    """((a*x + b) mod (2^61 - 1)) mod m for each x of xs and its own a and
+    b: the build's per-user hash.
 
-    xs, a and b broadcast against each other: per-user coefficients in a
-    build, one function's (a, b) against many elements in
-    `PairwiseHash.eval_batch`.  Inputs must lie below 2^61 - 1.  This is
-    the blocked entry of the kernel: it splits the operands' 32-bit limbs
-    into one preallocated scratch and runs `hash_block` once per block of
-    2^13 elements, into the output; no step allocates a temporary the size
-    of the input.  An operand of size 1 is taken as a numpy scalar, its
-    limbs split once per call, so its multiplies run array x scalar in
-    every block.
+    xs, a and b are 1-D uint64 arrays of one length, every value below
+    2^61 - 1, and m is a power of two.  This is the blocked entry of the
+    kernel: it splits the operands' 32-bit limbs into one preallocated
+    scratch and runs `hash_block` once per block of 2^13 elements, into
+    the output; no step allocates a temporary the size of the input.
     """
-    ops = [np.asarray(v, dtype=np.uint64) for v in (xs, a, b)]
-    shape = np.broadcast(*ops).shape
-    if len(shape) > 1:
-        ops = [v if v.size == 1 else np.broadcast_to(v, shape).reshape(-1)
-               for v in ops]
-    x, a, b = (v.reshape(-1)[0] if v.size == 1 else v for v in ops)
-    x_limbs, a_limbs = (split_limbs(v) if v.ndim == 0 else None
-                        for v in (x, a))
-    out = np.empty(math.prod(shape), dtype=np.uint64)
-    n = out.size
-    scratch = np.empty((5, min(n, _HASH_BLOCK)), dtype=np.uint64)
-    m = int(m)
-    for lo in range(0, n, _HASH_BLOCK):
-        hi = min(lo + _HASH_BLOCK, n)
+    out = np.empty(xs.size, dtype=np.uint64)
+    scratch = np.empty((5, min(xs.size, _HASH_BLOCK)), dtype=np.uint64)
+    for lo in range(0, xs.size, _HASH_BLOCK):
+        hi = min(lo + _HASH_BLOCK, xs.size)
         rows = scratch[:, :hi - lo]
-        hash_block(x_limbs or split_limbs(x[lo:hi], rows[2], rows[3]),
-                   a_limbs or split_limbs(a[lo:hi], rows[0], rows[1]),
-                   b if b.ndim == 0 else b[lo:hi], m, out[lo:hi], rows)
-    return out.reshape(shape)
+        hash_block(split_limbs(xs[lo:hi], rows[2], rows[3]),
+                   split_limbs(a[lo:hi], rows[0], rows[1]),
+                   b[lo:hi], m, out[lo:hi], rows)
+    return out
 
 
 def split_limbs(v, hi=None, lo=None):
@@ -328,11 +311,11 @@ def hash_block(x, a, b, m, s, rows):
     """The hash kernel on one block, written into s.
 
     x and a come as their 32-bit limbs (hi, lo), each a pair of arrays
-    that broadcast to s's shape or of scalars (numpy or Python ints); b
-    is such an array or a scalar, and m a Python int.  `hash_eval` calls
-    this once per block; an oracle read calls it once, with one
-    element's limbs, or the D x 1 columns of a block's, against the k
-    rows' coefficients, into k or D x k cells.  The 64 x 64-bit product
+    that broadcast to s's shape or of Python ints; b is such an array,
+    and m a power of two as a Python int.  `hash_eval` calls this once
+    per block; an oracle read calls it once, with one element's limbs,
+    or the D x 1 columns of a block's, against the k rows' coefficients,
+    into k or D x k cells.  The 64 x 64-bit product
     goes through the limbs, a*x = t2*2^64 + t1*2^32 + t0, and every term is folded with
     2^61 == 1 (mod p): t2*2^64 == 8*t2,
     t1*2^32 == (t1 >> 29) + ((t1 & (2^29 - 1)) << 32) and
@@ -344,8 +327,7 @@ def hash_block(x, a, b, m, s, rows):
     elements all are) a_lo*x_hi and t2 = a_hi*x_hi are zero, so those
     two products, their adds and the shift of t2 are skipped; every
     element and prefix of the benchmark workloads (d <= 2^32) takes
-    that path.  For a
-    power-of-two m the final reductions mod p and mod m are one mask,
+    that path.  The final reductions mod p and mod m are one mask,
     (m - 1) & p: m - 1 up to m = 2^61, and p above it, where s < p < m
     already.
 
@@ -381,11 +363,7 @@ def hash_block(x, a, b, m, s, rows):
     np.add(s, _U1, out=t)
     np.right_shift(t, _U61, out=t)
     s += t
-    if m & (m - 1):
-        np.bitwise_and(s, _P61, out=s)
-        np.remainder(s, m, out=s)
-    else:
-        np.bitwise_and(s, (m - 1) & _P61_INT, out=s)
+    np.bitwise_and(s, (m - 1) & _P61_INT, out=s)
     return s
 
 

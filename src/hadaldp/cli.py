@@ -14,10 +14,11 @@ elements over a uniform background, and otherwise the elements are drawn
 zipf.  Exit status is 0 only if the checks on the run's output all
 passed (finite estimates, no heavy-hitter element named twice); a
 tripped --max-frontier guard exits 1 with one line on stderr.  A bad
-parameter (eps outside (0, 1], an unknown config key or a value of the
-wrong type, a config file that cannot be read, n or d or planted counts
-that the dataset generator cannot draw, `fo` asked for hada-heavy, ...)
-exits 2 with one line on stderr, before any data is drawn or read.
+parameter (eps outside (0, 1], a negative seed, a --max-frontier below
+1, an unknown config key or a value of the wrong type, a config file
+that cannot be read, n or d or planted counts that the dataset
+generator cannot draw, `fo` asked for hada-heavy, ...) exits 2 with one
+line on stderr, before any data is drawn or read.
 The acceptance checks run under pytest (`pytest tests/test_acceptance.py
 -s` in a checkout), and timing is measured by `python3 perfbench/run.py`
 there.

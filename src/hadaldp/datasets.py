@@ -167,8 +167,7 @@ def gen_planted(n, d, heavy, rng):
     background = rng.integers(0, d, size=n - sum(c for _, c in heavy),
                               dtype=np.uint64)
     planted = [np.full(c, e, dtype=np.uint64) for e, c in heavy]
-    elements = np.concatenate(planted + [background]) if n else \
-        np.empty(0, dtype=np.uint64)
+    elements = np.concatenate(planted + [background])
     rng.shuffle(elements)
     meta = {"generator": "planted", "n": int(n), "d": int(d),
             "heavy": [[e, c] for e, c in heavy]}

@@ -69,6 +69,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}; have {PROTOCOLS}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.max_frontier is not None and self.max_frontier < 1:
+            raise ValueError(
+                f"max_frontier must be at least 1, got {self.max_frontier}")
         if self.n_queries < 0:
             raise ValueError(f"n_queries must be non-negative, got {self.n_queries}")
         if self.dataset_path and self.planted:

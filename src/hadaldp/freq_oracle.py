@@ -200,13 +200,14 @@ def construct(elements, d, params, seed, *, hashes=None, round_index=0):
     the debias factor is applied where an estimate is read.  When
     `hashes` is given (the heavy-hitter protocol shares one family
     across all its oracles) they fix both k and m; otherwise
-    `family_for` sizes and draws the family from params and n.
+    `family_for` sizes and draws the family from params and n.  Zero
+    users make an ordinary build: no report is added, so the matrix is
+    all zero (k x 2 when the family is sized from n = 0) and every
+    estimate is 0.0, as in `hrr.build`.
     """
     check_domain(d)
     elements = element_array(elements, d)
     n = int(elements.size)
-    if n == 0:
-        raise ValueError("cannot build an oracle from zero users")
     budget = PrivacyBudget(params.eps)
 
     if hashes is None:
@@ -214,8 +215,6 @@ def construct(elements, d, params, seed, *, hashes=None, round_index=0):
     if not hashes or any(h.m != hashes[0].m for h in hashes):
         raise ValueError("need one or more hashes, all with the same range m")
     k, m = len(hashes), hashes[0].m
-    if m < 1 or m & (m - 1):
-        raise ValueError(f"hash range {m} is not a power of two")
 
     part = take_partition(n, k, setup_stream(seed, round_index, 0))
     state = OracleState(params=params, k=k, m=m, d=int(d), n_users=n,
@@ -317,8 +316,6 @@ def from_bytes(blob):
     k, m, d, eps, beta_prime, c_k, c_m, n_users = fields
     if k < 1:
         raise ValueError("need at least one repetition, got k = 0")
-    if m < 1 or m & (m - 1):
-        raise ValueError(f"hash range {m} is not a power of two")
     check_domain(d)
     params = OracleParams(eps=eps, beta_prime=beta_prime, c_k=c_k, c_m=c_m)
     hashes = [PairwiseHash(a_j, b_j, m)

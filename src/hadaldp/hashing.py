@@ -2,12 +2,16 @@
 
 The Mersenne prime keeps the modular reduction branch-free (fold the high
 bits back in, 2^61 == 1 mod p) and leaves room for domains up to 2^61.
-Every hash is evaluated by the 32-bit-limb uint64 kernel
-`backend.hash_block`: the oracle build through its blocked entry
-`backend.hash_eval`, once per chunk of users with each user's subset's
-(a, b); every oracle read once per element or block of elements, their
-limbs against the k rows' (a, b) vectors, broadcast.  The tests hold the
-kernel to an exact Python-int reference everywhere.
+The range m is a power of two, from 1 up: the Hadamard transform that
+every server state goes through needs one, and it makes the last
+reduction, mod m, a mask.  `PairwiseHash` refuses any other m, so no
+other check of it is needed.  Every hash is evaluated by the
+32-bit-limb uint64 kernel `backend.hash_block`: the oracle build
+through its blocked entry `backend.hash_eval`, once per chunk of users
+with each user's subset's (a, b); every oracle read once per element or
+block of elements, their limbs against the k rows' (a, b) vectors,
+broadcast.  The tests hold the kernel to an exact Python-int reference
+everywhere.
 """
 
 import operator
@@ -68,17 +72,18 @@ class PairwiseHash:
             raise ValueError(f"a must lie in [1, p), got {self.a}")
         if not 0 <= self.b < P61:
             raise ValueError(f"b must lie in [0, p), got {self.b}")
-        if self.m < 1:
-            raise ValueError(f"range m must be positive, got {self.m}")
+        if self.m < 1 or self.m & (self.m - 1):
+            raise ValueError(f"hash range {self.m} is not a power of two")
 
     # no caller in the package: perfbench/tracer.py wraps it, and the
     # tests use it to hash a batch with one function
     def eval_batch(self, xs):
-        """Vectorized evaluation of a uint64 array via the limb kernel."""
+        """Vectorized evaluation of a 1-D uint64 array via the limb kernel."""
         xs = np.ascontiguousarray(xs, dtype=np.uint64)
         if xs.size and int(xs.max()) >= P61:
             raise ValueError("batch contains inputs outside [0, 2^61 - 1)")
-        return backend.hash_eval(xs, self.a, self.b, self.m)
+        return backend.hash_eval(xs, np.full(xs.size, self.a, np.uint64),
+                                 np.full(xs.size, self.b, np.uint64), self.m)
 
 
 def sample_hash(m, rng):

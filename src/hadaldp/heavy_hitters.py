@@ -145,9 +145,6 @@ class SuccinctHistogram:
     def __len__(self):
         return int(self.elements.size)
 
-    def items(self):
-        return [(int(e), float(x)) for e, x in zip(self.elements, self.estimates)]
-
     def write_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("element,estimate\n")
@@ -172,9 +169,12 @@ def run(elements, d, params, seed, *, max_frontier=None):
     Every user lands in exactly one level oracle (their level group) and in
     the refinement oracle, each report randomized at eps/2.  Level-tau
     estimates are L * oracle answer; refinement estimates are unscaled and
-    are what the histogram reports.
+    are what the histogram reports.  An opt-in `max_frontier` below 1
+    raises ValueError with the other input checks, before any work.
     """
     fo.check_domain(d)
+    if max_frontier is not None and max_frontier < 1:
+        raise ValueError(f"max_frontier must be at least 1, got {max_frontier}")
     elements = element_array(elements, d)
     n = int(elements.size)
     meta = {"protocol": "hada-heavy", "n": n, "d": int(d),
@@ -211,12 +211,10 @@ def run(elements, d, params, seed, *, max_frontier=None):
     warn_at = 2.0 * n / lam
 
     def level_oracle(tau, prefixes):
+        # a starved level builds an empty oracle, whose estimates are all
+        # 0.0: every candidate it is asked about dies at the 2*lambda bar
         enc = encode_prefix_batch(
             elements.take(np.flatnonzero(level == tau - 1)), tau, code)
-        if enc.size == 0:
-            # a starved level has no reports and so no evidence;
-            # every candidate it is asked about dies at the 2*lambda bar
-            return np.zeros(prefixes.size)
         d_tau = encode_prefix(d - 1, tau, code) + 1
         state = fo.construct(enc, d_tau, oracle_params, seed,
                              hashes=hashes, round_index=tau)

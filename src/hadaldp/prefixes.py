@@ -62,16 +62,14 @@ def encode_prefix(v, tau, code):
 
 
 def encode_prefix_batch(vs, tau, code):
-    """Shift a whole uint64 array down to its level-tau prefixes."""
+    """Shift a whole uint64 array down to its level-tau prefixes, for a
+    level tau in 1..L, the levels the tree walk asks about.  The shift
+    is then at most 64 - digit_bits, never the undefined uint64 >> 64."""
     import numpy as np
 
-    if not 0 <= tau <= code.levels:
-        raise ValueError(f"level {tau} outside [0, {code.levels}]")
+    if not 1 <= tau <= code.levels:
+        raise ValueError(f"level {tau} outside [1, {code.levels}]")
     vs = np.ascontiguousarray(vs, dtype=np.uint64)
-    if tau == 0:
-        # every element collapses to the root; also dodges the undefined
-        # uint64 >> 64 that a 64-bit code would hit here
-        return np.zeros_like(vs)
     shift = np.uint64((code.levels - tau) * code.digit_bits)
     return vs >> shift
 

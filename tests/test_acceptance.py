@@ -291,7 +291,7 @@ def test_a09_end_to_end_discovery_at_the_forced_threshold():
     within 5 median-noise sigmas, each in >= 18 of 20 runs.
 
     The forced lambda (667) sits far below the level-estimate noise floor
-    (about 3100 at eps/2 and n L = 4*10^5 reports), so the frontier fills
+    (about 3240 at eps/2 and n L = 4*10^5 reports), so the frontier fills
     with noise survivors; runs are capped by a frontier guard and counted
     as failures when they trip it.  The check is expected to fail; it
     stays honest about what this regime of the protocol cannot do."""
@@ -317,7 +317,7 @@ def test_a09_end_to_end_discovery_at_the_forced_threshold():
         except hh.FrontierOverflow:
             overflows += 1
             continue
-        got = dict(hist.items())
+        got = dict(zip(hist.elements.tolist(), hist.estimates.tolist()))
         recall_runs += int(targets <= set(got))
         clean_runs += int(all(counts.get(v, 0) >= lam for v in got))
         est_runs += int(all(abs(e - counts.get(v, 0)) <= est_bound

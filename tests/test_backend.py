@@ -47,6 +47,10 @@ def test_accumulate_is_integer_valued_and_conserving():
     assert sums.dtype == np.int32 and sums.tolist() == want.tolist()
 
 
+def _full(value, n):
+    return np.full(n, value, dtype=np.uint64)
+
+
 def test_mulmod_limbs_match_big_integer_arithmetic():
     rng = np.random.default_rng(4)
     a_vals = [1, 2, P61 - 1, int(rng.integers(1, P61))]
@@ -54,7 +58,8 @@ def test_mulmod_limbs_match_big_integer_arithmetic():
                   list(rng.integers(0, P61, size=500)), dtype=np.uint64)
     for a in a_vals:
         # b = 0 and a range of 2^61, above every residue, leave a*x mod p
-        got = backend.hash_eval(xs, a, 0, 1 << 61)
+        got = backend.hash_eval(xs, _full(a, xs.size), _full(0, xs.size),
+                                1 << 61)
         assert got.tolist() == [(a * int(x)) % P61 for x in xs]
 
 
@@ -66,15 +71,26 @@ def _exact_hash(x, a, b, m):
     return ((a * x + b) % P61) % m
 
 
-@pytest.mark.parametrize("m", [1, 3, 1000, 4096])
+def _read_cells(x, a, b, m):
+    """The block kernel as an oracle read calls it: one element's
+    Python-int limbs, or a D x 1 uint64 column's, against the k rows'
+    coefficient vectors a and b, into k or D x k cells."""
+    shape = (6, a.size) if isinstance(x, int) else (6, len(x), a.size)
+    rows = np.empty(shape, dtype=np.uint64)
+    return backend.hash_block((x >> 32, x & 0xFFFFFFFF),
+                              backend.split_limbs(a), b, m, rows[5], rows[:5])
+
+
+@pytest.mark.parametrize("m", [1, 2, 1024, 4096, 1 << 61, 1 << 62])
 @pytest.mark.parametrize("n", [(1 << 13) - 1, 1 << 13, (1 << 13) + 1,
                                3 * (1 << 13) + 5])
 def test_hash_kernel_matches_big_integers_across_blocks(n, m):
-    """Sizes around the 2^13-element block, in the three broadcast forms
-    the package uses: per-element coefficients (a build), one function
-    over many elements (a batch query), one element against a vector of
-    functions (a scalar query over the k rows)."""
-    rng = np.random.default_rng(n + m)
+    """Sizes around the 2^13-element block, in the forms the package
+    uses: per-element coefficients (a build), one function's
+    coefficients repeated over many elements (`eval_batch`), and one
+    element against a vector of functions (a scalar query over the k
+    rows, through the block kernel)."""
+    rng = np.random.default_rng(n + m % 1000)
     xs = rng.integers(0, P61, size=n, dtype=np.uint64)
     xs[:len(HASH_XS)] = HASH_XS
     a = rng.integers(1, P61, size=n, dtype=np.uint64)
@@ -87,10 +103,10 @@ def test_hash_kernel_matches_big_integers_across_blocks(n, m):
     assert got.dtype == np.uint64 and got.shape == (n,)
     assert got.tolist() == [_exact_hash(*t, m) for t in zip(x_l, a_l, b_l)]
     for sa, sb in ((1, 0), (P61 - 1, P61 - 1), (a_l[5], b_l[5])):
-        got = backend.hash_eval(xs, sa, sb, m)
+        got = backend.hash_eval(xs, _full(sa, n), _full(sb, n), m)
         assert got.tolist() == [_exact_hash(x, sa, sb, m) for x in x_l]
     for x in HASH_XS:
-        got = backend.hash_eval(np.uint64(x), a, b, m)
+        got = _read_cells(x, a, b, m)
         assert got.tolist() == [_exact_hash(x, *t, m) for t in zip(a_l, b_l)]
 
 
@@ -98,35 +114,28 @@ HASH_COEFFS = [(1, 0), (1, P61 - 1), (P61 - 1, 0), (P61 - 1, P61 - 1),
                ((1 << 32) + 1, (1 << 32) - 1)]
 
 
-@pytest.mark.parametrize("m", [1, 3, 4096, 1 << 61, 1 << 62])
+@pytest.mark.parametrize("m", [1, 2, 4096, 1 << 61, 1 << 62])
 def test_hash_kernel_splits_a_size_one_operand_once(m):
-    """A size-1 operand has its limbs split once, as numpy scalars.  Every
-    form of it, a 1-element 1-D array, a numpy scalar or a Python int,
-    must hash like the big-integer formula and broadcast as before."""
+    """An oracle read splits its element into 32-bit limbs once, as
+    Python ints (a scalar query) or as a D x 1 column (a batch query's
+    block), and hashes them against the k rows' coefficients.  Every
+    element at the limb edges, against the extreme coefficients, must
+    hash like the big-integer formula, as it does through `hash_eval`
+    with those coefficients repeated per element."""
     xs = np.array(HASH_XS, dtype=np.uint64)
-    for sa, sb in HASH_COEFFS:
-        want = [_exact_hash(x, sa, sb, m) for x in HASH_XS]
-        for a, b in ((np.array([sa], dtype=np.uint64),
-                      np.array([sb], dtype=np.uint64)),
-                     (np.uint64(sa), np.uint64(sb)), (sa, sb),
-                     (np.uint64(sa), np.array([sb], dtype=np.uint64))):
-            got = backend.hash_eval(xs, a, b, m)
-            assert got.shape == xs.shape and got.tolist() == want
-        got = backend.hash_eval(xs[:6].reshape(2, 3),
-                                np.array([sa], np.uint64), sb, m)
-        assert got.shape == (2, 3) and got.ravel().tolist() == want[:6]
     a = np.array([c[0] for c in HASH_COEFFS], dtype=np.uint64)
     b = np.array([c[1] for c in HASH_COEFFS], dtype=np.uint64)
+    for sa, sb in HASH_COEFFS:
+        got = backend.hash_eval(xs, _full(sa, xs.size), _full(sb, xs.size), m)
+        assert got.tolist() == [_exact_hash(x, sa, sb, m) for x in HASH_XS]
     for x in HASH_XS:
-        want = [_exact_hash(x, *c, m) for c in HASH_COEFFS]
-        got = backend.hash_eval(np.array([x], dtype=np.uint64), a, b, m)
-        assert got.shape == a.shape and got.tolist() == want
-        got = backend.hash_eval(np.array([[x]], dtype=np.uint64), a, b, m)
-        assert got.shape == (1, a.size) and got[0].tolist() == want
-        got = backend.hash_eval(np.uint64(x), a[:1], b[:1], m)
-        assert got.shape == (1,) and got.tolist() == want[:1]
-        got = backend.hash_eval(x, *HASH_COEFFS[-1], m)
-        assert got.shape == () and int(got) == want[-1]
+        got = _read_cells(x, a, b, m)
+        assert got.shape == a.shape
+        assert got.tolist() == [_exact_hash(x, *c, m) for c in HASH_COEFFS]
+    got = _read_cells(xs[:, None], a, b, m)
+    assert got.shape == (xs.size, a.size)
+    assert got.tolist() == [[_exact_hash(x, *c, m) for c in HASH_COEFFS]
+                            for x in HASH_XS]
 
 
 # the elements where x's high limb turns nonzero
@@ -134,15 +143,15 @@ LIMB_EDGE = [(1 << 32) - 1, 1 << 32, (1 << 32) + 1]
 
 
 @pytest.mark.parametrize("high", LIMB_EDGE[1:])
-@pytest.mark.parametrize("m", [3, 4096, 1 << 61, 1 << 62])
+@pytest.mark.parametrize("m", [2, 4096, 1 << 61, 1 << 62])
 def test_hash_kernel_skips_a_zero_high_limb_exactly(m, high):
     """Three blocks: the first and third hold elements below 2^32 only,
     so the kernel skips their zero high-limb terms; the second ends with
     one element at or above 2^32, so it runs them all.  Every form, per
     element, one function and one element against many functions, must
-    hash like the big-integer formula, on both sides of the edge.  m = 3
-    takes the remainder, 4096 and 2^61 the mask m - 1, and 2^62, above
-    p + 1, the mask p."""
+    hash like the big-integer formula, on both sides of the edge.  m = 2
+    and 4096 take the mask m - 1, 2^61 the mask p, and 2^62, above
+    p + 1, the mask p as well."""
     n = 3 * (1 << 13)
     rng = np.random.default_rng(m % 1000 + high)
     xs = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
@@ -156,27 +165,24 @@ def test_hash_kernel_skips_a_zero_high_limb_exactly(m, high):
     got = backend.hash_eval(xs, a, b, m)
     assert got.tolist() == [_exact_hash(*t, m) for t in zip(x_l, a_l, b_l)]
     for sa, sb in HASH_COEFFS:
-        got = backend.hash_eval(xs, sa, sb, m)
+        got = backend.hash_eval(xs, _full(sa, n), _full(sb, n), m)
         assert got.tolist() == [_exact_hash(x, sa, sb, m) for x in x_l]
-    coeffs = a[:300], b[:300]
-    a_limbs = backend.split_limbs(coeffs[0])
     for x in LIMB_EDGE:
         want = [_exact_hash(x, *t, m) for t in zip(a_l[:300], b_l[:300])]
-        assert backend.hash_eval(np.uint64(x), *coeffs, m).tolist() == want
-        # the block entry, as a scalar query calls it: Python-int limbs
-        rows = np.empty((6, 300), dtype=np.uint64)
-        got = backend.hash_block((x >> 32, x & 0xFFFFFFFF), a_limbs,
-                                 coeffs[1], m, rows[5], rows[:5])
-        assert got.tolist() == want
+        assert _read_cells(x, a[:300], b[:300], m).tolist() == want
 
 
 def test_hash_kernel_shapes():
-    assert backend.hash_eval(np.uint64(7), 3, 5, 16).shape == ()
-    assert int(backend.hash_eval(np.uint64(7), 3, 5, 16)) == 26 % 16
-    assert backend.hash_eval(np.empty(0, dtype=np.uint64), 3, 5, 16).shape == (0,)
-    xs = np.arange(6, dtype=np.uint64).reshape(2, 3)
-    got = backend.hash_eval(xs, np.array([1, 2, 3], dtype=np.uint64), 0, 1 << 61)
-    assert got.tolist() == [[0, 2, 6], [3, 8, 15]]
+    """One output per element, as uint64, however many blocks; none for
+    no element."""
+    empty = np.empty(0, dtype=np.uint64)
+    assert backend.hash_eval(empty, empty, empty, 16).shape == (0,)
+    xs = np.arange(6, dtype=np.uint64)
+    got = backend.hash_eval(xs, np.array([1, 2, 3, 1, 2, 3], np.uint64),
+                            _full(5, 6), 16)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [(a * x + 5) % 16
+                            for x, a in zip(range(6), [1, 2, 3, 1, 2, 3])]
 
 
 def test_hash_kernel_memory_is_its_output_and_one_block_scratch():

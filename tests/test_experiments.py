@@ -267,6 +267,17 @@ def test_cli_fo_smoke(tmp_path):
     assert (tmp_path / "trials.csv").exists()
 
 
+def test_cli_fo_runs_on_zero_users(tmp_path, capsys):
+    """An oracle over no users is an ordinary, all-zero build: one row,
+    no error figures, exit 0, as with --protocol hrr."""
+    for protocol in ("hada-oracle", "hrr"):
+        rc = cli.main(["fo", "--protocol", protocol, "--n", "0",
+                       "--trials", "1", "--out", str(tmp_path / protocol)])
+        assert rc == 0
+        rows = (tmp_path / protocol / "trials.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].split(",")[2] == "0"
+
+
 def test_a_failed_check_flips_the_exit_status(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(hrr, "query_many",
                         lambda state, vs: np.full(len(vs), np.nan))
@@ -303,6 +314,11 @@ def test_a_bad_parameter_exits_2_in_one_line_before_any_work(tmp_path,
                        (["hh", "--beta", "1.5"], "beta"),
                        (["fo", "--beta-prime", "0"], "beta_prime"),
                        (["fo", "--n", "-5"], "n=-5"),
+                       (["fo", "--seed", "-1", "--n", "100"],
+                        "seed must be non-negative"),
+                       (["gen", "--seed", "-3"], "seed must be non-negative"),
+                       (["hh", "--max-frontier", "0", "--n", "1000"],
+                        "max_frontier must be at least 1"),
                        (["fo", "--d", "0"], "d=0"),
                        (["fo", "--zipf-s", "0"], "zipf exponent"),
                        (["hh", "--n", "100", "--planted", "5:1000"],

@@ -116,13 +116,26 @@ def test_construct_shapes_and_guards():
     assert len(st.hashes) == st.k
 
     with pytest.raises(ValueError):
-        fo.construct(np.empty(0, dtype=np.uint64), 16, params(), seed=0)
-    with pytest.raises(ValueError):
         fo.construct(np.array([5], dtype=np.uint64), 5, params(), seed=0)
     with pytest.raises(ValueError):
         fo.construct(np.array([0], dtype=np.uint64), 1 << 62, params(), seed=0)
     with pytest.raises(ValueError, match="non-negative"):
         fo.hash_range_for(params(), -1)
+
+
+def test_empty_build_is_all_zero():
+    """Zero users are an ordinary build: no report, so an all-zero k x 2
+    matrix, every estimate 0.0, and a blob that round-trips."""
+    st = fo.construct(np.empty(0, dtype=np.uint64), 16, params(), seed=0)
+    assert (st.k, st.m, st.n_users) == (fo.repetitions_for(params()), 2, 0)
+    assert st.matrix.shape == (st.k, 2) and (st.matrix == 0).all()
+    for v in range(16):
+        assert fo.query(st, v) == 0.0
+    assert fo.query_many(st, np.arange(16)).tolist() == [0.0] * 16
+    back = fo.from_bytes(fo.to_bytes(st))
+    assert (back.k, back.m, back.n_users) == (st.k, 2, 0)
+    assert np.array_equal(back.matrix, st.matrix)
+    assert fo.to_bytes(back) == fo.to_bytes(st)
 
 
 def test_shared_hashes_fix_geometry():
@@ -138,18 +151,16 @@ def test_shared_hashes_fix_geometry():
         fo.construct(elems, 100, params(), seed=9, hashes=mixed)
 
 
-def test_construct_rejects_a_range_that_is_not_a_power_of_two(monkeypatch):
-    """The transform needs a power-of-two m, so a family of range 1000 is
-    refused before a single report is drawn."""
-    def no_ingest(*args, **kwargs):
-        raise AssertionError("ingest ran before the range was checked")
-
-    monkeypatch.setattr(fo, "ingest", no_ingest)
+def test_construct_rejects_a_range_that_is_not_a_power_of_two():
+    """The transform needs a power-of-two m.  The hash family is where
+    that is checked: a family of range 1000 cannot be made, so no build
+    can be handed one."""
     elems = np.random.default_rng(4).integers(0, 5000, size=2000,
                                               dtype=np.uint64)
-    family = [PairwiseHash(a=1 + j, b=j, m=1000) for j in range(5)]
     with pytest.raises(ValueError, match="hash range 1000"):
-        fo.construct(elems, 5000, params(), seed=9, hashes=family)
+        fo.construct(elems, 5000, params(), seed=9,
+                     hashes=[PairwiseHash(a=1 + j, b=j, m=1000)
+                             for j in range(5)])
 
 
 def test_query_is_always_a_row_estimate():

@@ -28,10 +28,11 @@ def test_against_bigint_reference():
 
 
 @given(a=st.integers(1, P61 - 1), b=st.integers(0, P61 - 1),
-       m=st.sampled_from([3, 16, 1024, 1 << 16]))
+       m=st.sampled_from([1, 2, 16, 1024, 1 << 16, 1 << 61, 1 << 62]))
 @example(a=3, b=7, m=16)
 @example(a=P61 - 1, b=P61 - 1, m=1024)
-@example(a=1, b=0, m=3)
+@example(a=1, b=0, m=1)
+@example(a=P61 - 1, b=P61 - 1, m=1 << 62)
 @settings(max_examples=50, deadline=None)
 def test_batch_matches_scalar(a, b, m):
     h = PairwiseHash(a=a, b=b, m=m)
@@ -76,8 +77,9 @@ def test_constructor_guards():
         PairwiseHash(a=1, b=P61, m=8)
     with pytest.raises(ValueError):
         PairwiseHash(a=P61, b=0, m=8)
-    with pytest.raises(ValueError):
-        PairwiseHash(a=1, b=0, m=0)
+    for m in (0, 3, 1000, (1 << 61) - 1):
+        with pytest.raises(ValueError, match="not a power of two"):
+            PairwiseHash(a=1, b=0, m=m)
 
 
 def test_sample_determinism_and_serialization():

@@ -57,29 +57,32 @@ def test_encode_guards():
         encode_prefix(-1, 2, code)
     with pytest.raises(ValueError):
         encode_prefix(27, 5, code)
-    with pytest.raises(ValueError):
-        encode_prefix_batch(np.array([0], dtype=np.uint64), -1, code)
+    for tau in (-1, 0, code.levels + 1):
+        with pytest.raises(ValueError):
+            encode_prefix_batch(np.array([0], dtype=np.uint64), tau, code)
 
 
 def test_batch_matches_scalar():
+    """The batch encoder covers the levels the walk asks about, 1..L."""
     code = make_code(100_000, 1 << 32)
     rng = np.random.default_rng(0)
     vs = rng.integers(0, 1 << 32, size=500, dtype=np.uint64)
-    for tau in range(code.levels + 1):
+    for tau in range(1, code.levels + 1):
         batch = encode_prefix_batch(vs, tau, code)
         assert batch.dtype == np.uint64
         assert batch.tolist() == [encode_prefix(int(v), tau, code) for v in vs]
 
 
 def test_root_level_of_a_64_bit_code():
-    # 8 digits x 8 bits fills the whole word; the root shift must not
-    # become uint64 >> 64
+    # 8 digits x 8 bits fills the whole word: the scalar root is 0, and
+    # the batch encoder's widest shift, at level 1, is 56, not 64
     code = PrefixCode(branching=256, levels=8, domain=(1 << 61) - 1)
     vs = np.array([0, 1, (1 << 61) - 2], dtype=np.uint64)
-    assert encode_prefix_batch(vs, 0, code).tolist() == [0, 0, 0]
     assert encode_prefix(int(vs[-1]), 0, code) == 0
     assert encode_prefix_batch(vs, 1, code).tolist() == \
         [int(v) >> 56 for v in vs]
+    with pytest.raises(ValueError):
+        encode_prefix_batch(vs, 0, code)
 
 
 def test_children_enumeration():
@@ -99,9 +102,8 @@ def test_prefix_counts_never_grow_with_depth(pool, v):
     shorter one."""
     code = make_code(16, 256)
     vs = np.array(pool, dtype=np.uint64)
-    counts = []
-    for tau in range(code.levels + 1):
+    counts = [len(pool)]   # level 0: the root holds everyone
+    for tau in range(1, code.levels + 1):
         p = encode_prefix(v, tau, code)
         counts.append(int((encode_prefix_batch(vs, tau, code) == p).sum()))
     assert counts == sorted(counts, reverse=True)
-    assert counts[0] == len(pool)
