@@ -61,13 +61,15 @@ sums of the two radix-2 passes in the same order, and needs no copy
 back; a group of an odd number of passes ends in one radix-2 pass.
 
 The slabs of a group are disjoint, so once the first group has eight or
-more, every group is split in contiguous halves, the first run by the
-caller and the second by a helper thread when `second_worker` gives
-one, each with its own panel and half-panel.  Every element meets the
-same partners, in the same pass order, through the same a + b and
-a - b as in the textbook pass-by-pass loop, so the output is
-bit-identical to that loop on any float64 or int32 input, whether or
-not the group is split.
+more, the caller and a helper thread, when `second_worker` gives one,
+share every group: each takes the group's next slab from one iterator
+until none is left, and runs it in its own panel and half-panel.  A
+worker that is slowed, say by another process on its CPU, then runs
+fewer slabs, and the other does not wait for it at the group's end
+for more than the slab it holds.  Every element meets the same
+partners, in the same pass order, through the same a + b and a - b as
+in the textbook pass-by-pass loop, so the output is bit-identical to
+that loop on any float64 or int32 input, whoever runs which slab.
 
 The package starts threads in one place, `second_worker`, and decides
 whether to in one function, `_worker_count`: the CPUs the process may
@@ -77,11 +79,11 @@ executor only when it wants one and two CPUs are free, and otherwise
 None, and then runs everything itself.  The executor starts its thread
 at the first submit and joins it when the block exits, an exception
 included, so a call starts at most one thread and leaves none behind.
-Two callers use it, each above its own threshold: `fwht_inplace` runs
-half of every group on the helper once the first group has
-2 * _MIN_RUN slabs, and `hrr.ingest`, in a build of more than one
-chunk, draws each next chunk's rows and coins there while the caller
-works on the current one.  On a 2-CPU VM, pinning the benchmark to one
+Two callers use it, each above its own threshold: `fwht_inplace` shares
+every group with the helper once the first group has 2 * _MIN_RUN
+slabs, and `hrr.ingest`, in a build of more than one chunk, draws each
+next chunk's rows and coins there while the caller works on the
+current one.  On a 2-CPU VM, pinning the benchmark to one
 CPU took the oracle build, whose one-panel transform is not split and
 so has only the draw-ahead, from 3.3e7 to 2.7e7 users/s, and the 2^24
 table's build, which has both, from 5.2e6 to 3.3e6.
@@ -120,7 +122,7 @@ def set_backend(name):
 
 _PANEL_BYTES = 1 << 20  # a worker's panel: 1 MiB of the array's dtype
 _DIGIT = 6              # most passes in one group: bits of a digit
-_MIN_RUN = 4            # fewest slabs a worker of a split group runs
+_MIN_RUN = 4            # slabs per worker in the first group to share it
 _FWHT_DTYPES = (np.dtype(np.float64), np.dtype(np.int32))
 
 
@@ -139,9 +141,11 @@ def fwht_inplace(x):
     of running them over the whole array, bit for bit.
 
     When the first group has at least 2 * _MIN_RUN slabs and
-    `second_worker` gives a helper, each group is split in contiguous
-    halves: the caller runs the first while the helper runs the second.
-    The groups run one after the other.  The helper calls only
+    `second_worker` gives a helper, the caller and the helper share each
+    group: both run `_slab_passes` on one iterator over the group's
+    slabs, so each takes the next slab when it is done with its last
+    (`next` of a list iterator is atomic under the GIL).  The groups run
+    one after the other.  The helper calls only
     `_slab_passes`, which calls only `_column_passes` and numpy, whose
     copies and arithmetic release the GIL.  A panel of 1 MiB of x's
     dtype, or of x's size if that is smaller, and a half-panel per worker
@@ -174,9 +178,9 @@ def fwht_inplace(x):
             return
         theirs = np.empty(size, x.dtype), np.empty(size // 2, x.dtype)
         for slabs in groups:
-            half = len(slabs) // 2
-            pending = helper.submit(_slab_passes, slabs[half:], *theirs)
-            _slab_passes(slabs[:half], *mine)
+            shared = iter(slabs)
+            pending = helper.submit(_slab_passes, shared, *theirs)
+            _slab_passes(shared, *mine)
             pending.result()
 
 
@@ -223,7 +227,8 @@ def _slabs(v, size):
 
 
 def _slab_passes(slabs, panel, half):
-    """Every butterfly pass along axis 1 of each slab, in turn.
+    """Every butterfly pass along axis 1 of each slab of the iterable
+    slabs, in turn.
 
     A slab is copied, transposed to P x g x w, into the panel, the
     passes run there, and the panel is copied back.

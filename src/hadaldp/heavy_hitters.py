@@ -92,6 +92,32 @@ def level_noise_sigma(params, n, d):
             * math.sqrt(n * levels))
 
 
+def level_cell_bar(params, n, d):
+    """The least median cell t whose level estimate clears 2*lambda; inf
+    when lambda is.
+
+    A level oracle answers float64(median cell) * c * k, with c =
+    debias_factor(eps/2) and k its rows, and the walk scales that by L,
+    so a level estimate is a whole number of steps L * c * k, and the
+    walk keeps exactly the candidates whose median cell is t or more.
+    t is found with the walk's own float expression, L * (float(t) * c
+    * k), against its own bar, 2.0 * lambda.
+    """
+    lam = lambda_threshold(params, n, d)
+    if not math.isfinite(lam):
+        return math.inf
+    levels = make_code(n, d).levels
+    factor = debias_factor(params.eps / 2.0)
+    k = fo.repetitions_for(params.oracle_params(params.beta / (n * levels)))
+    bar = 2.0 * lam
+    t = math.ceil(bar / (levels * factor * k))
+    while levels * (float(t) * factor * k) < bar:
+        t += 1
+    while levels * (float(t - 1) * factor * k) >= bar:
+        t -= 1
+    return t
+
+
 @dataclass
 class SearchResult:
     leaves: np.ndarray    # uint64 level-L prefixes (= elements) that survived
@@ -192,7 +218,8 @@ def run(elements, d, params, seed, *, max_frontier=None):
     sigma = level_noise_sigma(params, n, d)
     meta.update({"B": code.branching, "L": levels, "lambda": lam,
                  "level_noise_sigma": sigma,
-                 "threshold_over_sigma": 2.0 * lam / sigma})
+                 "threshold_over_sigma": 2.0 * lam / sigma,
+                 "cell_bar": level_cell_bar(params, n, d)})
     if lam >= n:
         logger.warning(
             "lambda = %.1f is not below n = %d; no element can qualify, "

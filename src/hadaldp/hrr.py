@@ -8,15 +8,17 @@ unbiased.  Memory and finalization time are Theta(m), which is what the
 hashed oracle later removes.
 
 `ingest` is the report path of every build: it streams the users in
-chunks of CHUNK, drawing each chunk's rows and coins as the next slice of
-the round's streams, randomizing them in one call and adding them with
-one scatter-add.  `build` calls it with the element as the column;
-`freq_oracle.construct` with each user's hashed element and a row offset
-per subset.  A build of more than one chunk may draw its rows and coins
-on a helper thread, a chunk ahead of the caller's hashing, randomizing
-and adding (`backend` describes when a helper runs); the streams are
-read in the same order either way, so the output is bit-identical to
-that of inline draws.
+chunks of CHUNK = 2^15, drawing each chunk's rows and coins as the next
+slice of the round's streams, randomizing them in one call and adding
+them with one scatter-add.  `build` calls it with the element as the
+column; `freq_oracle.construct` with each user's hashed element and a
+row offset per subset.  A build of more than one chunk may draw its rows
+and coins on a helper thread, a chunk ahead of the caller's hashing,
+randomizing and adding (`backend` describes when a helper runs); the
+streams are read in the same order either way, so the output is
+bit-identical to that of inline draws.  Beside its output and its
+input, a build holds about 60 bytes per user of one chunk (`ingest`
+lists them).
 
 The server state is the accumulator's transform, kept as int32.  With
 fewer than 2^31 users, which `ingest` enforces, the sums and every
@@ -43,7 +45,7 @@ MAGIC = b"HRRS"
 VERSION = 2
 MAX_DIM = 1 << 28  # an int32 2^28 table is 1 GiB; larger domains are refused
 _HEADER = struct.Struct("<4sHHQdQ")  # magic, version, reserved, m, eps, n_users
-CHUNK = 1 << 16  # users per step of `ingest`
+CHUNK = 1 << 15  # users per step of `ingest`
 MAX_USERS = (1 << 31) - 1  # int32 sums: no sum or transform value exceeds n
 
 
@@ -118,6 +120,13 @@ def ingest(buf, elements, m, keep_prob, seed, round_index, family=None):
     collects a chunk's draws before it asks for the next, so the
     transcript is the same and at most one chunk's draws are in flight.
     Without one the same loop draws each chunk inline, after its hash.
+
+    A step is CHUNK = 2^15 users.  Its `at` index and hashed columns, its
+    rows and coins, the next step's rows and coins on the helper, and
+    `randomize`'s temporaries come to about 60 bytes per step user, so
+    a build holds about 2 MB beside buf, its elements and the subsets.
+    Steps of 2^16 held twice that and built no faster; steps of 2^14 were
+    slower, with twice the hand-offs to the helper.
     """
     n = elements.size
     if n > MAX_USERS:

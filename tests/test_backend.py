@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 import tracemalloc
@@ -265,8 +266,8 @@ MULTI_PANEL_SHAPES = [(1 << 20,), (3, 1 << 17), (24, 1 << 18), (7, 1 << 14),
 @pytest.mark.parametrize("shape", MULTI_PANEL_SHAPES)
 def test_fwht_worker_count_does_not_change_the_output(
         monkeypatch, thread_starts, shape, dtype, workers):
-    """Every group of two or more slabs is split, so the uneven halves of
-    3 slabs run too; the output is the textbook loop's, bit for bit."""
+    """Every group of two or more slabs is shared, groups of 3 slabs too;
+    the output is the textbook loop's, bit for bit."""
     monkeypatch.setattr(backend, "_worker_count", lambda: workers)
     monkeypatch.setattr(backend, "_MIN_RUN", 1)
     started = thread_starts
@@ -280,6 +281,37 @@ def test_fwht_worker_count_does_not_change_the_output(
     # more than one full panel, 1 MiB (2^17 float64 or 2^18 int32
     # elements), is more than one slab
     assert len(started) == (workers == 2 and x.nbytes > 1 << 20)
+
+
+def test_fwht_slowed_helper_leaves_its_slabs_to_the_caller(monkeypatch):
+    """Both workers take a group's next slab from one iterator, so a
+    helper that stalls on its first slab runs fewer: the caller runs
+    more than half of that group's slabs, not a fixed half, and the
+    output is still the textbook loop's."""
+    monkeypatch.setattr(backend, "_worker_count", lambda: 2)
+    caller = threading.get_ident()
+    ran = []    # (the group's shared iterator, the thread that ran a slab)
+    slab_passes = backend._slab_passes
+
+    def traced(slabs, panel, half):
+        def each():
+            for slab in slabs:
+                me = threading.get_ident()
+                ran.append((slabs, me))
+                if me != caller and sum(t == me for _, t in ran) == 1:
+                    time.sleep(0.2)     # the helper stalls on its first slab
+                yield slab
+        slab_passes(each(), panel, half)
+
+    monkeypatch.setattr(backend, "_slab_passes", traced)
+    # 2^20 float64: four groups of eight 1 MiB slabs
+    x = np.random.default_rng(3).standard_normal(1 << 20)
+    want = x.copy()
+    _reference_fwht(want)
+    backend.fwht_inplace(x)
+    assert np.array_equal(x, want)
+    first = [t for shared, t in ran if shared is ran[0][0]]
+    assert len(first) == 8 and first.count(caller) > 4
 
 
 @pytest.mark.parametrize("shape", [(24, 4096), (141, 2048)])
@@ -322,6 +354,40 @@ def test_fwht_concurrent_callers_share_no_scratch(monkeypatch):
         t.start()
     for t in callers:
         t.join()
+    assert not errors, errors
+    for x, want in zip(xs, wants):
+        assert np.array_equal(x, want)
+
+
+def test_fwht_shared_slabs_survive_fast_thread_switching(monkeypatch):
+    """Four callers, each with its own helper, transform float64 arrays of
+    eight slabs per group while the interpreter switches threads every
+    microsecond: a slab taken twice, or by no one, would change an
+    output."""
+    monkeypatch.setattr(backend, "_worker_count", lambda: 2)
+    xs = [np.random.default_rng(s).standard_normal(1 << 20) for s in range(4)]
+    wants = [x.copy() for x in xs]
+    for want in wants:
+        _reference_fwht(want)
+    errors = []
+
+    def call(x):
+        try:
+            backend.fwht_inplace(x)
+        except BaseException as e:  # reported below, in the test's thread
+            errors.append(e)
+
+    callers = [threading.Thread(target=call, args=(x,)) for x in xs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
     assert not errors, errors
     for x, want in zip(xs, wants):
         assert np.array_equal(x, want)

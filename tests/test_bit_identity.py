@@ -89,7 +89,7 @@ def test_heavy_hitter_histogram_is_pinned():
 @pytest.mark.parametrize("workers", [2, 1])
 def test_multi_chunk_build_is_pinned_with_and_without_a_helper(
         monkeypatch, thread_starts, workers):
-    """150,000 users, two chunks of 2^16 and part of a third: with two
+    """150,000 users, four chunks of 2^15 and part of a fifth: with two
     workers the rows and coins are drawn a chunk ahead on the helper."""
     monkeypatch.setattr(backend, "_worker_count", lambda: workers)
     elements = np.random.default_rng(16).integers(0, 1 << 32, size=150_000,

@@ -8,8 +8,10 @@ import pytest
 
 from hadaldp import freq_oracle as fo
 from hadaldp import heavy_hitters as hh
+from hadaldp import hrr
 from hadaldp.datasets import gen_planted
 from hadaldp.prefixes import encode_prefix, make_code
+from hadaldp.randomizer import debias_factor
 
 from exact_reference import exact_frequency
 
@@ -58,6 +60,48 @@ def test_run_records_the_level_noise():
     assert meta["L"] == 16
     assert meta["level_noise_sigma"] == pytest.approx(sigma)
     assert meta["threshold_over_sigma"] == pytest.approx(2 * meta["lambda"] / sigma)
+
+
+def _check9_params():
+    n, d = 100_000, 1 << 32
+    base = hh.lambda_threshold(params(c_lambda=1.0), n, d)
+    return params(c_lambda=(2000.0 / 3.0) / base)
+
+
+CELL_BARS = [
+    # acceptance check 9's forced lambda: every median cell of 1 survives
+    (_check9_params(), 100_000, 1 << 32, 1),
+    # the README hh example, at the default c_lambda and at --clambda 4
+    (hh.HeavyParams(eps=1.0, beta=0.1), 100_000, 1 << 32, 2),
+    (hh.HeavyParams(eps=1.0, beta=0.1, c_lambda=4.0), 100_000, 1 << 32, 8),
+    # the bit-identity pin's run
+    (hh.HeavyParams(eps=1.0, beta=0.1, c_lambda=3.0), 20_000, 1 << 16, 3),
+    # the benchmark's heavy workload
+    (hh.HeavyParams(eps=1.0, beta=0.1, c_k=8.0, c_m=4.0, c_lambda=4.0),
+     1_000_000, 1 << 32, 22),
+]
+
+
+@pytest.mark.parametrize("p,n,d,want", CELL_BARS)
+def test_level_cell_bar_is_the_least_surviving_median_cell(p, n, d, want):
+    """The walk keeps a candidate iff L * (float(cell) * c * k) >= 2*lambda,
+    evaluated as the walk evaluates it: t clears that bar and t - 1 does
+    not."""
+    t = hh.level_cell_bar(p, n, d)
+    assert t == want
+    levels = make_code(n, d).levels
+    factor = debias_factor(p.eps / 2.0)
+    k = fo.repetitions_for(p.oracle_params(p.beta / (n * levels)))
+    bar = 2.0 * hh.lambda_threshold(p, n, d)
+    assert levels * (float(t) * factor * k) >= bar
+    assert levels * (float(t - 1) * factor * k) < bar
+
+
+def test_level_cell_bar_is_recorded_and_infinite_without_a_threshold():
+    hist = hh.run(np.zeros(50, dtype=np.uint64), 1 << 32, params(), seed=0)
+    assert hist.metadata["cell_bar"] == hh.level_cell_bar(params(), 50, 1 << 32)
+    # one user: lambda is infinite, and so is the bar
+    assert hh.level_cell_bar(params(), 1, 1 << 32) == math.inf
 
 
 def test_params_validation():
@@ -289,7 +333,8 @@ def test_run_memory_holds_no_n_long_int64_array():
     """A run holds a level per user, in one byte; while a level oracle is
     built, that level's prefixes (8n/L bytes), and under every build a
     subset per user, the k x m int32 matrix and one chunk's temporaries
-    (2^16 users at under 96 bytes each).  No n-long int64 array."""
+    (hrr.CHUNK = 2^15 users at under 64 bytes each, about 40 measured).  No
+    n-long int64 array."""
     n, d = 1 << 20, 1 << 32
     heavies = [(31_415, n // 5), (2_718_281_828, n // 8)]
     ds = gen_planted(n, d, heavies, np.random.default_rng(3))
@@ -302,7 +347,9 @@ def test_run_memory_holds_no_n_long_int64_array():
     meta = hist.metadata
     assert {e for e, _ in heavies} <= {int(e) for e in hist.elements}
     matrix = meta["k"] * meta["m"] * 4
-    assert peak <= matrix + n + 8 * n // meta["L"] + n + 96 * (1 << 16)
+    step = 64 * hrr.CHUNK
+    assert step <= 2 << 20      # a larger step would raise the bound with it
+    assert peak <= matrix + n + 8 * n // meta["L"] + n + step
 
 
 def test_run_is_reproducible():
