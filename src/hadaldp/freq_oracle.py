@@ -33,8 +33,6 @@ through `hrr.ingest`, the report path of every build, in chunks of
 consecutive users: per chunk one limb-kernel call `backend.hash_eval`
 with each user's coefficients (a_g, b_g) gathered by their subset g, one
 `randomize` and one scatter-add at g*m + row into the flattened matrix.
-With more than one chunk and two CPUs, a helper thread draws the next
-chunk's rows and coins meanwhile; the matrix is the same either way.
 Every read, a scalar query's or a batch query's, goes through one step,
 `_cells`: one call of the kernel's block entry `backend.hash_block` on
 elements' 32-bit limbs against the k rows' (a_j) limbs and b_j, which

@@ -118,6 +118,46 @@ def level_cell_bar(params, n, d):
     return t
 
 
+def level_noise_survival(params, n, d):
+    """P(median cell >= cell_bar) for a level-oracle prefix no user holds:
+    the chance that pure noise keeps a candidate; 0.0 when the bar is inf.
+
+    Each of a level's round(n/L) users lands in a given row with
+    probability 1/k and adds a fair +-1 there; `_median_survival` has
+    the law of a cell and of the median of k of them.
+    """
+    t = level_cell_bar(params, n, d)
+    if not math.isfinite(t):
+        return 0.0
+    levels = make_code(n, d).levels
+    k = fo.repetitions_for(params.oracle_params(params.beta / (n * levels)))
+    return _median_survival(round(n / levels), k, t)
+
+
+def _median_survival(users, k, t):
+    """P(median of k cells >= t), t >= 1, where each of `users` users adds
+    a fair +-1 to a given cell with probability 1/k.
+
+    A cell's characteristic function is (1 - 1/k + cos(theta)/k)^users;
+    its inverse FFT, on a grid of 2^j points that spans the cell's whole
+    range or at least 80 standard deviations (sqrt(users/k)), is the
+    cell's law, so any wrap-around is beyond 40 of them.  Taking the
+    rows as independent, the median, the ceil(k/2)-th smallest cell, is
+    t or more iff at least k - floor((k-1)/2) cells are: a
+    Binomial(k, P(cell >= t)) tail.  Rows of fixed sizes would be wrong:
+    a row of even size always has an even cell.
+    """
+    span = min(2 * users + 1, 80.0 * math.sqrt(users / k) + 1.0)
+    size = 1 << max(1, math.ceil(math.log2(span)))
+    if t >= size // 2:
+        return 0.0
+    theta = np.linspace(0.0, math.pi, size // 2 + 1)
+    law = np.fft.irfft((1.0 - 1.0 / k + np.cos(theta) / k) ** users, size)
+    p = float(np.clip(law[t:size // 2], 0.0, None).sum())
+    return math.fsum(math.comb(k, i) * p ** i * (1.0 - p) ** (k - i)
+                     for i in range(k - (k - 1) // 2, k + 1))
+
+
 @dataclass
 class SearchResult:
     leaves: np.ndarray    # uint64 level-L prefixes (= elements) that survived
@@ -219,7 +259,8 @@ def run(elements, d, params, seed, *, max_frontier=None):
     meta.update({"B": code.branching, "L": levels, "lambda": lam,
                  "level_noise_sigma": sigma,
                  "threshold_over_sigma": 2.0 * lam / sigma,
-                 "cell_bar": level_cell_bar(params, n, d)})
+                 "cell_bar": level_cell_bar(params, n, d),
+                 "noise_survival": level_noise_survival(params, n, d)})
     if lam >= n:
         logger.warning(
             "lambda = %.1f is not below n = %d; no element can qualify, "

@@ -12,13 +12,9 @@ chunks of CHUNK = 2^15, drawing each chunk's rows and coins as the next
 slice of the round's streams, randomizing them in one call and adding
 them with one scatter-add.  `build` calls it with the element as the
 column; `freq_oracle.construct` with each user's hashed element and a
-row offset per subset.  A build of more than one chunk may draw its rows
-and coins on a helper thread, a chunk ahead of the caller's hashing,
-randomizing and adding (`backend` describes when a helper runs); the
-streams are read in the same order either way, so the output is
-bit-identical to that of inline draws.  Beside its output and its
-input, a build holds about 60 bytes per user of one chunk (`ingest`
-lists them).
+row offset per subset.  It runs in the caller's thread and draws each
+chunk inline, after its hash.  Beside its output and its input, a build
+holds about 42 bytes per user of one chunk (`ingest` lists them).
 
 The server state is the accumulator's transform, kept as int32.  With
 fewer than 2^31 users, which `ingest` enforces, the sums and every
@@ -112,57 +108,40 @@ def ingest(buf, elements, m, keep_prob, seed, round_index, family=None):
     than MAX_USERS users could overflow the int32 sums, so they raise
     ValueError before anything is drawn.
 
-    A build of more than one chunk asks `backend.second_worker` for a
-    helper (the thread policy is the `backend` module's).  With one it
-    draws ahead: the helper draws chunk c + 1's rows and coins while the
-    caller randomizes and adds chunk c and hashes chunk c + 1.  The
-    helper then reads both streams alone, in chunk order, and the caller
-    collects a chunk's draws before it asks for the next, so the
-    transcript is the same and at most one chunk's draws are in flight.
-    Without one the same loop draws each chunk inline, after its hash.
-
-    A step is CHUNK = 2^15 users.  Its `at` index and hashed columns, its
-    rows and coins, the next step's rows and coins on the helper, and
-    `randomize`'s temporaries come to about 60 bytes per step user, so
-    a build holds about 2 MB beside buf, its elements and the subsets.
-    Steps of 2^16 held twice that and built no faster; steps of 2^14 were
-    slower, with twice the hand-offs to the helper.
+    A step is CHUNK = 2^15 users, hashed, then drawn, then randomized and
+    added, all in the caller's thread.  Its `at` index and hashed
+    columns, its rows and coins, and `randomize`'s temporaries come to
+    about 42 bytes per step user, so a build holds about 1.4 MB beside
+    buf, its elements and the subsets.  Steps of 2^16 held twice that
+    and built no faster; steps of 2^14 were slower.
     """
     n = elements.size
     if n > MAX_USERS:
         raise ValueError(f"{n} users exceed the int32 sums' bound of "
                          f"2^31 - 1 = {MAX_USERS} users per build")
     rows_rng, coins_rng = round_streams(seed, round_index)
-
-    def draw(lo):
-        count = min(CHUNK, n - lo)
-        return draw_rows(rows_rng, count, m), draw_coins(coins_rng, count)
-
-    with backend.second_worker(n > CHUNK) as helper:
-        pending = helper.submit(draw, 0) if helper else None
-        for lo in range(0, n, CHUNK):
-            hi = min(lo + CHUNK, n)
-            cols = elements[lo:hi]
-            if family is not None:
-                groups, a, b = family
-                # each user's subset g, widened once: a gather indexes
-                # faster by intp, and g * m below overflows a narrow g
-                at = groups[lo:hi].astype(np.intp)
-                cols = backend.hash_eval(cols, a.take(at), b.take(at), m)
-            rows, coins = pending.result() if helper else draw(lo)
-            if helper and hi < n:
-                pending = helper.submit(draw, hi)
-            if family is None:
-                at = rows
-            else:
-                # g * m + row, in place; rows < m, so its int64 view holds
-                # the same values
-                at *= m
-                at += rows.view(np.int64)
-            backend.accumulate_reports(buf, at, randomize(rows, cols, coins,
-                                                          keep_prob))
-            # freed before the next chunk's hash, which the next draws overlap
-            del cols, at, rows, coins
+    for lo in range(0, n, CHUNK):
+        hi = min(lo + CHUNK, n)
+        cols = elements[lo:hi]
+        if family is not None:
+            groups, a, b = family
+            # each user's subset g, widened once: a gather indexes
+            # faster by intp, and g * m below overflows a narrow g
+            at = groups[lo:hi].astype(np.intp)
+            cols = backend.hash_eval(cols, a.take(at), b.take(at), m)
+        rows = draw_rows(rows_rng, hi - lo, m)
+        coins = draw_coins(coins_rng, hi - lo)
+        if family is None:
+            at = rows
+        else:
+            # g * m + row, in place; rows < m, so its int64 view holds
+            # the same values
+            at *= m
+            at += rows.view(np.int64)
+        backend.accumulate_reports(buf, at, randomize(rows, cols, coins,
+                                                      keep_prob))
+        # freed before the next chunk's hash
+        del cols, at, rows, coins
 
 
 def query(state, v):

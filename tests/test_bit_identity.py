@@ -8,8 +8,8 @@ the first 16 hex digits of its sha256 with a pin.  The pins were
 recorded on the package at commit a7d528d.  A change that moves a pin
 changes what the package computes; it names the pin and the reason.
 
-A multi-chunk build is pinned twice, with the draw-ahead helper and
-without it, against one pin, and the pins do not depend on
+A multi-chunk build is pinned twice, at two workers and at one, against
+one pin, and starts no thread at either; the pins do not depend on
 `hrr.CHUNK`: a build's transcript does not depend on how its users
 are chunked.
 """
@@ -87,14 +87,14 @@ def test_heavy_hitter_histogram_is_pinned():
 
 
 @pytest.mark.parametrize("workers", [2, 1])
-def test_multi_chunk_build_is_pinned_with_and_without_a_helper(
+def test_multi_chunk_build_is_pinned_and_starts_no_thread(
         monkeypatch, thread_starts, workers):
-    """150,000 users, four chunks of 2^15 and part of a fifth: with two
-    workers the rows and coins are drawn a chunk ahead on the helper."""
+    """150,000 users, four chunks of 2^15 and part of a fifth, drawn
+    inline in the caller's thread whatever the workers."""
     monkeypatch.setattr(backend, "_worker_count", lambda: workers)
     elements = np.random.default_rng(16).integers(0, 1 << 32, size=150_000,
                                                   dtype=np.uint64)
     state = fo.construct(elements, 1 << 32, ORACLE, seed=17)
-    assert len(thread_starts) == (workers == 2)
+    assert thread_starts == []
     assert (state.k, state.m) == (24, 2048)
     assert digest(state.matrix) == "16bba42ec06c8eac"

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -97,11 +98,46 @@ def test_level_cell_bar_is_the_least_surviving_median_cell(p, n, d, want):
     assert levels * (float(t - 1) * factor * k) < bar
 
 
+# P(median cell >= cell_bar) for a prefix no user holds, in CELL_BARS' order
+NOISE_SURVIVALS = [0.3449, 0.1547, 1.222e-6, 0.004334, 6.581e-7]
+
+
+@pytest.mark.parametrize("shape,want", zip(CELL_BARS, NOISE_SURVIVALS))
+def test_level_noise_survival_at_the_cell_bars(shape, want):
+    p, n, d, _ = shape
+    assert hh.level_noise_survival(p, n, d) == pytest.approx(want, rel=1e-3)
+
+
+def _exact_median_survival(users, k, t):
+    """The law of _median_survival by enumeration, in exact fractions: a
+    cell gets r ~ Binomial(users, 1/k) users, j of whom add +1, and its
+    value 2j - r; the median of k independent cells is t or more iff at
+    least k - floor((k-1)/2) of them are."""
+    q = Fraction(1, k)
+    p = sum(math.comb(users, r) * q ** r * (1 - q) ** (users - r)
+            * Fraction(sum(math.comb(r, j) for j in range(r + 1)
+                           if 2 * j - r >= t), 2 ** r)
+            for r in range(users + 1))
+    return float(sum(math.comb(k, i) * p ** i * (1 - p) ** (k - i)
+                     for i in range(k - (k - 1) // 2, k + 1)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("users", [0, 1, 2, 7, 30, 60])
+def test_median_survival_matches_exact_enumeration(users, k):
+    for t in range(1, users + 2):
+        assert hh._median_survival(users, k, t) == pytest.approx(
+            _exact_median_survival(users, k, t), rel=1e-9, abs=1e-14)
+
+
 def test_level_cell_bar_is_recorded_and_infinite_without_a_threshold():
     hist = hh.run(np.zeros(50, dtype=np.uint64), 1 << 32, params(), seed=0)
     assert hist.metadata["cell_bar"] == hh.level_cell_bar(params(), 50, 1 << 32)
-    # one user: lambda is infinite, and so is the bar
+    assert hist.metadata["noise_survival"] == \
+        hh.level_noise_survival(params(), 50, 1 << 32)
+    # one user: lambda is infinite, and so is the bar; noise keeps nothing
     assert hh.level_cell_bar(params(), 1, 1 << 32) == math.inf
+    assert hh.level_noise_survival(params(), 1, 1 << 32) == 0.0
 
 
 def test_params_validation():
@@ -333,7 +369,7 @@ def test_run_memory_holds_no_n_long_int64_array():
     """A run holds a level per user, in one byte; while a level oracle is
     built, that level's prefixes (8n/L bytes), and under every build a
     subset per user, the k x m int32 matrix and one chunk's temporaries
-    (hrr.CHUNK = 2^15 users at under 64 bytes each, about 40 measured).  No
+    (hrr.CHUNK = 2^15 users at under 48 bytes each, about 30 measured).  No
     n-long int64 array."""
     n, d = 1 << 20, 1 << 32
     heavies = [(31_415, n // 5), (2_718_281_828, n // 8)]
@@ -347,7 +383,7 @@ def test_run_memory_holds_no_n_long_int64_array():
     meta = hist.metadata
     assert {e for e, _ in heavies} <= {int(e) for e in hist.elements}
     matrix = meta["k"] * meta["m"] * 4
-    step = 64 * hrr.CHUNK
+    step = 48 * hrr.CHUNK
     assert step <= 2 << 20      # a larger step would raise the bound with it
     assert peak <= matrix + n + 8 * n // meta["L"] + n + step
 

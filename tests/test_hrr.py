@@ -8,6 +8,7 @@ import pytest
 
 from hadaldp import backend, hrr
 from hadaldp import freq_oracle as fo
+from hadaldp import heavy_hitters as hh
 from hadaldp.randomizer import (PrivacyBudget, debias_factor, draw_coins, draw_rows,
                                 round_streams)
 
@@ -280,13 +281,13 @@ def test_query_many_equals_query_bit_for_bit():
             hrr.query_many(state, bad)
 
 
-# --- drawing ahead on a helper thread ---------------------------------------
+# --- builds run in the caller's thread --------------------------------------
 
 SMALL_CHUNK = 256
-N_AHEAD = 5 * SMALL_CHUNK + 7   # six chunks, the last a partial one
+N_MULTI = 5 * SMALL_CHUNK + 7   # six chunks, the last a partial one
 
 
-def _ahead_elements(n=N_AHEAD):
+def _elements(n=N_MULTI):
     return np.random.default_rng(21).integers(0, 1000, size=n, dtype=np.uint64)
 
 
@@ -294,84 +295,51 @@ def _oracle_params():
     return fo.OracleParams(eps=0.8, beta_prime=0.05)
 
 
-def test_draw_ahead_is_bit_identical_to_inline_draws(monkeypatch):
-    """Six small chunks, on two workers and on one: the same oracle
-    matrix and raw hrr buffer, and both those of a one-chunk build."""
-    elems = _ahead_elements()
-    whole = fo.construct(elems, 1000, _oracle_params(), 4).matrix
-    whole_raw = hrr.build(elems, 1000, BUDGET, 4, finalize=False).buffer
-    monkeypatch.setattr(hrr, "CHUNK", SMALL_CHUNK)
-    for workers in (1, 2):
-        monkeypatch.setattr(backend, "_worker_count", lambda: workers)
-        st = fo.construct(elems, 1000, _oracle_params(), 4)
-        raw = hrr.build(elems, 1000, BUDGET, 4, finalize=False)
-        assert np.array_equal(st.matrix, whole)
-        assert np.array_equal(raw.buffer, whole_raw)
-
-
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("n", [0, 1, SMALL_CHUNK, SMALL_CHUNK + 1, N_AHEAD])
-def test_draw_ahead_starts_one_thread_past_one_chunk(monkeypatch,
-                                                     thread_starts, n,
-                                                     workers):
+@pytest.mark.parametrize("n", [0, 1, SMALL_CHUNK, SMALL_CHUNK + 1, N_MULTI])
+def test_ingest_starts_no_thread(monkeypatch, thread_starts, n, workers):
     monkeypatch.setattr(hrr, "CHUNK", SMALL_CHUNK)
     monkeypatch.setattr(backend, "_worker_count", lambda: workers)
-    started = thread_starts
     buf = np.zeros(1024, dtype=np.int32)
-    hrr.ingest(buf, _ahead_elements(n), 1024, BUDGET.keep_prob, 3, 0)
-    assert len(started) == (workers == 2 and n > SMALL_CHUNK)
-    assert not any(t.is_alive() for t in started)
+    hrr.ingest(buf, _elements(n), 1024, BUDGET.keep_prob, 3, 0)
+    assert thread_starts == []
     assert int(np.abs(buf).sum()) <= n and buf.sum() % 2 == n % 2
 
 
-def test_one_chunk_build_runs_while_threads_are_refused(monkeypatch):
+def test_multi_chunk_builds_run_while_threads_are_refused(monkeypatch):
+    """Six chunks per build on two workers: hrr.build, fo.construct and an
+    hh.run whose every oracle is built from several chunks all finish,
+    with the results of an unrefused run, while no thread may start."""
     def refuse(thread):
-        raise AssertionError("a one-chunk build started a thread")
+        raise AssertionError("a build started a thread")
 
     monkeypatch.setattr(hrr, "CHUNK", SMALL_CHUNK)
     monkeypatch.setattr(backend, "_worker_count", lambda: 2)
-    elems = _ahead_elements(SMALL_CHUNK)
-    want = hrr.build(elems, 1000, BUDGET, 4, finalize=False).buffer
-    want_matrix = fo.construct(elems, 1000, _oracle_params(), 4).matrix
+    elems = _elements()
+    planted = np.where(np.arange(4 * N_MULTI) % 3 == 0, 777,
+                       np.resize(elems, 4 * N_MULTI))
+    hh_params = hh.HeavyParams(eps=1.0, beta=0.1, c_lambda=2.0)
+
+    def builds():
+        hist = hh.run(planted, 1 << 16, hh_params, seed=4)
+        return (hrr.build(elems, 1000, BUDGET, 4, finalize=False).buffer,
+                fo.construct(elems, 1000, _oracle_params(), 4).matrix,
+                hist.elements, hist.estimates)
+
+    want = builds()
+    assert 777 in want[2].tolist()
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    raw = hrr.build(elems, 1000, BUDGET, 4, finalize=False)
-    assert np.array_equal(raw.buffer, want)
-    st = fo.construct(elems, 1000, _oracle_params(), 4)
-    assert np.array_equal(st.matrix, want_matrix)
+    for got, expected in zip(builds(), want):
+        assert np.array_equal(got, expected)
 
 
-def test_draw_ahead_error_propagates_and_joins_the_helper(monkeypatch):
-    """A hash that fails on the second chunk, while the third chunk's
-    draws are in flight, raises out of the build, which leaves no thread
-    behind."""
+def test_two_caller_threads_get_the_serial_result(monkeypatch):
+    """Two multi-chunk builds at once, each in its own caller thread."""
     monkeypatch.setattr(hrr, "CHUNK", SMALL_CHUNK)
-    monkeypatch.setattr(backend, "_worker_count", lambda: 2)
-    hash_eval = backend.hash_eval
-    calls = []
-
-    def fail_second(*args):
-        calls.append(None)
-        if len(calls) == 2:
-            raise RuntimeError("hash failed on chunk 2")
-        return hash_eval(*args)
-
-    monkeypatch.setattr(backend, "hash_eval", fail_second)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="chunk 2"):
-        fo.construct(_ahead_elements(), 1000, _oracle_params(), 4)
-    assert len(calls) == 2
-    assert threading.active_count() == before
-
-
-def test_draw_ahead_concurrent_callers_get_the_serial_result(monkeypatch):
-    """Two builds at once, each drawing ahead through its own helper."""
-    monkeypatch.setattr(hrr, "CHUNK", SMALL_CHUNK)
-    elems = _ahead_elements()
+    elems = _elements()
     seeds = (1, 2)
-    monkeypatch.setattr(backend, "_worker_count", lambda: 1)
     wants = [fo.construct(elems, 1000, _oracle_params(), s).matrix
              for s in seeds]
-    monkeypatch.setattr(backend, "_worker_count", lambda: 2)
     barrier = threading.Barrier(2)
     got, errors = {}, []
 

@@ -97,3 +97,13 @@ def test_one_place_starts_a_thread():
                   for name in _names(node) & THREAD_NAMES]
     assert stray == [], \
         "threads start only in backend.second_worker; ask it for a helper"
+
+
+def test_second_worker_has_one_caller():
+    """The FWHT's slab split is the one work the package runs on two
+    threads; a build draws its rows and coins inline."""
+    callers = {(module, fn.name) for module, tree in _package_trees()
+               for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and "second_worker" in _names(node.func)}
+    assert callers == {("backend", "fwht_inplace")}
