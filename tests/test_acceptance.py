@@ -1,4 +1,4 @@
-"""Acceptance suite: twelve checks, one printed verdict line each.
+"""Acceptance suite: thirteen checks, one printed verdict line each.
 
 Exact checks (transform identities, privacy ratios, search determinism,
 partition bookkeeping) admit no tolerance at all.  Statistical checks run
@@ -416,3 +416,118 @@ def test_a12_server_cost_shape():
                     f"4x users -> {factor:.2f}x time; direct table {wide.m} cells "
                     f"({wide_ms:.0f}ms) vs hashed {hashed.matrix.size}, "
                     f"ratio {state_ratio:.0f}x, {dt:.0f}s")
+
+
+def _normal_tail(t):
+    """Pr[Z > t] for a standard normal Z."""
+    return 0.5 * math.erfc(t / math.sqrt(2.0))
+
+
+def _solve_tail(tail, beta):
+    """The t in [0, 40] with tail(t) = beta, for tail decreasing in t."""
+    lo, hi = 0.0, 40.0
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if tail(mid) > beta else (lo, mid)
+    return (lo + hi) / 2
+
+
+def _median_tail(k, t):
+    """Pr[|X_(j)| > t] for the lower-middle order statistic X_(j),
+    j = ceil(k/2), of k standard normals: it is above t when at most
+    j - 1 of them are, below -t when at least j are."""
+    q = _normal_tail(t)
+
+    def at_least(i):
+        return sum(math.comb(k, s) * q ** s * (1 - q) ** (k - s)
+                   for s in range(i, k + 1))
+
+    j = (k + 1) // 2
+    return at_least(k - j + 1) + at_least(j)
+
+
+def test_a13_oracle_error_follows_the_beta_law():
+    """The oracle's (1 - beta') error quantile over the analysis' bound
+    (1/eps) sqrt(n ln(1/beta')) follows
+    r(beta') = sqrt(pi/2) c(eps) eps z_(beta'/2) / sqrt(ln(1/beta')),
+    two-sided, on the theory profile at beta' = 1e-1, 1e-2 and 1e-3; and
+    r(1e-3) / r(1e-1) stays below sqrt(ln 1e3 / ln 1e1), the ratio an
+    error growing like log(1/beta') would give.
+
+    The law: a row estimate is k c times a cell that sums about n/k
+    reports of +-1, so its noise is c sqrt(k n); the median of k such
+    rows has sd sqrt(pi / (2k)) c sqrt(k n) = sqrt(pi/2) c sqrt(n), and
+    its |error| exceeds z_(beta'/2) times that with probability beta'.
+
+    The band, fixed from the parameters alone:
+    - Finite k: the law is the large-k form of the median.  For
+      Gaussian rows the quantile of the lower-middle of k is exact
+      (`_median_tail`); its ratio g to the law's runs from 0.988 at
+      k = 19 to 1.007 at the even k = 56, so the band spans 1 and g.
+    - Sampling: the empirical (1 - beta') quantile of N half-normal
+      samples has relative sd sqrt(beta' (1 - beta') / N) / (2 phi(z) z);
+      the band adds 4 of them.  At N = 200,000 that is 0.8%, 1.2% and
+      2.4% from beta' = 1e-1 to 1e-3; six one-sided 4-sigma tails leave
+      a false failure below 2e-4.
+    - Collisions: each row's cell also holds about n/m other users'
+      mass, n/m over the median's sd, 0.2% on this profile.
+    - The estimates lie on a lattice of step k c (an integer cell times
+      k c), and a quantile read off a lattice is off by up to half a
+      step (1.5% to 2.2% here).  Each error is dithered by a uniform
+      draw over one step, which makes the lattice's law continuous and
+      adds a relative variance of (k c)^2 / (12 sd^2), below 0.2%.
+
+    The errors come from 40 builds of the same 10^5 users at seeds
+    1300.., 5000 distinct random elements each; distinct elements read
+    different columns, whose noise the transform leaves uncorrelated.
+    The practical profile (c_m = 4) is printed beside it, with the mean
+    error, and has no bar."""
+    t0 = time.perf_counter()
+    eps, n, d, builds, per_build = 1.0, 100_000, 1 << 32, 40, 5000
+    c = debias_factor(eps)
+    users = np.random.default_rng(1300).integers(0, d, size=n, dtype=np.uint64)
+    values, counts = np.unique(users, return_counts=True)
+
+    def ratio(profile, beta):
+        """(measured quantile / bound / r(beta'), g, relative sd, mean)."""
+        params = fo.OracleParams(eps=eps, beta_prime=beta,
+                                 **fo.PROFILES[profile])
+        k, m = fo.repetitions_for(params), fo.hash_range_for(params, n)
+        errs = []
+        for b in range(builds):
+            state = fo.construct(users, d, params, seed=1300 + b)
+            vs = np.unique(np.random.default_rng([1300, b]).integers(
+                0, d, size=per_build + 100, dtype=np.uint64))[:per_build]
+            at = np.minimum(np.searchsorted(values, vs), values.size - 1)
+            errs.append(fo.query_many(state, vs)
+                        - np.where(values[at] == vs, counts[at], 0))
+        err = np.concatenate(errs)
+        err += k * c * (np.random.default_rng(1301).random(err.size) - 0.5)
+        z = _solve_tail(lambda t: 2 * _normal_tail(t), beta)
+        law = math.sqrt(math.pi / 2) * c * eps * z / math.sqrt(math.log(1 / beta))
+        measured = np.quantile(np.abs(err), 1 - beta) / \
+            fo.theoretical_error_bound(params, n)
+        g = _solve_tail(lambda t: _median_tail(k, t), beta) / \
+            (z * math.sqrt(math.pi / (2 * k)))
+        phi = math.exp(-z * z / 2) / math.sqrt(2 * math.pi)
+        sd = math.sqrt(beta * (1 - beta) / err.size) / (2 * phi * z)
+        collide = (n / m) / (math.sqrt(math.pi / 2) * c * math.sqrt(n))
+        band = (min(1.0, g) - collide - 4 * sd, max(1.0, g) + collide + 4 * sd)
+        return measured / law, band, measured, float(err.mean())
+
+    ok, shown, measured = True, [], {}
+    for beta in (1e-1, 1e-2, 1e-3):
+        rho, (lo, hi), measured[beta], mean = ratio("theory", beta)
+        ok &= lo <= rho <= hi
+        shown.append(f"{beta:g}: {rho:.3f} in [{lo:.3f}, {hi:.3f}], "
+                     f"mean {mean:+.0f}")
+    shape = measured[1e-3] / measured[1e-1]
+    ok &= shape < math.sqrt(math.log(1e3) / math.log(1e1))
+    practical = [ratio("practical", beta) for beta in (1e-1, 1e-2, 1e-3)]
+    dt = time.perf_counter() - t0
+    ok &= dt < 60
+    assert _verdict(13, ok, "oracle error follows the beta' law, two-sided",
+                    f"theory {'; '.join(shown)}; r(1e-3)/r(1e-1) "
+                    f"{shape:.3f} < {math.sqrt(3):.3f}; c_m = 4: "
+                    + ", ".join(f"{p[0]:.3f} (mean {p[3]:+.0f})"
+                                for p in practical) + f"; {dt:.0f}s")
