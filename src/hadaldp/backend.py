@@ -1,28 +1,24 @@
 """Vectorized numpy kernels for the inner loops that dominate runtime.
 
 The loops are the Walsh-Hadamard butterfly passes, the Hadamard sign
-lookup, the server's scatter-add of reports, and pairwise-hash evaluation
-mod 2^61 - 1.  Each kernel is deterministic and exact: the hash does
-32-bit-limb arithmetic in uint64, and the server's sums are int32.
+lookup, the server's scatter-add of reports, and pairwise-hash
+evaluation.  Each kernel is deterministic and exact: the hash is uint64
+arithmetic mod 2^64, and the server's sums are int32.
 
 Both builds, the hashed oracle's and the domain table's, add their reports
 through the one `accumulate_reports`, once per chunk of users, into a
 flat buffer of int32 sums of +-1.
 
-The hash has one formula, in one kernel, `hash_block`, which takes its
-element and coefficient operands already split into 32-bit limbs and
-runs every limb step in place in a five-row scratch.  `hash_eval` is its
-blocked entry for a build: elements and per-user coefficients as 1-D
-uint64 arrays of one length, run through the kernel in blocks of 2^13
-elements with one preallocated scratch, so a call allocates its output
-and 320 KiB, whatever its size.  The oracle's reads enter at the block
-with limbs they already hold, once per read: a scalar query's element,
-or a batch query's block of elements as a column, against the k rows'
-coefficients.  When the high limb of every element of a call is zero,
-three of the kernel's limb terms are zero, and it skips them; every
-element and prefix of the benchmark workloads is below 2^32
-(d <= 2^32), so they all take that path.  Every range m is a power of
-two, so the last two reductions, mod p and mod m, are one mask.
+The hash is vector multiply-shift (see `hashing`): an element's 32-bit
+limbs x_lo and x_hi times two 64-bit words, plus a third, mod 2^64, of
+which a range m = 2^l keeps the top l bits.  numpy's uint64 multiply
+and add wrap mod 2^64, so that is a mask, two shifts, two multiplies
+and two adds, with no branch on the element.  `hash_eval` runs it for
+a build, each user through the member of their own subset, whose words
+it gathers one at a time, in blocks of 2^13 users; `hash_broadcast`
+runs it for a read, one element or a column of them against the k
+members' words.  Both keep the top bits in `_top_bits`, which alone
+handles m = 1.
 
 The server state of both builds is the transform of those int32 sums.
 A Hadamard transform of integers whose absolute values add up to at most
@@ -99,14 +95,7 @@ from concurrent import futures
 import numpy as np
 
 _MASK32 = np.uint64(0xFFFFFFFF)
-_MASK29 = np.uint64((1 << 29) - 1)
-_P61_INT = (1 << 61) - 1  # Mersenne prime 2^61 - 1, doubles as the low-61-bit mask
-_P61 = np.uint64(_P61_INT)
-_U1 = np.uint64(1)
-_U3 = np.uint64(3)
-_U29 = np.uint64(29)
 _U32 = np.uint64(32)
-_U61 = np.uint64(61)
 
 
 def get_backend():
@@ -282,94 +271,62 @@ def hadamard_signs(rows, cols):
     return 1 - 2 * parity
 
 
-_HASH_BLOCK = 1 << 13  # elements per block of the hash kernel
+_HASH_BLOCK = 1 << 13  # elements per block of a build's hash
 
 
-def hash_eval(xs, a, b, m):
-    """((a*x + b) mod (2^61 - 1)) mod m for each x of xs and its own a and
-    b: the build's per-user hash.
+def hash_eval(xs, at, a1, a2, b, m):
+    """The build's per-user hash: element i of xs through the family
+    member of row g = at[i],
+    ((a1[g] * x_lo + a2[g] * x_hi + b[g]) mod 2^64) >> (64 - log2 m).
 
-    xs, a and b are 1-D uint64 arrays of one length, every value below
-    2^61 - 1, and m is a power of two.  This is the blocked entry of the
-    kernel: it splits the operands' 32-bit limbs into one preallocated
-    scratch and runs `hash_block` once per block of 2^13 elements, into
-    the output; no step allocates a temporary the size of the input.
+    xs is a 1-D uint64 array, at an intp array of its length, a1, a2 and
+    b the family's uint64 vectors, and m a power of two up to 2^64.  The
+    call runs in blocks of 2^13 elements, into its output: a block's
+    x_lo goes into its slice of the output and is multiplied there by
+    the gathered a1; x_hi goes into one preallocated block of scratch,
+    is multiplied by the gathered a2 and added; the gathered b is added
+    last.  Each coefficient is gathered in turn, so a call allocates
+    its output, 64 KiB of scratch and at most one block of gathered
+    words at a time, whatever its size.
     """
     out = np.empty(xs.size, dtype=np.uint64)
-    scratch = np.empty((5, min(xs.size, _HASH_BLOCK)), dtype=np.uint64)
+    scratch = np.empty(min(xs.size, _HASH_BLOCK), dtype=np.uint64)
     for lo in range(0, xs.size, _HASH_BLOCK):
         hi = min(lo + _HASH_BLOCK, xs.size)
-        rows = scratch[:, :hi - lo]
-        hash_block(split_limbs(xs[lo:hi], rows[2], rows[3]),
-                   split_limbs(a[lo:hi], rows[0], rows[1]),
-                   b[lo:hi], m, out[lo:hi], rows)
+        x, g, h, t = xs[lo:hi], at[lo:hi], out[lo:hi], scratch[:hi - lo]
+        np.bitwise_and(x, _MASK32, out=h)
+        h *= a1.take(g)
+        np.right_shift(x, _U32, out=t)
+        t *= a2.take(g)
+        h += t
+        h += b.take(g)
+        _top_bits(h, m)
     return out
 
 
-def split_limbs(v, hi=None, lo=None):
-    """v's 32-bit limbs (v >> 32, v & (2^32 - 1)), written into the arrays
-    hi and lo if given."""
-    return np.right_shift(v, _U32, out=hi), np.bitwise_and(v, _MASK32, out=lo)
+def hash_broadcast(x, a1, a2, b, m):
+    """The same hash, ((a1 * x_lo + a2 * x_hi + b) mod 2^64)
+    >> (64 - log2 m), with x broadcast against the coefficients, in a
+    fresh array.
 
-
-def hash_block(x, a, b, m, s, rows):
-    """The hash kernel on one block, written into s.
-
-    x and a come as their 32-bit limbs (hi, lo), each a pair of arrays
-    that broadcast to s's shape or of Python ints; b is such an array,
-    and m a power of two as a Python int.  `hash_eval` calls this once
-    per block; an oracle read calls it once, with one element's limbs,
-    or the D x 1 columns of a block's, against the k rows' coefficients,
-    into k or D x k cells.  The 64 x 64-bit product
-    goes through the limbs, a*x = t2*2^64 + t1*2^32 + t0, and every term is folded with
-    2^61 == 1 (mod p): t2*2^64 == 8*t2,
-    t1*2^32 == (t1 >> 29) + ((t1 & (2^29 - 1)) << 32) and
-    t0 == (t0 >> 61) + (t0 & p).  With b added the sum stays below 2^64;
-    one fold brings it below 2p, and one conditional subtraction of p,
-    done with shifts and masks, below p.
-
-    When x's high limb is zero (an element below 2^32, or a block whose
-    elements all are) a_lo*x_hi and t2 = a_hi*x_hi are zero, so those
-    two products, their adds and the shift of t2 are skipped; every
-    element and prefix of the benchmark workloads (d <= 2^32) takes
-    that path.  The final reductions mod p and mod m are one mask,
-    (m - 1) & p: m - 1 up to m = 2^61, and p above it, where s < p < m
-    already.
-
-    Rows 0 and 1 hold a's limbs if a is a block, then t2 and t0; rows 2
-    and 3 x's limbs if x is a block, then row 2 the fold's terms; row 4
-    is t1.  Only rows 0, 1, 2 and 4 are written.
+    An oracle read hashes one element (a Python int or 0-d x) or a
+    D x 1 column against the k rows' vectors, into k or D x k values;
+    `PairwiseHash.eval_batch` hashes a 1-D x against one member's three
+    words.  x is split into its 32-bit limbs once.
     """
-    (x_hi, x_lo), (a_hi, a_lo) = x, a
-    t2, t0, u, _, t = rows
-    np.multiply(a_hi, x_lo, out=t)
-    if np.count_nonzero(x_hi) if isinstance(x_hi, np.ndarray) else x_hi:
-        np.multiply(a_lo, x_hi, out=s)
-        t += s                          # t1 < 2^62
-        np.multiply(a_hi, x_hi, out=t2)     # t2 < 2^58
-        np.left_shift(t2, _U3, out=s)
-        np.right_shift(t, _U29, out=u)
-        s += u
-    else:                               # t1 = a_hi*x_lo, t2 = 0
-        np.right_shift(t, _U29, out=s)
-    np.multiply(a_lo, x_lo, out=t0)     # t0 < 2^64
-    np.bitwise_and(t, _MASK29, out=t)
-    np.left_shift(t, _U32, out=t)
-    s += t
-    np.right_shift(t0, _U61, out=u)
-    s += u
-    np.bitwise_and(t0, _P61, out=t0)
-    s += t0
-    s += b                              # < 2^63 + 2^34
-    np.right_shift(s, _U61, out=t)
-    np.bitwise_and(s, _P61, out=s)
-    s += t                              # <= 2^61 + 3 < 2p
-    # (s + 1) >> 61 is 1 exactly when s >= p, and then (s + 1) & p = s - p
-    np.add(s, _U1, out=t)
-    np.right_shift(t, _U61, out=t)
-    s += t
-    np.bitwise_and(s, (m - 1) & _P61_INT, out=s)
-    return s
+    h = a1 * (x & _MASK32)
+    h += a2 * (x >> _U32)
+    h += b
+    return _top_bits(h, m)
+
+
+def _top_bits(h, m):
+    """h >> (64 - log2 m) in place: each hash word's top log2(m) bits,
+    its value in [m].  At m = 1 no bit is kept and h becomes 0, without
+    a shift by 64, which C leaves undefined."""
+    bits = m.bit_length() - 1
+    return (np.right_shift(h, np.uint64(64 - bits), out=h) if bits
+            else np.multiply(h, 0, out=h))
 
 
 def accumulate_reports(buf, rows, reports):

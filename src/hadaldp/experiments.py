@@ -3,10 +3,10 @@
 A run is fully described by an ExperimentConfig (JSON file, overridden by
 CLI flags), whose inputs also name the dataset (see dataset_for).  A
 config builds its protocol's parameters and checks its protocol's
-domain cap when it is made, so an out-of-range one raises ValueError
-before any data is drawn, and a run builds them once for all its
-trials.  A dataset file is read once per
-run and shared by every trial; otherwise each trial regenerates its
+domain cap and hash range cap when it is made, so an out-of-range one
+raises ValueError before any data is drawn, and a run builds them once
+for all its trials.  A dataset file is read once per run and shared by
+every trial; otherwise each trial regenerates its
 dataset.  Each trial builds its protocol state, and draws any generated
 dataset, from seeds derived off (config.seed, trial), so the same
 config file gives the same CSV byte-for-byte.  Alongside the metrics, every run checks what it
@@ -87,7 +87,11 @@ class ExperimentConfig:
                 hrr.dim_for(self.d)
             else:
                 fo.check_domain(self.d)
-        self.params()   # range-checks eps and the rest before any work
+        params = self.params()   # range-checks eps and the rest
+        if not self.dataset_path and self.protocol != "hrr":
+            if self.protocol == "hada-heavy":
+                params = params.oracle_params(self.beta)
+            fo.hash_range_for(params, self.n)   # the hash range's cap
 
     def params(self):
         """The protocol's parameters: HeavyParams for hada-heavy, else

@@ -27,25 +27,28 @@ with eps * sqrt(n).  Two named constant profiles are shipped:
   values the proofs need; pass them explicitly to get them.
 
 Every build's hash family, an oracle's own or the one a heavy-hitter run
-shares, is drawn by `sample_family` from its round's setup stream 1.
-The build does not sort users into their subsets.  It streams them
-through `hrr.ingest`, the report path of every build, in chunks of
-consecutive users: per chunk one limb-kernel call `backend.hash_eval`
-with each user's coefficients (a_g, b_g) gathered by their subset g, one
-`randomize` and one scatter-add at g*m + row into the flattened matrix.
-Every read, a scalar query's or a batch query's, goes through one step,
-`_cells`: one call of the kernel's block entry `backend.hash_block` on
-elements' 32-bit limbs against the k rows' (a_j) limbs and b_j, which
-the state keeps read-only beside the flat row offsets j * m, and one
-`take` from the flattened matrix at offsets + columns.  A scalar query
-hands it one element's limbs and gets its k cells.  A batch query takes
-its elements in chunks of 2^14, reduces a chunk to its distinct
-elements, and hands their limbs over as columns in blocks of
-2^14 // k elements (at least one), so that a call hashes at most
-max(k, 2^14) cells; it medians each block's int32 cells and debiases
-once per answer, at the end.  So it holds its output, one block's
-6 x 2^14 uint64 scratch and a chunk's temporaries, however many
-elements it is asked about.
+shares, is drawn by `sample_family` from its round's setup stream 1: k
+members of the vector multiply-shift family (see `hashing`), each three
+uniform 64-bit words a1, a2 and b, which the state keeps as read-only
+uint64 vectors beside the flat row offsets j * m.  The build does not
+sort users into their subsets.  It streams them through `hrr.ingest`,
+the report path of every build, in chunks of consecutive users: per
+chunk one `backend.hash_eval` call, which gathers each user's words by
+their subset g, one `randomize` and one scatter-add at g*m + row into
+the flattened matrix.  Every read, a scalar query's or a batch query's,
+goes through one step, `_cells`: one broadcast `backend.hash_broadcast`
+of elements against the k rows' words, and one `take` from the
+flattened matrix at offsets + columns.  A scalar query hands it one
+element and gets its k cells.  A batch query takes its elements in
+chunks of 2^14, reduces a chunk to its distinct elements, and hands
+them over as columns in blocks of 2^14 // k elements (at least one), so
+that a call hashes at most max(k, 2^14) cells; it medians each block's
+int32 cells and debiases once per answer, at the end.  So it holds its
+output, one block's few D x k arrays and a chunk's temporaries, however
+many elements it is asked about.
+
+The blob is format v6: the header, the k a1, the k a2 and the k b, then
+the matrix.  A blob of any other version raises ValueError.
 
 The median of an even-length list is the lower-middle order statistic
 (1-based index ceil(k/2)), so a query always returns one of the actual
@@ -59,8 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backend, codec
-from .hashing import (PairwiseHash, element_array, element_index,
-                      sample_hash)
+from .hashing import MAX_RANGE, PairwiseHash, element_array, element_index
 from .hrr import ingest
 from .partition import take_partition
 from .randomizer import PrivacyBudget, debias_factor, setup_stream
@@ -78,11 +80,11 @@ DEFAULT_CK = PROFILES["practical"]["c_k"]
 DEFAULT_CM = PROFILES["practical"]["c_m"]
 
 MAGIC = b"HDFO"
-VERSION = 5
+VERSION = 6
 _HEADER = struct.Struct("<4sHIQQddddQ")
 # magic, version, k, m, d, eps, beta_prime, c_k, c_m, n_users
 
-MAX_DOMAIN = (1 << 61) - 1  # hash inputs must stay below the hash prime
+MAX_DOMAIN = (1 << 61) - 1  # every build's largest domain size
 _QUERY_CHUNK = 1 << 14      # query_many: elements per chunk, cells per block
 
 
@@ -122,14 +124,15 @@ def repetitions_for(params):
 
 
 def hash_range_for(params, n):
-    """Smallest power of two >= c_m * eps * sqrt(n), and >= 2."""
+    """Smallest power of two >= c_m * eps * sqrt(n), and >= 2; a range
+    above the hash family's 2^32 raises ValueError."""
     if n < 0:
         raise ValueError(f"user count must be non-negative, got {n}")
     target = params.c_m * params.eps * math.sqrt(n)
-    m = 2
-    while m < target:
-        m <<= 1
-    return m
+    if target > MAX_RANGE:
+        raise ValueError(f"hash range c_m * eps * sqrt(n) = {target:.4g} "
+                         f"is above the hash family's 2^32")
+    return max(2, 1 << (math.ceil(target) - 1).bit_length())
 
 
 def theoretical_error_bound(params, n, c=1.0):
@@ -149,24 +152,23 @@ class OracleState:
     n_users: int
     hashes: list
     matrix: np.ndarray                 # k x m int32, transformed sums
-    # the hashes' coefficients as uint64 vectors: the build gathers them by
-    # each user's subset, and every read hashes against b and a's 32-bit
-    # limbs, then adds each row's offset j * m into the flat matrix
-    a: np.ndarray = field(init=False, repr=False, compare=False)
+    # the hashes' words as read-only uint64 vectors: the build gathers
+    # them by each user's subset, and every read hashes against all k,
+    # then adds each row's offset j * m into the flat matrix
+    a1: np.ndarray = field(init=False, repr=False, compare=False)
+    a2: np.ndarray = field(init=False, repr=False, compare=False)
     b: np.ndarray = field(init=False, repr=False, compare=False)
-    a_hi: np.ndarray = field(init=False, repr=False, compare=False)
-    a_lo: np.ndarray = field(init=False, repr=False, compare=False)
     offsets: np.ndarray = field(init=False, repr=False, compare=False)
     # what a read multiplies a cell by, before the scaling by k
     factor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.a = np.array([h.a for h in self.hashes], dtype=np.uint64)
-        self.b = np.array([h.b for h in self.hashes], dtype=np.uint64)
-        self.a_hi, self.a_lo = backend.split_limbs(self.a)
+        words = np.array([(h.a1, h.a2, h.b) for h in self.hashes],
+                         dtype=np.uint64).T.copy()
         self.offsets = np.arange(self.k, dtype=np.intp) * self.m
-        for v in (self.a_hi, self.a_lo, self.offsets):
+        for v in (words, self.offsets):
             v.flags.writeable = False
+        self.a1, self.a2, self.b = words
         self.factor = debias_factor(self.params.eps)
 
     @property
@@ -176,11 +178,13 @@ class OracleState:
 
 
 def sample_family(k, m, seed, round_index=0):
-    """The k hash functions into [m] of round round_index, drawn in turn
-    from its setup stream 1, the stream that holds the family of every
-    build: an oracle's own, or the one a heavy-hitter run shares."""
-    rng = setup_stream(seed, round_index, 1)
-    return [sample_hash(m, rng) for _ in range(k)]
+    """The k hash functions into [m] of round round_index: one 3 x k draw
+    of uniform 64-bit words from its setup stream 1, the stream that
+    holds the family of every build (an oracle's own, or the one a
+    heavy-hitter run shares), whose rows are the k a1, a2 and b."""
+    words = setup_stream(seed, round_index, 1).integers(
+        0, 1 << 64, size=(3, k), dtype=np.uint64)
+    return [PairwiseHash(*w, m) for w in zip(*words.tolist())]
 
 
 def family_for(params, n, seed, round_index=0):
@@ -218,7 +222,8 @@ def construct(elements, d, params, seed, *, hashes=None, round_index=0):
     state = OracleState(params=params, k=k, m=m, d=int(d), n_users=n,
                         hashes=hashes, matrix=np.zeros((k, m), np.int32))
     ingest(state.matrix.reshape(-1), elements, m, budget.keep_prob, seed,
-           round_index, family=(part.assignment, state.a, state.b))
+           round_index, family=(part.assignment, state.a1, state.a2,
+                                state.b))
     backend.fwht_inplace(state.matrix)
     return state
 
@@ -227,18 +232,14 @@ def _cells(state, v):
     """The int32 cells matrix[j, h_j(v)] of elements v, in a fresh array.
 
     v is one element as a Python int, which gets its k cells, or a block
-    of D elements as a D x 1 uint64 column, which gets D x k.  One call
-    of the block kernel hashes v's 32-bit limbs against the k rows'
-    coefficients, broadcast, in a scratch of its own, so concurrent
-    reads of one state share nothing they write; one `take` at
-    offsets + columns gathers the cells from the flat matrix.
+    of D elements as a D x 1 uint64 column, which gets D x k.  One
+    `backend.hash_broadcast` call hashes v against the k rows' words,
+    broadcast, into a fresh array, so concurrent reads of one state
+    share nothing they write; one `take` at offsets + columns gathers
+    the cells from the flat matrix.
     """
-    shape = (6, state.k) if isinstance(v, int) else (6, len(v), state.k)
-    rows = np.empty(shape, dtype=np.uint64)
-    cols = backend.hash_block((v >> 32, v & 0xFFFFFFFF),
-                              (state.a_hi, state.a_lo), state.b, state.m,
-                              rows[5], rows[:5])
-    cols = cols.view(np.intp)
+    cols = backend.hash_broadcast(v, state.a1, state.a2, state.b,
+                                  state.m).view(np.intp)
     cols += state.offsets
     return state.matrix.reshape(-1).take(cols)
 
@@ -295,28 +296,28 @@ def query_many(state, vs):
 
 
 def to_bytes(state):
-    """Format v5: the header, then the k hash coefficients a_j and the k
-    b_j as uint64, then the k x m matrix as int32, all little-endian."""
+    """Format v6: the header, then the hashes' k words a1_j, the k a2_j
+    and the k b_j as uint64, then the k x m matrix as int32, all
+    little-endian."""
     p = state.params
     head = (state.k, state.m, state.d, p.eps, p.beta_prime, p.c_k, p.c_m,
             state.n_users)
     return codec.encode(_HEADER, MAGIC, VERSION, head,
-                        [("<u8", state.a), ("<u8", state.b),
-                         ("<i4", state.matrix)])
+                        [("<u8", state.a1), ("<u8", state.a2),
+                         ("<u8", state.b), ("<i4", state.matrix)])
 
 
 def from_bytes(blob):
-    """Inverse of to_bytes; raises ValueError on any malformed blob,
-    coefficients outside the hash family's ranges included."""
-    fields, (a, b, matrix) = codec.decode(
+    """Inverse of to_bytes; raises ValueError on any malformed blob, a
+    hash range above 2^32 included."""
+    fields, (words, matrix) = codec.decode(
         blob, _HEADER, MAGIC, VERSION,
-        lambda f: [("<u8", f[0]), ("<u8", f[0]), ("<i4", f[0] * f[1])])
+        lambda f: [("<u8", 3 * f[0]), ("<i4", f[0] * f[1])])
     k, m, d, eps, beta_prime, c_k, c_m, n_users = fields
     if k < 1:
         raise ValueError("need at least one repetition, got k = 0")
     check_domain(d)
     params = OracleParams(eps=eps, beta_prime=beta_prime, c_k=c_k, c_m=c_m)
-    hashes = [PairwiseHash(a_j, b_j, m)
-              for a_j, b_j in zip(a.tolist(), b.tolist())]
+    hashes = [PairwiseHash(*w, m) for w in zip(*words.reshape(3, k).tolist())]
     return OracleState(params=params, k=k, m=m, d=d, n_users=n_users,
                        hashes=hashes, matrix=matrix.reshape(k, m))

@@ -1,17 +1,20 @@
-"""Pairwise-independent hashing h(x) = ((a*x + b) mod p) mod m, p = 2^61 - 1.
+"""Pairwise-independent hashing by vector multiply-shift.
 
-The Mersenne prime keeps the modular reduction branch-free (fold the high
-bits back in, 2^61 == 1 mod p) and leaves room for domains up to 2^61.
-The range m is a power of two, from 1 up: the Hadamard transform that
-every server state goes through needs one, and it makes the last
-reduction, mod m, a mask.  `PairwiseHash` refuses any other m, so no
-other check of it is needed.  Every hash is evaluated by the
-32-bit-limb uint64 kernel `backend.hash_block`: the oracle build
-through its blocked entry `backend.hash_eval`, once per chunk of users
-with each user's subset's (a, b); every oracle read once per element or
-block of elements, their limbs against the k rows' (a, b) vectors,
-broadcast.  The tests hold the kernel to an exact Python-int reference
-everywhere.
+h(x) = ((a1*x_lo + a2*x_hi + b) mod 2^64) >> (64 - l) into the range
+m = 2^l, where x_lo and x_hi are the 32-bit limbs of a 64-bit key x and
+a1, a2 and b are uniform 64-bit words (Dietzfelbinger, STACS 1996;
+Thorup, "High Speed Hashing for Integers and Strings", 2015).  With
+w = 32-bit limbs in W = 64-bit words the family is strongly universal
+into [2^l] for l <= W - w + 1 = 33: any two distinct keys land on a
+pair of values that is exactly uniform over [m]^2.  `PairwiseHash`
+refuses any range m but a power of two from 1 up to `MAX_RANGE` = 2^32,
+inside that bound, so no build can be handed another: the Hadamard
+transform that every server state goes through needs a power of two.
+Every hash is evaluated by `backend`: a build's through
+`backend.hash_eval`, once per chunk of users with each user's subset's
+words, and every oracle read through `backend.hash_broadcast`, once
+per element or block of elements against the k members' words.  The
+tests hold both to an exact Python-int reference everywhere.
 """
 
 import operator
@@ -21,7 +24,7 @@ import numpy as np
 
 from . import backend
 
-P61 = (1 << 61) - 1
+MAX_RANGE = 1 << 32  # the largest hash range m
 
 
 def element_index(v, d):
@@ -61,33 +64,25 @@ def element_array(elements, d):
 
 @dataclass(frozen=True)
 class PairwiseHash:
-    """One member of the affine family, fixed modulus p = 2^61 - 1."""
+    """One member of the family: its three 64-bit words and its range m."""
 
-    a: int
+    a1: int
+    a2: int
     b: int
     m: int
 
     def __post_init__(self):
-        if not 1 <= self.a < P61:
-            raise ValueError(f"a must lie in [1, p), got {self.a}")
-        if not 0 <= self.b < P61:
-            raise ValueError(f"b must lie in [0, p), got {self.b}")
+        if not all(0 <= w < 1 << 64 for w in (self.a1, self.a2, self.b)):
+            raise ValueError(f"words must lie in [0, 2^64), got {self}")
         if self.m < 1 or self.m & (self.m - 1):
             raise ValueError(f"hash range {self.m} is not a power of two")
+        if self.m > MAX_RANGE:
+            raise ValueError(f"hash range {self.m} is above 2^32")
 
     # no caller in the package: perfbench/tracer.py wraps it, and the
     # tests use it to hash a batch with one function
     def eval_batch(self, xs):
-        """Vectorized evaluation of a 1-D uint64 array via the limb kernel."""
-        xs = np.ascontiguousarray(xs, dtype=np.uint64)
-        if xs.size and int(xs.max()) >= P61:
-            raise ValueError("batch contains inputs outside [0, 2^61 - 1)")
-        return backend.hash_eval(xs, np.full(xs.size, self.a, np.uint64),
-                                 np.full(xs.size, self.b, np.uint64), self.m)
-
-
-def sample_hash(m, rng):
-    """Draw one function: a uniform in [1, p), b uniform in [0, p)."""
-    a = int(rng.integers(1, P61))
-    b = int(rng.integers(0, P61))
-    return PairwiseHash(a=a, b=b, m=int(m))
+        """Vectorized evaluation of a 1-D array of 64-bit keys."""
+        return backend.hash_broadcast(
+            element_array(xs, 1 << 64), np.uint64(self.a1),
+            np.uint64(self.a2), np.uint64(self.b), self.m)

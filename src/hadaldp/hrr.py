@@ -101,9 +101,10 @@ def ingest(buf, elements, m, keep_prob, seed, round_index, family=None):
     their coin draw u of the coin stream; a chunk draws consecutive slices
     of both, so the transcript does not depend on CHUNK.  Without `family`
     user u reports on column x_u and adds at buf[row_u].  With
-    family = (groups, a, b), buf is a k x m matrix flattened, and user u
-    of group g = groups[u] reports on column ((a[g] x_u + b[g]) mod p) mod m
-    and adds at buf[g*m + row_u].  Per chunk that is one hash, one
+    family = (groups, a1, a2, b), buf is a k x m matrix flattened, and
+    user u of group g = groups[u] reports on column h_g(x_u), the hash
+    with words a1[g], a2[g] and b[g] (`backend.hash_eval`), and adds at
+    buf[g*m + row_u].  Per chunk that is one hash, one
     randomize and one scatter-add, each over chunk-sized arrays.  More
     than MAX_USERS users could overflow the int32 sums, so they raise
     ValueError before anything is drawn.
@@ -124,11 +125,11 @@ def ingest(buf, elements, m, keep_prob, seed, round_index, family=None):
         hi = min(lo + CHUNK, n)
         cols = elements[lo:hi]
         if family is not None:
-            groups, a, b = family
+            groups, a1, a2, b = family
             # each user's subset g, widened once: a gather indexes
             # faster by intp, and g * m below overflows a narrow g
             at = groups[lo:hi].astype(np.intp)
-            cols = backend.hash_eval(cols, a.take(at), b.take(at), m)
+            cols = backend.hash_eval(cols, at, a1, a2, b, m)
         rows = draw_rows(rows_rng, hi - lo, m)
         coins = draw_coins(coins_rng, hi - lo)
         if family is None:

@@ -9,11 +9,13 @@ runs:
   against them.
 - `exact_heavy_hitters` is the set of elements whose exact count clears
   a threshold.
-- `pairwise_hash` evaluates h(x) = ((a*x + b) mod p) mod m, p = 2^61 - 1,
-  through Python's arbitrary-precision ints with no clever reduction
-  anywhere, so it is exact by construction; the limb kernel
-  (`backend.hash_block`, `backend.hash_eval`) that every build and read
-  hashes through is tested against it.
+- `multiply_shift` evaluates the hash family,
+  h(x) = ((a1*x_lo + a2*x_hi + b) mod 2^64) >> (64 - log2 m), through
+  Python's arbitrary-precision ints, taking the top bits as
+  word * m // 2^64 rather than by a shift, so it is exact by
+  construction; the kernels every build and read hashes through
+  (`backend.hash_eval`, `backend.hash_broadcast`) are tested against
+  it.
 """
 
 import numpy as np
@@ -41,6 +43,10 @@ def exact_heavy_hitters(data, threshold):
     return {int(v) for v in values[counts >= threshold]}
 
 
-def pairwise_hash(a, b, m, x):
-    """((a*x + b) mod (2^61 - 1)) mod m, in Python ints."""
-    return ((a * int(x) + b) % ((1 << 61) - 1)) % m
+def multiply_shift(a1, a2, b, m, x):
+    """((a1*x_lo + a2*x_hi + b) mod 2^64) >> (64 - log2 m), in Python
+    ints: x_lo and x_hi are x's 32-bit limbs, and m a power of two up to
+    2^64 (m = 1 gives 0)."""
+    x_hi, x_lo = divmod(int(x), 1 << 32)
+    word = (a1 * x_lo + a2 * x_hi + b) % (1 << 64)
+    return word * m // (1 << 64)

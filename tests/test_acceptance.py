@@ -17,7 +17,6 @@ from hadaldp import hrr
 from hadaldp import freq_oracle as fo
 from hadaldp import heavy_hitters as hh
 from hadaldp.datasets import gen_planted, gen_zipf
-from hadaldp.hashing import sample_hash
 from hadaldp.partition import take_partition
 from hadaldp.prefixes import encode_prefix_batch, make_code
 from hadaldp.randomizer import (PrivacyBudget, debias_factor, keep_probability,
@@ -91,12 +90,11 @@ def test_a03_client_output_laws_are_ldp_exact():
     output the server aggregates, by forcing every coin both ways."""
     t0 = time.perf_counter()
     worst = 0.0
-    rng = np.random.default_rng(303)
     for eps in (0.1, 0.5, 1.0):
         budget = PrivacyBudget(eps)
         p = keep_probability(eps)
         for m in (1, 2, 4, 8, 16):
-            h = sample_hash(m, rng)
+            h, = fo.sample_family(1, m, seed=303, round_index=m)
             code = make_code(4, m)
             tau = max(1, code.levels - 1)
             columns = [

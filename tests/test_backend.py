@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 import time
@@ -7,9 +8,9 @@ import numpy as np
 import pytest
 
 from hadaldp import backend
-from hadaldp.hashing import P61
 
 import hadamard_reference as hadamard
+from exact_reference import multiply_shift
 
 
 def test_numpy_is_the_only_build():
@@ -48,139 +49,107 @@ def test_accumulate_is_integer_valued_and_conserving():
     assert sums.dtype == np.int32 and sums.tolist() == want.tolist()
 
 
-def _full(value, n):
-    return np.full(n, value, dtype=np.uint64)
+TOP = (1 << 64) - 1   # the largest 64-bit word
+# elements on both sides of 2^32, where x's high limb turns nonzero
+HASH_XS = [0, 1, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, 1 << 60, TOP]
+# member words at the carry edges: zero, one, all ones, limb-sized
+HASH_WORDS = [(0, 0, 0), (1, 0, TOP), (TOP, TOP, TOP), (TOP, 1, 0),
+              ((1 << 32) + 1, (1 << 32) - 1, 1 << 63)]
+
+
+def _vectors(words):
+    """The a1, a2 and b vectors of a list of members' words."""
+    return [np.array(v, dtype=np.uint64) for v in zip(*words)]
 
 
 def test_mulmod_limbs_match_big_integer_arithmetic():
+    """At m = 2^64 both kernels keep the whole word, a1 * x_lo +
+    a2 * x_hi + b mod 2^64 over x's 32-bit limbs: it must be what big
+    integers compute, through every carry of the products and the
+    sum."""
     rng = np.random.default_rng(4)
-    a_vals = [1, 2, P61 - 1, int(rng.integers(1, P61))]
-    xs = np.array([0, 1, P61 - 1, 1 << 60, (1 << 61) - 2] +
-                  list(rng.integers(0, P61, size=500)), dtype=np.uint64)
-    for a in a_vals:
-        # b = 0 and a range of 2^61, above every residue, leave a*x mod p
-        got = backend.hash_eval(xs, _full(a, xs.size), _full(0, xs.size),
-                                1 << 61)
-        assert got.tolist() == [(a * int(x)) % P61 for x in xs]
+    words = [0, 1, 2, (1 << 32) + 1, TOP,
+             int(rng.integers(0, TOP, dtype=np.uint64, endpoint=True))]
+    xs = np.array(HASH_XS + rng.integers(0, TOP, size=500, dtype=np.uint64,
+                                         endpoint=True).tolist(),
+                  dtype=np.uint64)
+    rows = np.zeros(xs.size, dtype=np.intp)
+    for a1, a2 in itertools.product(words, repeat=2):
+        want = [(a1 * (x % (1 << 32)) + a2 * (x >> 32) + TOP) % (1 << 64)
+                for x in xs.tolist()]
+        a1_, a2_, b_ = _vectors([(a1, a2, TOP)])
+        assert backend.hash_eval(xs, rows, a1_, a2_, b_, 1 << 64).tolist() \
+            == want
+        assert backend.hash_broadcast(xs, a1_, a2_, b_, 1 << 64).tolist() \
+            == want
 
 
-HASH_XS = [0, 1, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, 1 << 60,
-           (1 << 61) - 2]
-
-
-def _exact_hash(x, a, b, m):
-    return ((a * x + b) % P61) % m
-
-
-def _read_cells(x, a, b, m):
-    """The block kernel as an oracle read calls it: one element's
-    Python-int limbs, or a D x 1 uint64 column's, against the k rows'
-    coefficient vectors a and b, into k or D x k cells."""
-    shape = (6, a.size) if isinstance(x, int) else (6, len(x), a.size)
-    rows = np.empty(shape, dtype=np.uint64)
-    return backend.hash_block((x >> 32, x & 0xFFFFFFFF),
-                              backend.split_limbs(a), b, m, rows[5], rows[:5])
-
-
-@pytest.mark.parametrize("m", [1, 2, 1024, 4096, 1 << 61, 1 << 62])
+@pytest.mark.parametrize("m", [1, 2, 1024, 4096, 1 << 32, 1 << 61, 1 << 62])
 @pytest.mark.parametrize("n", [(1 << 13) - 1, 1 << 13, (1 << 13) + 1,
                                3 * (1 << 13) + 5])
 def test_hash_kernel_matches_big_integers_across_blocks(n, m):
-    """Sizes around the 2^13-element block, in the forms the package
-    uses: per-element coefficients (a build), one function's
-    coefficients repeated over many elements (`eval_batch`), and one
-    element against a vector of functions (a scalar query over the k
-    rows, through the block kernel)."""
+    """Sizes around a build's 2^13-element block, in the forms the
+    package uses: each element through its own row of k = 7 members (a
+    build), one member over many elements (`eval_batch`), and one
+    element against the k rows (a scalar query).  The first block mixes
+    elements below and above 2^32.  Ranges above 2^32 are not the
+    family's, but the kernels' shift must still be exact there."""
     rng = np.random.default_rng(n + m % 1000)
-    xs = rng.integers(0, P61, size=n, dtype=np.uint64)
+    k = 7
+    xs = rng.integers(0, TOP, size=n, dtype=np.uint64, endpoint=True)
     xs[:len(HASH_XS)] = HASH_XS
-    a = rng.integers(1, P61, size=n, dtype=np.uint64)
-    b = rng.integers(0, P61, size=n, dtype=np.uint64)
-    a[:3] = [1, P61 - 1, P61 - 1]
-    b[:3] = [0, P61 - 1, 0]
-    x_l, a_l, b_l = xs.tolist(), a.tolist(), b.tolist()
+    xs[len(HASH_XS):100] >>= np.uint64(32)
+    words = HASH_WORDS[:2] + [tuple(w) for w in rng.integers(
+        0, TOP, size=(k - 2, 3), dtype=np.uint64, endpoint=True).tolist()]
+    a1, a2, b = _vectors(words)
+    rows = rng.integers(0, k, size=n).astype(np.intp)
+    x_l = xs.tolist()
 
-    got = backend.hash_eval(xs, a, b, m)
+    got = backend.hash_eval(xs, rows, a1, a2, b, m)
     assert got.dtype == np.uint64 and got.shape == (n,)
-    assert got.tolist() == [_exact_hash(*t, m) for t in zip(x_l, a_l, b_l)]
-    for sa, sb in ((1, 0), (P61 - 1, P61 - 1), (a_l[5], b_l[5])):
-        got = backend.hash_eval(xs, _full(sa, n), _full(sb, n), m)
-        assert got.tolist() == [_exact_hash(x, sa, sb, m) for x in x_l]
+    assert got.tolist() == [multiply_shift(*words[g], m, x)
+                            for x, g in zip(x_l, rows.tolist())]
+    for w in words[:3]:
+        got = backend.hash_broadcast(xs, *_vectors([w]), m)
+        assert got.tolist() == [multiply_shift(*w, m, x) for x in x_l]
     for x in HASH_XS:
-        got = _read_cells(x, a, b, m)
-        assert got.tolist() == [_exact_hash(x, *t, m) for t in zip(a_l, b_l)]
-
-
-HASH_COEFFS = [(1, 0), (1, P61 - 1), (P61 - 1, 0), (P61 - 1, P61 - 1),
-               ((1 << 32) + 1, (1 << 32) - 1)]
+        got = backend.hash_broadcast(x, a1, a2, b, m)
+        assert got.tolist() == [multiply_shift(*w, m, x) for w in words]
 
 
 @pytest.mark.parametrize("m", [1, 2, 4096, 1 << 61, 1 << 62])
 def test_hash_kernel_splits_a_size_one_operand_once(m):
-    """An oracle read splits its element into 32-bit limbs once, as
-    Python ints (a scalar query) or as a D x 1 column (a batch query's
-    block), and hashes them against the k rows' coefficients.  Every
-    element at the limb edges, against the extreme coefficients, must
-    hash like the big-integer formula, as it does through `hash_eval`
-    with those coefficients repeated per element."""
+    """An oracle read splits its element into 32-bit limbs once, as a
+    Python int (a scalar query) or as a D x 1 column (a batch query's
+    block), and hashes them against the k rows' words, broadcast.  Every
+    element on both sides of 2^32, against the edge words, must hash
+    like the big-integer formula, as it does through `hash_eval` with
+    each element on each row."""
     xs = np.array(HASH_XS, dtype=np.uint64)
-    a = np.array([c[0] for c in HASH_COEFFS], dtype=np.uint64)
-    b = np.array([c[1] for c in HASH_COEFFS], dtype=np.uint64)
-    for sa, sb in HASH_COEFFS:
-        got = backend.hash_eval(xs, _full(sa, xs.size), _full(sb, xs.size), m)
-        assert got.tolist() == [_exact_hash(x, sa, sb, m) for x in HASH_XS]
-    for x in HASH_XS:
-        got = _read_cells(x, a, b, m)
-        assert got.shape == a.shape
-        assert got.tolist() == [_exact_hash(x, *c, m) for c in HASH_COEFFS]
-    got = _read_cells(xs[:, None], a, b, m)
-    assert got.shape == (xs.size, a.size)
-    assert got.tolist() == [[_exact_hash(x, *c, m) for c in HASH_COEFFS]
-                            for x in HASH_XS]
-
-
-# the elements where x's high limb turns nonzero
-LIMB_EDGE = [(1 << 32) - 1, 1 << 32, (1 << 32) + 1]
-
-
-@pytest.mark.parametrize("high", LIMB_EDGE[1:])
-@pytest.mark.parametrize("m", [2, 4096, 1 << 61, 1 << 62])
-def test_hash_kernel_skips_a_zero_high_limb_exactly(m, high):
-    """Three blocks: the first and third hold elements below 2^32 only,
-    so the kernel skips their zero high-limb terms; the second ends with
-    one element at or above 2^32, so it runs them all.  Every form, per
-    element, one function and one element against many functions, must
-    hash like the big-integer formula, on both sides of the edge.  m = 2
-    and 4096 take the mask m - 1, 2^61 the mask p, and 2^62, above
-    p + 1, the mask p as well."""
-    n = 3 * (1 << 13)
-    rng = np.random.default_rng(m % 1000 + high)
-    xs = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
-    xs[:2] = 1, (1 << 32) - 1      # with a = 1, b = p - 1, x = 1 folds to p
-    xs[2 * (1 << 13) - 1] = high
-    a = rng.integers(1, P61, size=n, dtype=np.uint64)
-    b = rng.integers(0, P61, size=n, dtype=np.uint64)
-    a[:2], b[:2] = P61 - 1, P61 - 1
-    x_l, a_l, b_l = xs.tolist(), a.tolist(), b.tolist()
-
-    got = backend.hash_eval(xs, a, b, m)
-    assert got.tolist() == [_exact_hash(*t, m) for t in zip(x_l, a_l, b_l)]
-    for sa, sb in HASH_COEFFS:
-        got = backend.hash_eval(xs, _full(sa, n), _full(sb, n), m)
-        assert got.tolist() == [_exact_hash(x, sa, sb, m) for x in x_l]
-    for x in LIMB_EDGE:
-        want = [_exact_hash(x, *t, m) for t in zip(a_l[:300], b_l[:300])]
-        assert _read_cells(x, a[:300], b[:300], m).tolist() == want
+    a1, a2, b = _vectors(HASH_WORDS)
+    want = [[multiply_shift(*w, m, x) for w in HASH_WORDS] for x in HASH_XS]
+    for x, row in zip(HASH_XS, want):
+        got = backend.hash_broadcast(x, a1, a2, b, m)
+        assert got.shape == a1.shape and got.tolist() == row
+    got = backend.hash_broadcast(xs[:, None], a1, a2, b, m)
+    assert got.shape == (xs.size, a1.size) and got.tolist() == want
+    k = len(HASH_WORDS)
+    got = backend.hash_eval(np.repeat(xs, k), np.tile(np.arange(k), xs.size),
+                            a1, a2, b, m)
+    assert got.reshape(xs.size, k).tolist() == want
 
 
 def test_hash_kernel_shapes():
     """One output per element, as uint64, however many blocks; none for
     no element."""
     empty = np.empty(0, dtype=np.uint64)
-    assert backend.hash_eval(empty, empty, empty, 16).shape == (0,)
+    a1, a2, b = _vectors([(g << 60, 0, 5 << 60) for g in (1, 2, 3)])
+    assert backend.hash_eval(empty, np.empty(0, np.intp), a1, a2, b,
+                             16).shape == (0,)
+    # a1 = g 2^60 and b = 5 2^60 put g x + 5 mod 16 in the top four bits
     xs = np.arange(6, dtype=np.uint64)
-    got = backend.hash_eval(xs, np.array([1, 2, 3, 1, 2, 3], np.uint64),
-                            _full(5, 6), 16)
+    rows = np.array([0, 1, 2, 0, 1, 2], dtype=np.intp)
+    got = backend.hash_eval(xs, rows, a1, a2, b, 16)
     assert got.dtype == np.uint64
     assert got.tolist() == [(a * x + 5) % 16
                             for x, a in zip(range(6), [1, 2, 3, 1, 2, 3])]
@@ -189,12 +158,13 @@ def test_hash_kernel_shapes():
 def test_hash_kernel_memory_is_its_output_and_one_block_scratch():
     n = 1 << 20
     rng = np.random.default_rng(6)
-    xs = rng.integers(0, P61, size=n, dtype=np.uint64)
-    a = rng.integers(1, P61, size=n, dtype=np.uint64)
-    b = rng.integers(0, P61, size=n, dtype=np.uint64)
+    xs = rng.integers(0, TOP, size=n, dtype=np.uint64, endpoint=True)
+    rows = rng.integers(0, 24, size=n).astype(np.intp)
+    a1, a2, b = rng.integers(0, TOP, size=(3, 24), dtype=np.uint64,
+                             endpoint=True)
     tracemalloc.start()
     try:
-        out = backend.hash_eval(xs, a, b, 4096)
+        out = backend.hash_eval(xs, rows, a1, a2, b, 4096)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

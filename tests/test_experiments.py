@@ -329,6 +329,8 @@ def test_a_bad_parameter_exits_2_in_one_line_before_any_work(tmp_path,
                          "--n", "100"], "above the cap"),
                        (["fo", "--d", str(1 << 62), "--n", "100"],
                         "domain size must lie in"),
+                       (["fo", "--cm", "1e12"], "above the hash family's 2^32"),
+                       (["hh", "--cm", "1e12"], "above the hash family's 2^32"),
                        (from_file("typed"), "'trials' must be of type int"),
                        (from_file("list"), "holds no JSON object"),
                        (from_file("scheme"), "unknown config keys"),

@@ -9,13 +9,13 @@ from hadaldp import backend
 from hadaldp import freq_oracle as fo
 from hadaldp import hrr
 from hadaldp.datasets import gen_planted, gen_zipf
-from hadaldp.hashing import P61, PairwiseHash, sample_hash
+from hadaldp.hashing import MAX_RANGE, PairwiseHash
 from hadaldp.partition import take_partition
 from hadaldp.randomizer import (PrivacyBudget, debias_factor, draw_coins,
                                 draw_rows, keep_probability, round_streams,
                                 setup_stream)
 
-from exact_reference import exact_frequency, pairwise_hash
+from exact_reference import exact_frequency, multiply_shift
 from hadamard_reference import entry, naive_multiply
 
 E2 = math.exp(-2.0)
@@ -40,6 +40,11 @@ def test_hash_range_examples():
     assert fo.hash_range_for(params(c_m=4.0), 100_000) == 2048
     # never below 2, even for degenerate n
     assert fo.hash_range_for(params(), 0) == 2
+    # never above the hash family's 2^32, however large c_m
+    assert fo.hash_range_for(params(c_m=float(MAX_RANGE)), 1) == MAX_RANGE
+    for c_m in (MAX_RANGE * 1.001, 1e12):
+        with pytest.raises(ValueError, match="above the hash family's 2"):
+            fo.hash_range_for(params(c_m=c_m), 1)
 
 
 def test_profiles():
@@ -68,10 +73,11 @@ def test_params_validation():
 
 
 def _state_with_matrix(k, m, cells):
-    """Tiny handmade state: hash j is identity-affine shifted by j so that
+    """Tiny handmade state: hash j has b = j 2^64 / m, so that
     h_j(0) = j, letting tests pin per-row estimate values directly: row j
     estimates k * (cells[j] * F)."""
-    hashes = [PairwiseHash(a=1, b=j, m=m) for j in range(k)]
+    hashes = [PairwiseHash(a1=1, a2=1, b=j * ((1 << 64) // m), m=m)
+              for j in range(k)]
     matrix = np.zeros((k, m), dtype=np.int32)
     for j, val in enumerate(cells):
         matrix[j, j] = val
@@ -99,8 +105,7 @@ def test_k_one_is_the_single_row():
 
 
 def test_all_zero_matrix_queries_zero():
-    rng = np.random.default_rng(0)
-    hashes = [sample_hash(16, rng) for _ in range(5)]
+    hashes = fo.sample_family(5, 16, seed=0)
     st = fo.OracleState(params=params(), k=5, m=16, d=1000, n_users=1,
                         hashes=hashes, matrix=np.zeros((5, 16), np.int32))
     assert fo.query(st, 123) == 0.0
@@ -141,12 +146,12 @@ def test_empty_build_is_all_zero():
 def test_shared_hashes_fix_geometry():
     rng = np.random.default_rng(2)
     elems = rng.integers(0, 100, size=500, dtype=np.uint64)
-    shared = [sample_hash(64, rng) for _ in range(3)]
+    shared = fo.sample_family(3, 64, seed=2)
     st = fo.construct(elems, 100, params(), seed=9, hashes=shared)
     assert st.k == 3 and st.m == 64
     assert st.hashes is shared
 
-    mixed = [sample_hash(64, rng), sample_hash(32, rng)]
+    mixed = fo.sample_family(1, 64, seed=2) + fo.sample_family(1, 32, seed=3)
     with pytest.raises(ValueError):
         fo.construct(elems, 100, params(), seed=9, hashes=mixed)
 
@@ -159,7 +164,7 @@ def test_construct_rejects_a_range_that_is_not_a_power_of_two():
                                               dtype=np.uint64)
     with pytest.raises(ValueError, match="hash range 1000"):
         fo.construct(elems, 5000, params(), seed=9,
-                     hashes=[PairwiseHash(a=1 + j, b=j, m=1000)
+                     hashes=[PairwiseHash(a1=1 + j, a2=j, b=j, m=1000)
                              for j in range(5)])
 
 
@@ -222,7 +227,8 @@ def test_query_many_answers_distinct_elements(monkeypatch, k):
 def _scale_then_partition(state, vs):
     """The batch median as first written: every gathered cell scaled by
     the debias factor and then by k, and the scaled cells partitioned."""
-    vals = np.array([[float(state.matrix[j, pairwise_hash(h.a, h.b, h.m, v)])
+    vals = np.array([[float(state.matrix[j, multiply_shift(h.a1, h.a2, h.b,
+                                                            h.m, v)])
                       for j, h in enumerate(state.hashes)] for v in vs])
     vals *= state.factor
     vals *= state.k
@@ -337,23 +343,25 @@ def test_query_rejects_negative_and_non_integer_input():
 
 def _reference_rows(state, v):
     factor = debias_factor(state.params.eps)
-    return [state.k * (float(state.matrix[j, pairwise_hash(h.a, h.b, h.m, v)])
+    return [state.k * (float(state.matrix[j, multiply_shift(h.a1, h.a2, h.b,
+                                                             h.m, v)])
                        * factor)
             for j, h in enumerate(state.hashes)]
 
 
 def test_row_estimates_match_exact_scalar_hashes():
-    """row_estimates evaluates all k hashes in one limb-kernel call; it must
-    equal the Python-int reference PairwiseHash.eval row by row, for built
-    and for deserialized states, at both ends of the largest domain, and
-    for a family with a = b = p - 1, where every limb product carries."""
+    """row_estimates evaluates all k hashes in one kernel call; it must
+    equal the Python-int reference row by row, for built and for
+    deserialized states, at both ends of the largest domain, and for a
+    family of all-ones words, where every product and sum carries."""
     d = fo.MAX_DOMAIN
     rng = np.random.default_rng(12)
     elems = rng.integers(0, d, size=3000, dtype=np.uint64)
     built = fo.construct(elems, d, params(), seed=31)
-    extreme = [PairwiseHash(a=P61 - 1, b=P61 - 1, m=64),
-               PairwiseHash(a=P61 - 1, b=0, m=64),
-               PairwiseHash(a=1, b=P61 - 1, m=64)]
+    top = (1 << 64) - 1
+    extreme = [PairwiseHash(a1=top, a2=top, b=top, m=64),
+               PairwiseHash(a1=top, a2=top, b=0, m=64),
+               PairwiseHash(a1=1, a2=top, b=top, m=64)]
     carried = fo.construct(elems, d, params(), seed=32, hashes=extreme)
     vs = [0, 1, d - 1, d - 2, (1 << 32) - 1, 1 << 32]
     vs += [int(v) for v in rng.integers(0, d, size=40, dtype=np.uint64)]
@@ -385,11 +393,10 @@ def test_query_is_the_median_row_estimate_on_both_sides_of_2_32(monkeypatch,
     """query medians the int32 cells and scales once; that must be, bit
     for bit, the lower-middle of row_estimates, for elements whose high
     32-bit limb is zero and for ones where it is not.  query_many must
-    answer all of them in one batch, so that a block's kernel call
-    decides the zero-high-limb branch for elements on both sides: at the
-    default chunk they share one block, and at chunks of 3k + 1 the 43
-    elements fill blocks of 3 (4 at k = 1) and leave the last block
-    partial.  No query may write to the matrix."""
+    answer all of them in one batch, with elements on both sides in one
+    block: at the default chunk they share one block, and at chunks of
+    3k + 1 the 43 elements fill blocks of 3 (4 at k = 1) and leave the
+    last block partial.  No query may write to the matrix."""
     d = fo.MAX_DOMAIN
     rng = np.random.default_rng(60 + k)
     vs = [0, 1, (1 << 32) - 1, 123_456_789,
@@ -417,13 +424,13 @@ def test_query_is_the_median_row_estimate_on_both_sides_of_2_32(monkeypatch,
 @pytest.mark.parametrize("k, blocks", [(1, 1), (24, 2), (141, 9)])
 def test_every_read_hashes_in_one_kernel_call_per_block(monkeypatch, k,
                                                         blocks):
-    """A scalar query makes one `backend.hash_block` call; a batch of
+    """A scalar query makes one `backend.hash_broadcast` call; a batch of
     1000 distinct elements within one chunk makes one per block of
     max(1, 2^14 // k) elements, not one per row."""
     st = _limb_states(k)[2]
     calls = []
-    kernel = backend.hash_block
-    monkeypatch.setattr(backend, "hash_block",
+    kernel = backend.hash_broadcast
+    monkeypatch.setattr(backend, "hash_broadcast",
                         lambda *args: calls.append(1) or kernel(*args))
     fo.query(st, 12345)
     assert len(calls) == 1
@@ -435,20 +442,22 @@ def test_every_read_hashes_in_one_kernel_call_per_block(monkeypatch, k,
 
 
 def test_query_coefficients_are_read_only_and_rebuilt_on_load():
-    """The a limbs and row offsets every read reuses are computed by
+    """The words and row offsets every read reuses are computed by
     every state, hand-built and deserialized alike, and cannot be
     written through."""
     for st in _limb_states(5):
-        assert st.a_hi.tolist() == [h.a >> 32 for h in st.hashes]
-        assert st.a_lo.tolist() == [h.a & 0xFFFFFFFF for h in st.hashes]
+        for name in ("a1", "a2", "b"):
+            v = getattr(st, name)
+            assert v.dtype == np.uint64
+            assert v.tolist() == [getattr(h, name) for h in st.hashes]
         assert st.offsets.dtype == np.intp
         assert st.offsets.tolist() == [j * st.m for j in range(st.k)]
-        for v in (st.a_hi, st.a_lo, st.offsets):
+        for v in (st.a1, st.a2, st.b, st.offsets):
             assert not v.flags.writeable
             with pytest.raises(ValueError):
                 v[0] = 1
     built, back, _ = _limb_states(5)
-    for name in ("a_hi", "a_lo", "offsets"):
+    for name in ("a1", "a2", "b", "offsets"):
         assert getattr(back, name) is not getattr(built, name)
 
 
@@ -458,7 +467,7 @@ def test_reproducible_and_round_sensitive():
     b = fo.construct(elems, 64, params(), seed=77)
     c = fo.construct(elems, 64, params(), seed=77, round_index=3)
     assert np.array_equal(a.matrix, b.matrix)
-    assert [h.a for h in a.hashes] == [h.a for h in b.hashes]
+    assert a.hashes == b.hashes
     assert not np.array_equal(a.matrix, c.matrix)
 
 
@@ -467,15 +476,14 @@ def test_serialization_round_trip():
     elems = rng.integers(0, 10_000, size=5000, dtype=np.uint64)
     st = fo.construct(elems, 10_000, params(), seed=8)
     blob = fo.to_bytes(st)
-    # format v5: a 66-byte header, k uint64 a, k uint64 b, k x m int32
+    # format v6: a 66-byte header, k uint64 a1, k a2, k b, k x m int32
     k, m, head = st.k, st.m, fo._HEADER.size
-    assert (fo.VERSION, head) == (5, 66)
-    assert fo._HEADER.unpack_from(blob, 0)[:5] == (b"HDFO", 5, k, m, st.d)
-    assert len(blob) == head + 16 * k + 4 * k * m
-    assert blob[head:] == st.a.astype("<u8").tobytes() \
-        + st.b.astype("<u8").tobytes() + st.matrix.astype("<i4").tobytes()
-    assert st.a.tolist() == [h.a for h in st.hashes]
-    assert st.b.tolist() == [h.b for h in st.hashes]
+    assert (fo.VERSION, head) == (6, 66)
+    assert fo._HEADER.unpack_from(blob, 0)[:5] == (b"HDFO", 6, k, m, st.d)
+    assert len(blob) == head + 24 * k + 4 * k * m
+    assert blob[head:] == b"".join(
+        np.array([getattr(h, name) for h in st.hashes], "<u8").tobytes()
+        for name in ("a1", "a2", "b")) + st.matrix.astype("<i4").tobytes()
     back = fo.from_bytes(blob)
     assert (back.k, back.m, back.d, back.n_users) == (st.k, st.m, st.d, st.n_users)
     assert back.params == st.params
@@ -518,18 +526,23 @@ def test_from_bytes_rejects_garbage():
     fields = fo._HEADER.unpack_from(blob, 0)[2:]
     with pytest.raises(ValueError, match="unsupported version 4"):
         fo.from_bytes(v4.pack(b"HDFO", 4, 0, 0, *fields) + blob[fo._HEADER.size:])
-    # coefficients outside the family: a = 0, a = p, b = p
-    a_at, b_at = fo._HEADER.size, fo._HEADER.size + 8 * st.k
-    for at, value in ((a_at, 0), (a_at, P61), (b_at, P61)):
-        bad = blob[:at] + struct.pack("<Q", value) + blob[at + 8:]
-        with pytest.raises(ValueError):
-            fo.from_bytes(bad)
+    # a version-5 blob: one a and one b per row, then the matrix
+    head = list(fo._HEADER.unpack_from(blob, 0))
+    head[1] = 5
+    words = blob[fo._HEADER.size:fo._HEADER.size + 24 * st.k]
+    with pytest.raises(ValueError, match="unsupported version 5"):
+        fo.from_bytes(fo._HEADER.pack(*head) + words[:16 * st.k]
+                      + st.matrix.astype("<i4").tobytes())
+    # every 64-bit word is a member's: all-ones words load and hash
+    ones = fo.from_bytes(blob[:fo._HEADER.size] + b"\xff" * 24 * st.k
+                         + blob[fo._HEADER.size + 24 * st.k:])
+    assert {(h.a1, h.a2, h.b) for h in ones.hashes} == {((1 << 64) - 1,) * 3}
+    assert np.isfinite(fo.query(ones, 3))
     # header fields out of range, each with arrays of the length it implies:
     # k = 0 and m = 3
-    coeffs = blob[a_at:b_at + 8 * st.k]
     for at, value, arrays, match in (
             (2, 0, b"", "k = 0"),
-            (3, 3, coeffs + bytes(4 * 3 * st.k), "not a power of two")):
+            (3, 3, words + bytes(4 * 3 * st.k), "not a power of two")):
         head = list(fo._HEADER.unpack_from(blob, 0))
         head[at] = value
         with pytest.raises(ValueError, match=match):
@@ -547,8 +560,9 @@ def test_construct_equals_per_group_sum():
     st = fo.construct(elems, d, p, seed, round_index=rnd)
 
     k, m = fo.repetitions_for(p), fo.hash_range_for(p, n)
-    hash_rng = setup_stream(seed, rnd, 1)
-    hashes = [sample_hash(m, hash_rng) for _ in range(k)]
+    a1, a2, b = setup_stream(seed, rnd, 1).integers(
+        0, 1 << 64, size=(3, k), dtype=np.uint64).tolist()
+    hashes = [PairwiseHash(*w, m) for w in zip(a1, a2, b)]
     part = take_partition(n, k, setup_stream(seed, rnd, 0))
     rows_rng, coins_rng = round_streams(seed, rnd)
     rows = draw_rows(rows_rng, n, m).tolist()
@@ -556,8 +570,8 @@ def test_construct_equals_per_group_sum():
     keep = keep_probability(p.eps)
     raw = np.zeros((k, m))
     for u, j in enumerate(part.assignment.tolist()):
-        sign = entry(m, rows[u], pairwise_hash(
-            hashes[j].a, hashes[j].b, m, elems[u]))
+        sign = entry(m, rows[u], multiply_shift(a1[j], a2[j], b[j], m,
+                                                elems[u]))
         raw[j, rows[u]] += sign if coins[u] < keep else -sign
     want = np.array([naive_multiply(m, r) for r in raw])
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,56 +6,72 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hadaldp.hashing import P61, PairwiseHash, element_array, sample_hash
+from hadaldp import freq_oracle as fo
+from hadaldp.hashing import MAX_RANGE, PairwiseHash, element_array
+from hadaldp.randomizer import setup_stream
 
-from exact_reference import pairwise_hash
+from exact_reference import multiply_shift
+
+TOP = (1 << 64) - 1   # the largest 64-bit word
 
 
 def _at(h, x):
-    """h at one input, through the limb kernel."""
+    """h at one input, through the package's kernel."""
     return int(h.eval_batch(np.array([x], dtype=np.uint64))[0])
 
 
 def test_known_values():
-    for b, want in ((0, 5), (3, 0)):
-        assert pairwise_hash(1, b, 8, 13) == want
-        assert _at(PairwiseHash(a=1, b=b, m=8), 13) == want
+    x = (2 << 32) + 10    # x_hi = 2, x_lo = 10: a1 * 10 + a2 * 2 + b
+    for b, m, want in ((0, 16, 0), (15 << 60, 16, 15), (1 << 63, 2, 1),
+                       (1 << 63, 1, 0), ((1 << 63) - 41, 2, 0),
+                       ((1 << 63) - 40, 2, 1)):
+        assert multiply_shift(3, 5, b, m, x) == want
+        assert _at(PairwiseHash(a1=3, a2=5, b=b, m=m), x) == want
+    # the sum wraps mod 2^64: 2^63 * 2 + 2^63 = 2^63
+    assert _at(PairwiseHash(a1=1 << 63, a2=0, b=1 << 63, m=2), 2) == 1
 
 
 def test_against_bigint_reference():
-    h = PairwiseHash(a=3, b=7, m=16)
-    assert _at(h, 10**9) == pairwise_hash(3, 7, 16, 10**9) == \
-        (3 * 10**9 + 7) % 16
+    h = PairwiseHash(a1=3 << 60, a2=7, b=11, m=16)
+    x = 10 ** 12
+    assert _at(h, x) == multiply_shift(3 << 60, 7, 11, 16, x) == \
+        (((3 << 60) * (x % (1 << 32)) + 7 * (x >> 32) + 11) % (1 << 64)) >> 60
 
 
-@given(a=st.integers(1, P61 - 1), b=st.integers(0, P61 - 1),
-       m=st.sampled_from([1, 2, 16, 1024, 1 << 16, 1 << 61, 1 << 62]))
-@example(a=3, b=7, m=16)
-@example(a=P61 - 1, b=P61 - 1, m=1024)
-@example(a=1, b=0, m=1)
-@example(a=P61 - 1, b=P61 - 1, m=1 << 62)
+@given(a1=st.integers(0, TOP), a2=st.integers(0, TOP), b=st.integers(0, TOP),
+       m=st.sampled_from([1, 2, 16, 1024, 1 << 16, 1 << 31, MAX_RANGE]))
+@example(a1=3, a2=5, b=7, m=16)
+@example(a1=TOP, a2=TOP, b=TOP, m=1024)
+@example(a1=0, a2=0, b=0, m=1)
+@example(a1=TOP, a2=TOP, b=TOP, m=MAX_RANGE)
 @settings(max_examples=50, deadline=None)
-def test_batch_matches_scalar(a, b, m):
-    h = PairwiseHash(a=a, b=b, m=m)
-    xs = np.array([0, 1, 13, 2**32, 2**60, P61 - 1], dtype=np.uint64)
+def test_batch_matches_scalar(a1, a2, b, m):
+    h = PairwiseHash(a1=a1, a2=a2, b=b, m=m)
+    xs = np.array([0, 1, 13, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, 1 << 60,
+                   TOP], dtype=np.uint64)
     got = h.eval_batch(xs)
-    assert got.tolist() == [pairwise_hash(a, b, m, x) for x in xs]
+    assert got.tolist() == [multiply_shift(a1, a2, b, m, x) for x in xs]
 
 
 def test_batch_on_random_inputs():
     rng = np.random.default_rng(5)
-    h = sample_hash(4096, rng)
-    xs = rng.integers(0, P61, size=20_000, dtype=np.uint64)
+    h, = fo.sample_family(1, 4096, seed=5)
+    xs = rng.integers(0, TOP, size=20_000, dtype=np.uint64, endpoint=True)
     got = h.eval_batch(xs)
     probe = rng.integers(0, xs.size, size=200)
     for i in probe:
-        assert got[i] == pairwise_hash(h.a, h.b, h.m, xs[i])
+        assert got[i] == multiply_shift(h.a1, h.a2, h.b, h.m, xs[i])
 
 
 def test_domain_guards():
-    h = PairwiseHash(a=2, b=0, m=4)
-    with pytest.raises(ValueError):
-        h.eval_batch(np.array([0, P61], dtype=np.uint64))
+    """Every 64-bit key is in the hash's domain; a negative, fractional
+    or non-1-D batch is refused rather than cast."""
+    h = PairwiseHash(a1=2, a2=3, b=0, m=4)
+    assert h.eval_batch(np.array([0, TOP], dtype=np.uint64)).tolist() == \
+        [multiply_shift(2, 3, 0, 4, x) for x in (0, TOP)]
+    for bad in ([-1], np.array([1.5]), np.zeros((2, 2), dtype=np.uint64)):
+        with pytest.raises(ValueError):
+            h.eval_batch(bad)
 
 
 def test_element_array_accepts_integers_only():
@@ -71,26 +88,34 @@ def test_element_array_accepts_integers_only():
 
 
 def test_constructor_guards():
-    with pytest.raises(ValueError):
-        PairwiseHash(a=0, b=0, m=8)
-    with pytest.raises(ValueError):
-        PairwiseHash(a=1, b=P61, m=8)
-    with pytest.raises(ValueError):
-        PairwiseHash(a=P61, b=0, m=8)
+    for words in ((-1, 0, 0), (0, 1 << 64, 0), (0, 0, 1 << 64)):
+        with pytest.raises(ValueError, match="must lie in"):
+            PairwiseHash(*words, m=8)
     for m in (0, 3, 1000, (1 << 61) - 1):
         with pytest.raises(ValueError, match="not a power of two"):
-            PairwiseHash(a=1, b=0, m=m)
+            PairwiseHash(a1=1, a2=0, b=0, m=m)
+    # strongly universal into [2^l] only for l <= 33; the cap is 2^32
+    for m in (2 * MAX_RANGE, 1 << 61):
+        with pytest.raises(ValueError, match="above 2"):
+            PairwiseHash(a1=1, a2=0, b=0, m=m)
+    assert PairwiseHash(a1=TOP, a2=TOP, b=TOP, m=MAX_RANGE).m == 1 << 32
 
 
 def test_sample_determinism_and_serialization():
-    h1 = sample_hash(64, np.random.default_rng(42))
-    h2 = sample_hash(64, np.random.default_rng(42))
-    assert (h1.a, h1.b) == (h2.a, h2.b)
+    """A family is one 3 x k draw of 64-bit words from its round's setup
+    stream 1, rows a1, a2 and b; the same seed and round draw it again."""
+    family = fo.sample_family(3, 64, seed=42, round_index=2)
+    assert family == fo.sample_family(3, 64, seed=42, round_index=2)
+    words = setup_stream(42, 2, 1).integers(0, 1 << 64, size=(3, 3),
+                                            dtype=np.uint64)
+    assert [(h.a1, h.a2, h.b) for h in family] == list(zip(*words.tolist()))
+    assert {h.m for h in family} == {64}
 
 
 def test_single_bucket_range():
-    h = sample_hash(1, np.random.default_rng(0))
-    xs = np.array([0, 7, 2**40, P61 - 1], dtype=np.uint64)
+    """m = 1 keeps no bit of the word: every key hashes to 0."""
+    h = PairwiseHash(a1=TOP, a2=TOP, b=TOP, m=1)
+    xs = np.array([0, 7, 2**40, TOP], dtype=np.uint64)
     assert h.eval_batch(xs).tolist() == [0] * xs.size
 
 
@@ -123,8 +148,7 @@ def test_chi2_sf_known_values():
 def test_chi_square_uniformity():
     """A random family member spreads 10^5 distinct inputs evenly over
     m = 64 buckets; reject only below significance 1e-4."""
-    rng = np.random.default_rng(2024)
-    h = sample_hash(64, rng)
+    h, = fo.sample_family(1, 64, seed=2024)
     xs = np.arange(100_000, dtype=np.uint64)
     buckets = np.bincount(h.eval_batch(xs).astype(np.int64), minlength=64)
     expected = xs.size / 64
@@ -135,18 +159,47 @@ def test_chi_square_uniformity():
 
 def test_pairwise_collision_rate():
     """Over many family members, Pr[h(x) = h(y)] for fixed x != y stays
-    near 1/m (pairwise independence), within 4 sigma."""
+    near 1/m (pairwise independence), within 4 sigma; x is above 2^32
+    and y below it."""
     m = 16
     x, y = 1234567890123, 987654321
     trials = 1_000_000
     rng = np.random.default_rng(77)
-    a = rng.integers(1, P61, size=trials).tolist()
-    b = rng.integers(0, P61, size=trials).tolist()
-    p = P61
-    hits = 0
-    for ai, bi in zip(a, b):
-        if ((ai * x + bi) % p) % m == ((ai * y + bi) % p) % m:
-            hits += 1
+    a1, a2, b = rng.integers(0, TOP, size=(3, trials), dtype=np.uint64,
+                             endpoint=True).tolist()
+    hits = sum(multiply_shift(*w, m, x) == multiply_shift(*w, m, y)
+               for w in zip(a1, a2, b))
     rate = hits / trials
     sigma = (1 / m * (1 - 1 / m) / trials) ** 0.5
     assert rate <= 1 / m + 4 * sigma, f"collision rate {rate}"
+
+
+def _joint_law_misses(W, w, l):
+    """Key pairs whose two values are not exactly uniform over [2^l]^2
+    when (a1, a2, b) runs over every triple of W-bit words, for the
+    family ((a1*x_lo + a2*x_hi + b) mod 2^W) >> (W - l) on keys of two
+    w-bit limbs."""
+    words = np.arange(1 << W, dtype=np.int64)
+    a1, a2, b = np.meshgrid(words, words, words, indexing="ij")
+    keys = range(1 << (2 * w))
+    # row x: h(x) under every triple, as int16 (values below 2^(2l))
+    h = np.stack([(a1 * (x % (1 << w)) + a2 * (x >> w) + b) % (1 << W)
+                  >> (W - l) for x in keys]).reshape(len(keys), -1)
+    h = h.astype(np.int16)
+    high = h << l
+    each = h.shape[1] >> (2 * l)   # triples per pair of values
+    return sum(bool((np.bincount(high[x] | h[y], minlength=1 << (2 * l))
+                     != each).any())
+               for x, y in itertools.combinations(keys, 2))
+
+
+def test_small_word_family_is_exactly_strongly_universal():
+    """The family's small-word twin with W-bit words and w-bit limbs is
+    strongly universal into [2^l] when W >= w + l - 1 (Thorup 2015),
+    as the 64-bit family with 32-bit limbs is for l <= 33: at four
+    shapes every key pair's joint law, over all 2^(3W) triples, is
+    exactly uniform.  (W, w, l) = (6, 3, 5) breaks the condition and
+    must miss on some pair, or the check could not tell."""
+    for shape in ((6, 3, 4), (6, 3, 3), (5, 2, 4), (5, 2, 3)):
+        assert _joint_law_misses(*shape) == 0, shape
+    assert _joint_law_misses(6, 3, 5) > 0

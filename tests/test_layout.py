@@ -14,13 +14,15 @@ import hadaldp
 ONLY_PERFBENCH = {
     "get_backend",    # item 3 drops perfbench's calls; item 4 deletes it
     "set_backend",    # item 3 drops perfbench's calls; item 4 deletes it
-    "eval_batch",     # item 3 drops the tracer's wrapper; item 4 deletes it
+    # evaluates the multiply-shift family for the tracer and the tests;
+    # item 3 drops the tracer's wrapper, item 4 deletes it
+    "eval_batch",
     "members",        # item 3 drops the tracer's wrapper; item 4 deletes it
-    "query_direct",   # item 9: moves with item 3 or a later benchmark change
-    "row_estimates",  # item 9: moves once item 3 drops the tracer's wrapper
+    "query_direct",   # item 3 drops perfbench's calls; item 4 deletes it
+    "row_estimates",  # item 3 drops perfbench's calls; item 4 deletes it
 }
 # public API the package never calls itself: the server states'
-# serialization, hrr's format v2 and freq_oracle's format v5
+# serialization, hrr's format v2 and freq_oracle's format v6
 PUBLIC_API = {"to_bytes", "from_bytes"}
 
 

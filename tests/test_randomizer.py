@@ -58,9 +58,9 @@ def test_identity_column_examples():
 
 def test_oracle_client_composes_with_hash():
     keep = rz.PrivacyBudget(1.0).keep_prob
-    ident = PairwiseHash(a=1, b=0, m=8)
+    # a1 = 2^61 keeps x_lo mod 8 in the top three bits: 13 goes to bucket 5
+    ident = PairwiseHash(a1=1 << 61, a2=0, b=0, m=8)
     rows = np.arange(8, dtype=np.uint64)
-    # identity-affine hash sends 13 to bucket 5
     cols = ident.eval_batch(np.full(8, 13, dtype=np.uint64))
     got = rz.randomize(rows, cols, np.full(8, KEEP), keep)
     assert got.tolist() == [entry(8, r, 5) for r in range(8)]
@@ -69,7 +69,7 @@ def test_oracle_client_composes_with_hash():
 def test_heavy_client_full_length_prefix_is_the_element():
     keep = rz.PrivacyBudget(0.4).keep_prob
     code = make_code(16, 256)   # B=4, L=4
-    h = PairwiseHash(a=977, b=31, m=16)
+    h = PairwiseHash(a1=977 << 50, a2=3, b=31 << 40, m=16)
     elements = np.array([0, 27, 255], dtype=np.uint64)
     rows = np.full(3, 3, dtype=np.uint64)
     for u in (KEEP, FLIP):
@@ -83,7 +83,7 @@ def test_heavy_client_full_length_prefix_is_the_element():
 def test_heavy_client_hashes_the_prefix():
     keep = rz.PrivacyBudget(1.0).keep_prob
     code = make_code(16, 256)
-    h = PairwiseHash(a=1, b=0, m=16)
+    h = PairwiseHash(a1=1 << 60, a2=0, b=0, m=16)   # x_lo mod 16
     # element 27 = digits [0,1,2,3] base 4; tau=2 keeps [0,1] -> integer 1
     cols = h.eval_batch(encode_prefix_batch(np.array([27], dtype=np.uint64), 2, code))
     got = rz.randomize([6], cols, np.array([KEEP]), keep)
