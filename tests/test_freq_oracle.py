@@ -47,6 +47,19 @@ def test_hash_range_examples():
             fo.hash_range_for(params(c_m=c_m), 1)
 
 
+def test_hash_range_is_the_least_power_of_two_at_the_edges():
+    """With eps = 1 and n = 1 the target c_m * eps * sqrt(n) is c_m: a
+    target of exactly 2^j gets 2^j, one just above it 2^(j + 1), and a
+    target of 2 or less gets 2."""
+    for j in range(1, 33):
+        assert fo.hash_range_for(params(c_m=2.0 ** j), 1) == 1 << j
+        if j < 32:
+            assert fo.hash_range_for(params(c_m=2.0 ** j * (1 + 1e-12)),
+                                     1) == 1 << (j + 1)
+    for c_m in (1e-9, 0.5, 1.0, 1.5, 2.0):
+        assert fo.hash_range_for(params(c_m=c_m), 1) == 2
+
+
 def test_profiles():
     assert fo.PROFILES["theory"]["c_m"] == pytest.approx(8 * math.e**2 * math.sqrt(8))
     assert fo.PROFILES["practical"] == {"c_k": 8.0, "c_m": 4.0}
